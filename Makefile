@@ -2,31 +2,19 @@ PYTHON ?= python
 PYTHONPATH := src
 export PYTHONPATH
 
-.PHONY: test bench bench-full bench-domains perf
+.PHONY: test bench bench-full
 
 # Tier-1 verification: the full unit/integration test suite.
 test:
 	$(PYTHON) -m pytest -x -q
 
-# Perf regression harness: times the quick-mode sweep (serial and
-# parallel) and writes BENCH_perf.json at the repo root.
+# End-to-end benchmark: the five workloads of BENCHMARK.json, each in
+# a fresh process (see benchmarks/e2e/README.md; compare two runs'
+# --out files with benchmarks/e2e/compare.py).
 bench:
-	$(PYTHON) benchmarks/perf_harness.py
+	$(PYTHON) benchmarks/e2e/run.py --seed 0
 
 # The full experiment benchmark suite (figures, tables, ablations,
-# scenario) in quick mode, plus the perf harness smoke.
+# scenario) in quick mode, plus the end-to-end benchmark's checks.
 bench-full:
 	$(PYTHON) -m pytest benchmarks -q
-
-# Domain-sharding legs (flat vs. domained at 2048 nodes, plus the
-# 10k-node leg); skips the scale/obs/sampler/faults sections and
-# writes to a scratch report so the committed BENCH_perf.json keeps
-# all of its sections.
-bench-domains:
-	$(PYTHON) benchmarks/perf_harness.py --no-scale-bench \
-	    --no-obs-bench --no-sampler-bench --no-faults-bench \
-	    --output BENCH_domains.json
-
-# Perf harness with one worker per core.
-perf:
-	$(PYTHON) benchmarks/perf_harness.py --jobs 0

@@ -45,14 +45,11 @@ class Cluster:
             fault_service_s=self.config.fault_service_s,
             curve_exponent=self.config.fault_curve_exponent,
         )
-        #: Columnar (struct-of-arrays) hot state shared by all nodes;
-        #: None on the per-object fallback path (``columnar=False``).
+        #: Columnar (struct-of-arrays) hot state shared by all nodes.
         #: Batch consumers (metrics collector, obs sampler, load
         #: directory, the cluster-wide queries below) read these
         #: columns instead of walking node objects.
-        self.state: Optional[ClusterState] = (
-            ClusterState(self.config.num_nodes)
-            if self.config.columnar else None)
+        self.state = ClusterState(self.config.num_nodes)
         self.nodes: List[Workstation] = [
             Workstation(self.sim, node_id, self.config.spec_for(node_id),
                         self.config, self.paging,
@@ -79,20 +76,17 @@ class Cluster:
             self.directory = DomainDirectory(
                 self.sim, self.nodes,
                 num_domains=self.config.domains,
+                state=self.state,
                 exchange_interval_s=self.config.load_exchange_interval_s,
                 summary_interval_s=self.config.domain_exchange_interval_s,
-                incremental=self.config.indexed_selection,
                 obs=self.obs.channel("loadinfo.exchange"),
                 obs_domain=self.obs.channel("loadinfo.domain"),
-                state=self.state,
             )
         else:
             self.directory = LoadInfoDirectory(
-                self.sim, self.nodes,
+                self.sim, self.nodes, self.state,
                 exchange_interval_s=self.config.load_exchange_interval_s,
-                incremental=self.config.indexed_selection,
                 obs=self.obs.channel("loadinfo.exchange"),
-                state=self.state,
             )
         #: Ids of nodes whose cached fault rate / starvation currently
         #: crosses the thrashing threshold, maintained from workstation
@@ -156,21 +150,15 @@ class Cluster:
         return len(self.nodes)
 
     def total_idle_memory_mb(self, exclude_reserved: bool = False) -> float:
-        """Accumulated idle memory space in the cluster (paper §2.1/2.2).
-
-        The columnar path sums the idle column in the same node order
-        the object walk uses, so the float result is bit-identical.
-        """
+        """Accumulated idle memory space in the cluster (paper §2.1/2.2),
+        summed over the idle column in node order."""
         state = self.state
-        if state is not None:
-            if not exclude_reserved:
-                return sum(state.idle_memory_mb)
-            idle = state.idle_memory_mb
-            flags = state.flags
-            return sum(idle[i] for i in range(state.num_nodes)
-                       if not flags[i] & FLAG_RESERVED)
-        return sum(node.idle_memory_mb for node in self.nodes
-                   if not (exclude_reserved and node.reserved))
+        if not exclude_reserved:
+            return sum(state.idle_memory_mb)
+        idle = state.idle_memory_mb
+        flags = state.flags
+        return sum(idle[i] for i in range(state.num_nodes)
+                   if not flags[i] & FLAG_RESERVED)
 
     def average_user_memory_mb(self) -> float:
         """Average user memory space of workstations (the paper's
@@ -185,11 +173,8 @@ class Cluster:
         return jobs
 
     def reserved_nodes(self) -> List[Workstation]:
-        state = self.state
-        if state is not None:
-            nodes = self.nodes
-            return [nodes[node_id] for node_id in state.reserved_ids()]
-        return [node for node in self.nodes if node.reserved]
+        nodes = self.nodes
+        return [nodes[node_id] for node_id in self.state.reserved_ids()]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         running = sum(node.num_running for node in self.nodes)

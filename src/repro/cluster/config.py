@@ -131,24 +131,6 @@ class ClusterConfig:
     network_ram: bool = False
     network_ram_service_ms: float = 1.0
 
-    # --- implementation switches ---------------------------------------
-    #: Use the incrementally maintained candidate index (load
-    #: directory orders + thrashing-set monitor) on the scheduling hot
-    #: path.  ``False`` falls back to the seed snapshot-rebuild-and-
-    #: sort selection and the all-nodes monitor scan — behaviorally
-    #: identical (pinned by tests) but O(N log N) per decision; kept
-    #: for the equivalence suite and the scale benchmark.
-    indexed_selection: bool = True
-    #: Keep the cluster's hot per-node state additionally in the
-    #: columnar :class:`~repro.cluster.state.ClusterState` layer
-    #: (struct-of-arrays), which batch consumers — metrics collector,
-    #: obs sampler, load directory, cluster-wide queries — read
-    #: instead of walking ``Workstation`` objects.  ``False`` builds
-    #: no state object and every consumer falls back to the
-    #: per-object path; both paths are pinned byte-identical by the
-    #: columnar-equivalence tests.
-    columnar: bool = True
-
     # --- domain sharding (DESIGN.md §4) --------------------------------
     #: Number of load-information domains the cluster is partitioned
     #: into (contiguous node-id slices).  ``1`` (the default) keeps the
@@ -197,11 +179,6 @@ class ClusterConfig:
                 f"({self.num_nodes})")
         if self.domain_exchange_interval_s < 0:
             raise ValueError("domain_exchange_interval_s must be >= 0")
-        if self.domains > 1 and not self.indexed_selection:
-            raise ValueError(
-                "domains > 1 requires indexed_selection=True: the "
-                "domained directory drives the maintained candidate "
-                "orders; the seed snapshot-sort path is flat-only")
 
     # ------------------------------------------------------------------
     def spec_for(self, node_id: int) -> WorkstationSpec:

@@ -84,12 +84,11 @@ class DomainDirectory:
 
     def __init__(self, sim: Simulator, nodes: List["Workstation"],
                  num_domains: int,
+                 state: ClusterState,
                  exchange_interval_s: float = 1.0,
                  summary_interval_s: float = 5.0,
-                 incremental: bool = True,
                  obs: Optional[Channel] = None,
-                 obs_domain: Optional[Channel] = None,
-                 state: Optional[ClusterState] = None):
+                 obs_domain: Optional[Channel] = None):
         if num_domains < 1:
             raise ValueError("num_domains must be >= 1")
         if num_domains > len(nodes):
@@ -101,7 +100,6 @@ class DomainDirectory:
         self.num_domains = num_domains
         self.exchange_interval_s = exchange_interval_s
         self.summary_interval_s = summary_interval_s
-        self.incremental = incremental
         self.obs = obs if obs is not None else NULL_CHANNEL
         #: ``loadinfo.domain`` obs channel (summary rounds).
         self.obs_domain = (obs_domain if obs_domain is not None
@@ -117,10 +115,9 @@ class DomainDirectory:
                 self._domain_of[node_id] = d
         self._fault_hook = None
         self._shards: List[LoadInfoDirectory] = [
-            LoadInfoDirectory(sim, nodes[lo:hi],
+            LoadInfoDirectory(sim, nodes[lo:hi], state,
                               exchange_interval_s=exchange_interval_s,
-                              incremental=incremental, obs=self.obs,
-                              state=state, managed=True)
+                              obs=self.obs, managed=True)
             for lo, hi in self._bounds]
         #: Summary exchange rounds completed.
         self.summary_rounds = 0
@@ -147,9 +144,9 @@ class DomainDirectory:
     def _exchange_tick(self) -> None:
         # A shard with no dirty nodes would no-op its refresh; skip
         # the call entirely — K no-op calls per round add up at 10k
-        # nodes.  (Unpopulated or non-incremental shards always run.)
+        # nodes.  (Unpopulated shards always run.)
         for shard in self._shards:
-            if shard._dirty or not shard._snapshots or not shard.incremental:
+            if shard._dirty or not shard._snapshots:
                 shard.refresh()
         self._schedule_exchange()
 

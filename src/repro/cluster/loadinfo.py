@@ -124,10 +124,9 @@ class LoadInfoDirectory:
     """Periodically refreshed cluster-wide load information."""
 
     def __init__(self, sim: Simulator, nodes: List["Workstation"],
+                 state: ClusterState,
                  exchange_interval_s: float = 1.0,
-                 incremental: bool = True,
                  obs: Optional[Channel] = None,
-                 state: Optional[ClusterState] = None,
                  managed: bool = False):
         if exchange_interval_s < 0:
             raise ValueError("exchange_interval_s must be >= 0")
@@ -137,17 +136,13 @@ class LoadInfoDirectory:
         #: cluster (a domain shard), so node ids are not list indexes.
         self._node_by_id: Dict[int, "Workstation"] = {
             node.node_id: node for node in nodes}
-        #: Columnar cluster state; when present, snapshot collection
-        #: and candidate keys read the published columns (array loads
-        #: over dirty node ids) instead of per-object property calls.
+        #: Columnar cluster state: snapshot collection and candidate
+        #: keys read the published columns (array loads over dirty
+        #: node ids) instead of per-object property calls.
         self._state = state
         #: ``loadinfo.exchange`` obs channel (disabled by default).
         self.obs = obs if obs is not None else NULL_CHANNEL
         self.exchange_interval_s = exchange_interval_s
-        #: When False every exchange round re-collects all N nodes,
-        #: reproducing the seed directory exactly (used by the
-        #: unindexed fallback so benchmarks compare real baselines).
-        self.incremental = incremental
         self._snapshots: Dict[int, NodeSnapshot] = {}
         #: Fault-injection hook consulted once per refreshed node each
         #: exchange round: ``hook(node_id) -> (action, delay_s)`` with
@@ -199,7 +194,7 @@ class LoadInfoDirectory:
         out field-identical, so skipping it is free.
         """
         self.refreshes += 1
-        if not self._snapshots or not self.incremental:
+        if not self._snapshots:
             changed_nodes = self._nodes
         elif self._dirty:
             changed_nodes = [self._node_by_id[node_id]
@@ -262,33 +257,20 @@ class LoadInfoDirectory:
 
     def _snapshot_of(self, node: "Workstation") -> NodeSnapshot:
         state = self._state
-        if state is not None:
-            node_id = node.node_id
-            bits = state.flags[node_id]
-            alive = bool(bits & FLAG_ALIVE)
-            return NodeSnapshot(
-                node_id=node_id,
-                num_jobs=((state.num_running[node_id]
-                           + state.inbound_jobs[node_id]) if alive else 0),
-                idle_memory_mb=state.idle_memory_mb[node_id],
-                total_demand_mb=state.total_demand_mb[node_id],
-                fault_rate_per_s=state.fault_rate_per_s[node_id],
-                accepting=bool(bits & FLAG_ACCEPTING),
-                timestamp=self._sim.now,
-                alive=alive,
-                thrashing=alive and bool(bits & FLAG_THRASHING),
-            )
-        alive = node.alive
+        node_id = node.node_id
+        bits = state.flags[node_id]
+        alive = bool(bits & FLAG_ALIVE)
         return NodeSnapshot(
-            node_id=node.node_id,
-            num_jobs=node.committed_jobs if alive else 0,
-            idle_memory_mb=node.idle_memory_mb,
-            total_demand_mb=node.total_demand_mb,
-            fault_rate_per_s=node.fault_rate_per_s,
-            accepting=node.accepting,
+            node_id=node_id,
+            num_jobs=((state.num_running[node_id]
+                       + state.inbound_jobs[node_id]) if alive else 0),
+            idle_memory_mb=state.idle_memory_mb[node_id],
+            total_demand_mb=state.total_demand_mb[node_id],
+            fault_rate_per_s=state.fault_rate_per_s[node_id],
+            accepting=bool(bits & FLAG_ACCEPTING),
             timestamp=self._sim.now,
             alive=alive,
-            thrashing=alive and node.thrashing,
+            thrashing=alive and bool(bits & FLAG_THRASHING),
         )
 
     def _publish(self, snap: NodeSnapshot) -> None:
@@ -317,22 +299,15 @@ class LoadInfoDirectory:
     def _live_keys(self, node: "Workstation"
                    ) -> Tuple[Optional[tuple], Optional[tuple]]:
         state = self._state
-        if state is not None:
-            node_id = node.node_id
-            bits = state.flags[node_id]
-            if not bits & FLAG_ALIVE:
-                return None, None
-            num_jobs = (state.num_running[node_id]
-                        + state.inbound_jobs[node_id])
-            accepting_key = ((-state.idle_memory_mb[node_id], num_jobs,
-                              node_id) if bits & FLAG_ACCEPTING else None)
-            return accepting_key, (num_jobs, node_id)
-        if not node.alive:
+        node_id = node.node_id
+        bits = state.flags[node_id]
+        if not bits & FLAG_ALIVE:
             return None, None
-        num_jobs = node.committed_jobs
-        accepting_key = ((-node.idle_memory_mb, num_jobs, node.node_id)
-                         if node.accepting else None)
-        return accepting_key, (num_jobs, node.node_id)
+        num_jobs = (state.num_running[node_id]
+                    + state.inbound_jobs[node_id])
+        accepting_key = ((-state.idle_memory_mb[node_id], num_jobs,
+                          node_id) if bits & FLAG_ACCEPTING else None)
+        return accepting_key, (num_jobs, node_id)
 
     def _keys_of(self, node: "Workstation") -> Tuple[Optional[tuple], tuple]:
         """Key pair (accepting order, load order) under the directory's

@@ -23,14 +23,11 @@ Ownership contract:
   existing row-local caches, so the object API costs exactly what it
   did before.
 
-The low three flag bits deliberately match
-:mod:`repro.obs.sampler`'s ``FLAG_ALIVE``/``FLAG_RESERVED``/
-``FLAG_THRASHING`` packing, which lets the sampler copy flag rows with
-one ``bytes.translate`` instead of re-deriving bits per node.
-
-``ClusterConfig.columnar = False`` disables the layer entirely (no
-state object is built); every consumer then falls back to the
-per-object path, which the differential tests pin byte-identical.
+The obs sampler stores the low three flag bits (alive, reserved,
+thrashing), so it copies flag rows with one ``bytes.translate``
+instead of re-deriving bits per node.  Committed golden summaries
+(``tests/golden/summaries_paths.json``) pin that reading the columns
+changes no scheduling decision.
 """
 
 from __future__ import annotations
@@ -38,7 +35,7 @@ from __future__ import annotations
 from array import array
 from typing import List
 
-#: Flag bits of one node's ``flags`` byte.  The low three bits match
+#: Flag bits of one node's ``flags`` byte.  The low three bits are
 #: the obs sampler's packing (see module docstring).
 FLAG_ALIVE = 1
 FLAG_RESERVED = 2
@@ -88,10 +85,6 @@ class ClusterState:
     # ------------------------------------------------------------------
     # batch views
     # ------------------------------------------------------------------
-    def committed_jobs(self, node_id: int) -> int:
-        """Running plus in-flight jobs of one node (slot accounting)."""
-        return self.num_running[node_id] + self.inbound_jobs[node_id]
-
     def reserved_ids(self) -> List[int]:
         """Node ids with the reserved flag set, ascending."""
         return [node_id for node_id, bits in enumerate(self.flags)

@@ -37,17 +37,17 @@ _EPS = 1e-9
 class Workstation:
     """One node of the simulated cluster.
 
-    With a columnar :class:`~repro.cluster.state.ClusterState`
-    attached the workstation is a thin façade over its row: the object
-    API below is unchanged, but every externally visible state change
-    also writes through to the state columns (:meth:`_sync_row`) so
-    batch consumers never have to walk node objects.
+    The workstation is a thin façade over its row of the columnar
+    :class:`~repro.cluster.state.ClusterState`: every externally
+    visible state change also writes through to the state columns
+    (:meth:`_sync_row`) so batch consumers never have to walk node
+    objects.
     """
 
     def __init__(self, sim: Simulator, node_id: int, spec: WorkstationSpec,
                  config: ClusterConfig, paging: PagingModel,
                  on_job_finished: Optional[Callable[[Job, "Workstation"], None]] = None,
-                 state: Optional[ClusterState] = None):
+                 *, state: ClusterState):
         self._sim = sim
         self.node_id = node_id
         self.spec = spec
@@ -55,8 +55,7 @@ class Workstation:
         self._paging = paging
         self.on_job_finished = on_job_finished
         self.user_memory_mb = config.user_memory_mb(spec)
-        #: Columnar cluster state this node writes through to
-        #: (None on the per-object fallback path).
+        #: Columnar cluster state this node writes through to.
         self._state = state
 
         #: Observers notified after every externally visible state
@@ -118,9 +117,8 @@ class Workstation:
         #: node, with accounting snapshots); wired by the cluster.
         self.obs_job = NULL_CHANNEL
         self._was_thrashing = False
-        if state is not None:
-            state.user_memory_mb[node_id] = self.user_memory_mb
-            self._sync_row()
+        state.user_memory_mb[node_id] = self.user_memory_mb
+        self._sync_row()
 
     def _emit_job(self, kind: str, job: Job, **extra) -> None:
         """Emit a ``cluster.job`` event carrying the job's cumulative
@@ -156,8 +154,7 @@ class Workstation:
     @reserved.setter
     def reserved(self, value: bool) -> None:
         self._reserved = value
-        if self._state is not None:
-            self._sync_row()
+        self._sync_row()
         self._notify_changed()
 
     @property
@@ -167,8 +164,7 @@ class Workstation:
     @inbound_jobs.setter
     def inbound_jobs(self, value: int) -> None:
         self._inbound_jobs = value
-        if self._state is not None:
-            self._sync_row()
+        self._sync_row()
         self._notify_changed()
 
     # ------------------------------------------------------------------
@@ -448,8 +444,7 @@ class Workstation:
                          node=self.node_id,
                          fault_rate_per_s=self._fault_rate_cache,
                          jobs=len(self._running))
-        if self._state is not None:
-            self._sync_row()
+        self._sync_row()
         self._schedule_next_event()
         self._notify_changed()
 

@@ -246,12 +246,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="trace subsampling factor in (0, 1]")
     parser.add_argument("--nodes", type=int, default=None, metavar="N",
                         help="override the cluster size")
-    parser.add_argument("--no-index", action="store_true",
-                        help="use the unindexed (seed) candidate-"
-                             "selection path")
-    parser.add_argument("--no-columnar", action="store_true",
-                        help="disable the columnar (SoA) cluster state "
-                             "layer; batch consumers walk node objects")
     parser.add_argument("--domains", type=int, default=None, metavar="K",
                         help="partition the cluster into K load-info "
                              "domains (per-domain directory shards + "
@@ -372,10 +366,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     config = default_config(group)
     if args.nodes is not None:
         config = config.replace(num_nodes=args.nodes)
-    if args.no_index:
-        config = config.replace(indexed_selection=False)
-    if args.no_columnar:
-        config = config.replace(columnar=False)
     if args.domains is not None:
         config = config.replace(domains=args.domains)
     if args.domain_exchange_interval is not None:

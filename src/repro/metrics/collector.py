@@ -7,16 +7,15 @@ the interval so the benchmark suite can repeat that check).
 
 The 1 Hz sample is the dominant scaling cost of large-cluster runs:
 most simulated seconds see *no* node change (job events are sparse
-compared to the tick), yet the per-object path walks all N nodes
-three times per tick.  With the columnar
-:class:`~repro.cluster.state.ClusterState` attached, the collector
-instead subscribes to node change notifications and recomputes the
-sample components only on ticks where something actually changed —
-an unchanged tick reuses the previous components, which are identical
-by construction (same inputs, same arithmetic).  Changed ticks read
-the state columns rather than node properties.  Balance skew is
-computed once per tick into a parallel series instead of per access,
-so summarize-time averaging is O(ticks) instead of O(ticks x N).
+compared to the tick).  The collector therefore subscribes to node
+change notifications and recomputes the sample components only on
+ticks where something actually changed — an unchanged tick reuses the
+previous components, which are identical by construction (same
+inputs, same arithmetic).  Changed ticks read the columns of the
+cluster's :class:`~repro.cluster.state.ClusterState` rather than node
+properties.  Balance skew is computed once per tick into a parallel
+series instead of per access, so summarize-time averaging is O(ticks)
+instead of O(ticks x N).
 """
 
 from __future__ import annotations
@@ -99,24 +98,23 @@ class MetricsCollector:
         #: Optional callable returning the current pending-queue length.
         self.pending_probe = pending_probe
         self.samples: List[ClusterSample] = []
-        #: Per-sample balance skew, parallel to ``samples`` (columnar
-        #: mode only): computed once at sample time so summarize-time
-        #: averaging does not revisit every counts vector.
+        #: Per-sample balance skew, parallel to ``samples``: computed
+        #: once at sample time so summarize-time averaging does not
+        #: revisit every counts vector.
         self._skews: List[float] = []
         self._state = cluster.state
-        if self._state is not None:
-            # Change-driven caching: any externally visible node change
-            # flags the next tick for recomputation; clean ticks reuse
-            # the previous components verbatim.  The pending-queue
-            # length is NOT cached — enqueueing a pending job causes
-            # no node change, so it is probed fresh every tick.
-            self._dirty = True
-            self._cached_idle = 0.0
-            self._cached_jobs: Tuple[Optional[int], ...] = ()
-            self._cached_skew = 0.0
-            self._cached_reserved = 0
-            for node in cluster.nodes:
-                node.add_change_listener(self._mark_dirty)
+        # Change-driven caching: any externally visible node change
+        # flags the next tick for recomputation; clean ticks reuse the
+        # previous components verbatim.  The pending-queue length is
+        # NOT cached — enqueueing a pending job causes no node change,
+        # so it is probed fresh every tick.
+        self._dirty = True
+        self._cached_idle = 0.0
+        self._cached_jobs: Tuple[Optional[int], ...] = ()
+        self._cached_skew = 0.0
+        self._cached_reserved = 0
+        for node in cluster.nodes:
+            node.add_change_listener(self._mark_dirty)
         self._schedule()
 
     def _schedule(self) -> None:
@@ -131,34 +129,12 @@ class MetricsCollector:
         self._dirty = True
 
     def sample(self) -> ClusterSample:
-        """Take one sample immediately (also used by tests)."""
-        if self._state is not None:
-            return self._sample_columnar()
-        cluster = self.cluster
-        jobs_per_node = tuple(
-            None if (node.reserved or not node.alive) else node.num_running
-            for node in cluster.nodes)
-        pending = self.pending_probe() if self.pending_probe else 0
-        sample = ClusterSample(
-            time=cluster.sim.now,
-            total_idle_memory_mb=cluster.total_idle_memory_mb(),
-            jobs_per_node=jobs_per_node,
-            num_reserved=len(cluster.reserved_nodes()),
-            pending_jobs=pending,
-        )
-        self.samples.append(sample)
-        self._skews.append(sample.job_balance_skew)
-        return sample
+        """Take one sample immediately (also used by tests).
 
-    def _sample_columnar(self) -> ClusterSample:
-        """Columnar sample: recompute components from the state
-        columns only when a node changed since the last sample.
-
-        Equivalence with the per-object path is exact: columns hold
-        the property values bit-for-bit (written at the same change
-        instants), the column sums run in the same node order, and a
-        clean tick's reused components are what recomputation would
-        produce (no node changed, so no input changed).
+        Components are recomputed from the state columns only when a
+        node changed since the last sample; a clean tick's reused
+        components are what recomputation would produce (no node
+        changed, so no input changed).
         """
         state = self._state
         if self._dirty:

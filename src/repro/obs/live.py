@@ -27,10 +27,10 @@ Endpoints:
   boundary (``202``); any invalid spec rejects the whole batch
   (``400``);
 * ``POST /checkpoint`` — snapshot the live run (see
-  :mod:`repro.sim.checkpoint`): with a ``{"path": ...}`` body the
-  engine writes the file and the response carries the checkpoint
-  meta; without one the response body *is* the checkpoint
-  (``application/octet-stream``);
+  :mod:`repro.sim.checkpoint`): the request body must be empty and
+  the response body *is* the checkpoint
+  (``application/octet-stream``); the server never writes files, so
+  a non-empty body is rejected (``400``);
 * ``POST /fork`` — what-if replay: ``{"policy": ..., "policy_kwargs":
   {...}}`` snapshots the live run, restores an independent copy on
   the handler thread, swaps in the requested policy and runs it to
@@ -481,30 +481,14 @@ class LiveMonitor:
         return self._json_payload({"accepted": accepted}, 202)
 
     def handle_checkpoint(self, raw: bytes) -> Payload:
-        path = None
         if raw.strip():
-            try:
-                body = json.loads(raw.decode("utf-8"))
-                path = body.get("path")
-            except (ValueError, UnicodeDecodeError, AttributeError):
-                return self._json_payload(
-                    {"error": "body must be empty or a JSON object "
-                              "with an optional 'path'"}, 400)
+            return self._json_payload(
+                {"error": "body must be empty; the checkpoint is "
+                          "returned in the response body"}, 400)
         data, error, status = self._request_snapshot()
         if data is None:
             return self._json_payload({"error": error}, status)
-        if path is None:
-            return data, "application/octet-stream", 200
-        from repro.sim.checkpoint import _decode_envelope
-        meta = _decode_envelope(data)["meta"]
-        try:
-            with open(path, "wb") as stream:
-                stream.write(data)
-        except OSError as exc:
-            return self._json_payload(
-                {"error": f"cannot write {path!r}: {exc}"}, 500)
-        return self._json_payload(
-            {"path": path, "bytes": len(data), "meta": meta}, 200)
+        return data, "application/octet-stream", 200
 
     def handle_fork(self, raw: bytes) -> Payload:
         try:

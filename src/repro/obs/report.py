@@ -34,6 +34,7 @@ import html
 import math
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.cluster.state import FLAG_ALIVE, FLAG_RESERVED, FLAG_THRASHING
 from repro.obs.lifecycle import ATTRIBUTION_KEYS, JobLifecycleTracker
 from repro.obs.sampler import ClusterSampler
 
@@ -593,8 +594,6 @@ def render_run_report(title: str, summary: Dict[str, float],
         idle_chart = line_chart(
             times, [("Cluster idle memory", "var(--c-cpu)", idle)],
             y_label="idle MB", area=True)
-        from repro.obs.sampler import (FLAG_ALIVE, FLAG_RESERVED,
-                                       FLAG_THRASHING)
         thrash = [float(v) for v in sampler.flag_counts(FLAG_THRASHING)]
         reserved = [float(v) for v in sampler.flag_counts(FLAG_RESERVED)]
         dead = [float(sampler.num_nodes - v)

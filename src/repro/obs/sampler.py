@@ -27,16 +27,13 @@ from __future__ import annotations
 from array import array
 from typing import IO, TYPE_CHECKING, Dict, List
 
+from repro.cluster.state import FLAG_ALIVE, FLAG_RESERVED, FLAG_THRASHING
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.cluster import Cluster
 
 #: Per-node float metrics captured each tick (column order in the CSV).
 SAMPLE_FIELDS = ("running", "demand_mb", "idle_mb", "fault_rate_per_s")
-
-#: Flag bits packed into one byte per (tick, node).
-FLAG_ALIVE = 1
-FLAG_RESERVED = 2
-FLAG_THRASHING = 4
 
 
 def _flag_str(flags: int) -> str:
@@ -69,7 +66,7 @@ class ClusterSampler:
         #: Load-information domains (1 = no domain views).  Domain
         #: series are *views* computed on demand from the stored
         #: per-node columns; ``sample()`` itself is domain-blind.
-        self.domains = getattr(cluster.config, "domains", 1)
+        self.domains = cluster.config.domains
         self._domain_bounds = (
             [cluster.directory.domain_bounds(d) for d in range(self.domains)]
             if self.domains > 1 else [(0, self.num_nodes)])
@@ -95,43 +92,19 @@ class ClusterSampler:
         """Append one snapshot row for every node (also usable
         directly, without the periodic tick).
 
-        With the cluster's columnar state attached the row is copied
-        straight from the state columns — bulk ``extend`` calls plus
-        one flag-byte ``translate``, zero per-node attribute reads
-        (pinned by a regression test).  The state's low flag bits
-        match this module's packing by design, and its float columns
-        hold the property values bit-for-bit, so both paths append
-        identical rows.
+        The row is copied straight from the cluster's state columns —
+        bulk ``extend`` calls plus one flag-byte ``translate``, zero
+        per-node attribute reads (pinned by a regression test).
         """
         state = self.cluster.state
         self.times.append(self.cluster.sim.now)
-        running = self.series["running"]
-        demand = self.series["demand_mb"]
-        idle = self.series["idle_mb"]
-        faults = self.series["fault_rate_per_s"]
-        flags = self.flags
-        if state is not None:
-            # num_running is an int column; extend() with a same-type
-            # array is a memcpy, so only this one needs a conversion.
-            running.extend(map(float, state.num_running))
-            demand.extend(state.total_demand_mb)
-            idle.extend(state.idle_memory_mb)
-            faults.extend(state.fault_rate_per_s)
-            flags.extend(state.sampler_flags())
-            return
-        for node in self.cluster.nodes:
-            running.append(float(node.num_running))
-            demand.append(node.total_demand_mb)
-            idle.append(node.idle_memory_mb)
-            faults.append(node.fault_rate_per_s)
-            bits = 0
-            if node.alive:
-                bits |= FLAG_ALIVE
-            if node.reserved:
-                bits |= FLAG_RESERVED
-            if node.thrashing:
-                bits |= FLAG_THRASHING
-            flags.append(bits)
+        # num_running is an int column; extend() with a same-type
+        # array is a memcpy, so only this one needs a conversion.
+        self.series["running"].extend(map(float, state.num_running))
+        self.series["demand_mb"].extend(state.total_demand_mb)
+        self.series["idle_mb"].extend(state.idle_memory_mb)
+        self.series["fault_rate_per_s"].extend(state.fault_rate_per_s)
+        self.flags.extend(state.sampler_flags())
 
     # ------------------------------------------------------------------
     # views

@@ -119,10 +119,6 @@ class LoadSharingPolicy:
         self._wait_started: Dict[int, float] = {}
         self._last_migration: Dict[int, float] = {}
         self._draining = False
-        #: Candidate-selection path: the load directory's maintained
-        #: index (default) or the seed snapshot-sort (equivalence and
-        #: scale-benchmark fallback).
-        self._indexed = cluster.config.indexed_selection
         #: Load-information domains (1 = flat directory).  K > 1
         #: switches candidate selection to the two-level path: local
         #: domain first, remote domains ranked from summaries.
@@ -274,25 +270,19 @@ class LoadSharingPolicy:
     def _monitor_tick(self) -> None:
         """Check overloaded nodes once per monitor period.
 
-        With the index enabled only the cluster's maintained thrashing
-        set is visited (ascending node id, live re-verified — a node
-        handled earlier in the tick may have stopped thrashing).  No
-        node can *become* thrashing synchronously inside a tick —
-        demand only arrives through delayed network events — so the
-        set always covers what a full scan would find.
+        Only the cluster's maintained thrashing set is visited
+        (ascending node id, live re-verified — a node handled earlier
+        in the tick may have stopped thrashing).  No node can *become*
+        thrashing synchronously inside a tick — demand only arrives
+        through delayed network events — so the set always covers what
+        a full scan would find.
         """
-        if self._indexed:
-            hot = self.cluster.thrashing_nodes
-            if hot:
-                nodes = self.cluster.nodes
-                for node_id in sorted(hot):
-                    self.stats.overload_checks += 1
-                    node = nodes[node_id]
-                    if node.thrashing and not node.reserved:
-                        self.handle_overload(node)
-        else:
-            for node in self.cluster.nodes:
+        hot = self.cluster.thrashing_nodes
+        if hot:
+            nodes = self.cluster.nodes
+            for node_id in sorted(hot):
                 self.stats.overload_checks += 1
+                node = nodes[node_id]
                 if node.thrashing and not node.reserved:
                     self.handle_overload(node)
         if not self._retired:
@@ -516,19 +506,11 @@ class LoadSharingPolicy:
         possibly stale load directory; each is live-verified by the
         caller.
 
-        The default path reads the directory's maintained accepting
-        order (O(1) amortized; the returned list is cached per
-        directory version and must not be mutated).  The legacy path
-        (``indexed_selection=False``) rebuilds and sorts snapshots per
-        call — same result, pinned by the equivalence tests.
+        Reads the directory's maintained accepting order (O(1)
+        amortized; the returned list is cached per directory version
+        and must not be mutated).
         """
         directory = self.cluster.directory
-        if not self._indexed:
-            snaps = [s for s in directory.snapshots()
-                     if s.accepting and s.node_id != exclude]
-            snaps.sort(key=lambda s: (-s.idle_memory_mb, s.num_jobs,
-                                      s.node_id))
-            return [self._live_node(s.node_id) for s in snaps]
         if self._num_domains > 1:
             # Two-level selection: the submitting node's domain first,
             # then remote domains as ranked (and possibly skipped) by

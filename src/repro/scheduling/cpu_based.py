@@ -26,26 +26,13 @@ class CpuBasedPolicy(LoadSharingPolicy):
         directory = self.cluster.directory
         if self._num_domains > 1:
             return self._select_domained(home, directory)
-        if self._indexed:
-            ordered = directory.load_order_ids()
-            # prefer the home node among equally loaded candidates
-            if home.alive and home.has_free_slot and not home.reserved:
-                if home.num_running <= directory.least_num_jobs():
-                    return home
-            for node_id in ordered:
-                node = self._live_node(node_id)
-                if node.alive and node.has_free_slot and not node.reserved:
-                    return node
-            return None
-        snaps = sorted((s for s in directory.snapshots() if s.alive),
-                       key=lambda s: (s.num_jobs, s.node_id))
+        ordered = directory.load_order_ids()
         # prefer the home node among equally loaded candidates
         if home.alive and home.has_free_slot and not home.reserved:
-            least = snaps[0].num_jobs if snaps else 0
-            if home.num_running <= least:
+            if home.num_running <= directory.least_num_jobs():
                 return home
-        for snap in snaps:
-            node = self._live_node(snap.node_id)
+        for node_id in ordered:
+            node = self._live_node(node_id)
             if node.alive and node.has_free_slot and not node.reserved:
                 return node
         return None

@@ -5,9 +5,6 @@ for the cluster models in :mod:`repro.cluster`.  It provides:
 
 * :class:`~repro.sim.engine.Simulator` — the event loop, with exact
   (heap-ordered) event scheduling and cancellable event handles;
-* :class:`~repro.sim.process.Process` — optional generator-based
-  coroutine processes (``yield delay`` / ``yield event``) for
-  trace replay and periodic samplers;
 * :class:`~repro.sim.rng.RandomStreams` — named, independently seeded
   random streams so that every stochastic component of an experiment is
   reproducible and independently perturbable;
@@ -25,18 +22,15 @@ from repro.sim.checkpoint import (CheckpointError, RestoredRun,
                                   load_checkpoint, restore_bytes,
                                   save_checkpoint, snapshot_bytes)
 from repro.sim.engine import EventHandle, Simulator, SimulationError
-from repro.sim.process import Process, interrupt
 from repro.sim.rng import RandomStreams
 
 __all__ = [
     "CheckpointError",
     "EventHandle",
-    "Process",
     "RandomStreams",
     "RestoredRun",
     "SimulationError",
     "Simulator",
-    "interrupt",
     "load_checkpoint",
     "restore_bytes",
     "save_checkpoint",

@@ -9,7 +9,7 @@ into one schema-versioned, compressed file.  ``restore`` reconstructs
 a world that continues **byte-identically** to an uninterrupted run:
 same ``RunSummary``, same event counts (pinned by
 ``tests/test_checkpoint_equivalence.py`` across policies x faults x
-domains x columnar modes).
+domains).
 
 Implementation: the scheduling/fault/load-info layers only ever place
 *picklable* callables on the event heap (bound methods,
@@ -90,7 +90,6 @@ def _build_meta(cluster, policy, jobs, trace_name) -> Dict[str, Any]:
         "num_jobs": len(jobs),
         "finished_jobs": len(cluster.finished_jobs),
         "domains": cluster.config.domains,
-        "columnar": cluster.config.columnar,
         "faults": cluster.faults is not None,
     }
 

@@ -7,7 +7,7 @@ uninterrupted run: same ``RunSummary`` (canonical JSON form), same
 executed-event count.  Three layers of pins:
 
 * **grid pin** — every cell of {policy G,V} x {faults off,on} x
-  {domains 1,8} x {columnar off,on} checkpoints mid-run and must
+  {domains 1,8} checkpoints mid-run and must
   resume byte-identically (and the act of checkpointing must not
   perturb the run that continues past the save);
 * **fuzz property** — hypothesis drives (seed, fault_seed, checkpoint
@@ -65,9 +65,8 @@ def canonical(summary) -> dict:
                                  sort_keys=True))
 
 
-def cell_config(domains: int, columnar: bool, faulted: bool):
-    cfg = SCENARIO_CLUSTER.replace(num_nodes=8, domains=domains,
-                                   columnar=columnar)
+def cell_config(domains: int, faulted: bool):
+    cfg = SCENARIO_CLUSTER.replace(num_nodes=8, domains=domains)
     if faulted:
         cfg = cfg.replace(faults=FULL_FAULTS)
     return cfg
@@ -81,11 +80,9 @@ def cell_config(domains: int, columnar: bool, faulted: bool):
                          ids=["nofaults", "faults"])
 @pytest.mark.parametrize("domains", [1, 8],
                          ids=["flat", "domained"])
-@pytest.mark.parametrize("columnar", [True, False],
-                         ids=["columnar", "objects"])
 def test_restore_resumes_byte_identically(policy, faulted, domains,
-                                          columnar, tmp_path):
-    cfg = cell_config(domains, columnar, faulted)
+                                          tmp_path):
+    cfg = cell_config(domains, faulted)
     path = str(tmp_path / "cell.ckpt")
 
     baseline = run_blocking_scenario(policy, seed=1, config=cfg)
@@ -100,7 +97,7 @@ def test_restore_resumes_byte_identically(policy, faulted, domains,
     resumed = resume(load_checkpoint(path))
     assert canonical(resumed.summary) == canonical(baseline.summary), \
         f"restore diverged: {policy} faulted={faulted} " \
-        f"domains={domains} columnar={columnar}"
+        f"domains={domains}"
     assert (resumed.cluster.sim.event_count
             == baseline.cluster.sim.event_count)
     assert resumed.summary.trace == baseline.summary.trace
@@ -114,7 +111,7 @@ def test_restore_resumes_byte_identically(policy, faulted, domains,
        cut=st.floats(40.0, 420.0),
        policy=st.sampled_from(["g-loadsharing", "v-reconfiguration"]))
 def test_restore_identity_fuzzed(seed, fault_seed, cut, policy):
-    cfg = cell_config(domains=8, columnar=True, faulted=False).replace(
+    cfg = cell_config(domains=8, faulted=False).replace(
         faults=FULL_FAULTS.replace(fault_seed=fault_seed))
     baseline = run_blocking_scenario(policy, seed=seed, config=cfg)
     handle, path = tempfile.mkstemp(suffix=".ckpt")
@@ -136,7 +133,7 @@ def test_restore_identity_fuzzed(seed, fault_seed, cut, policy):
 def test_peek_meta_reads_without_restoring(tmp_path):
     path = str(tmp_path / "meta.ckpt")
     run_blocking_scenario("v-reconfiguration", seed=0,
-                          config=cell_config(1, True, False),
+                          config=cell_config(1, False),
                           checkpoint_at=CHECKPOINT_AT, checkpoint_to=path)
     meta = peek_meta(path)
     assert meta["sim_now"] == CHECKPOINT_AT
@@ -150,7 +147,7 @@ def test_peek_meta_reads_without_restoring(tmp_path):
 def test_restore_advances_global_job_counter(tmp_path):
     path = str(tmp_path / "ids.ckpt")
     run_blocking_scenario("g-loadsharing", seed=0,
-                          config=cell_config(1, True, False),
+                          config=cell_config(1, False),
                           checkpoint_at=CHECKPOINT_AT, checkpoint_to=path)
     restored = load_checkpoint(path)
     existing = {job.job_id for job in restored.jobs}
@@ -162,7 +159,7 @@ def test_restore_advances_global_job_counter(tmp_path):
 
 def test_save_checkpoint_returns_meta(tmp_path):
     result = run_blocking_scenario("g-loadsharing", seed=0,
-                                   config=cell_config(1, True, False))
+                                   config=cell_config(1, False))
     path = str(tmp_path / "done.ckpt")
     meta = save_checkpoint(path, cluster=result.cluster,
                            policy=result.policy,
@@ -175,7 +172,7 @@ def test_save_checkpoint_returns_meta(tmp_path):
 
 def test_unpicklable_world_raises_checkpoint_error():
     result = run_blocking_scenario("g-loadsharing", seed=0,
-                                   config=cell_config(1, True, False))
+                                   config=cell_config(1, False))
     result.cluster.sim.schedule(1.0, lambda: None)  # closure on the heap
     with pytest.raises(CheckpointError, match="not picklable"):
         snapshot_bytes(cluster=result.cluster, policy=result.policy,
@@ -233,7 +230,7 @@ def test_golden_checkpoint_restores_to_pinned_summary():
 def _checkpoint_of(policy, tmp_path, faulted=False):
     path = str(tmp_path / "fork.ckpt")
     run_blocking_scenario(policy, seed=0,
-                          config=cell_config(1, True, faulted),
+                          config=cell_config(1, faulted),
                           checkpoint_at=CHECKPOINT_AT, checkpoint_to=path)
     return path
 

@@ -6,9 +6,7 @@ per-domain shards with compact cross-domain summaries
 
 * ``domains=1`` is *byte-identical* to the flat directory for every
   policy — the cluster builds the flat :class:`LoadInfoDirectory`
-  unchanged, so the default path cannot drift (differential-tested
-  the same way the ``columnar=`` and ``indexed_selection=`` escape
-  hatches are);
+  unchanged, so the default path cannot drift;
 * ``domains>1`` is a deterministic *model change*: same config twice
   gives the same summary, and the two-level orderings respect the
   partition, summary ranking, and staleness semantics pinned below.
@@ -136,13 +134,6 @@ def test_config_rejects_bad_domain_counts():
         small_cluster(domains=9, nodes=8)
     with pytest.raises(ValueError):
         small_cluster(domains=2, domain_exchange_interval_s=-1.0)
-
-
-def test_config_requires_indexed_selection():
-    with pytest.raises(ValueError):
-        small_cluster(domains=2, indexed_selection=False)
-    # flat is fine without the index (the seed path)
-    small_cluster(domains=1, indexed_selection=False)
 
 
 # ----------------------------------------------------------------------

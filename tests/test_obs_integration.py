@@ -26,7 +26,6 @@ from repro.experiments.parallel import (
 from repro.experiments.runner import run_experiment
 from repro.experiments.scenario import run_blocking_scenario
 from repro.obs.session import EXTRA_PREFIX, TRACE_CHANNELS, ObsSession
-from repro.tracing.tracer import ExecutionTracer
 from repro.workload.programs import WorkloadGroup
 
 from helpers import job, tiny_cluster
@@ -198,7 +197,7 @@ class TestSweepTelemetry:
 
 
 class TestTracerDecisions:
-    """Satellite: reconfiguration *non*-events surface in the tracer."""
+    """Reconfiguration *non*-events surface on the obs bus."""
 
     def _vpolicy(self, cluster):
         from repro.core.reconfiguration import VReconfiguration
@@ -208,37 +207,43 @@ class TestTracerDecisions:
                                 migration_cooldown_s=0.0,
                                 min_remaining_for_migration_s=1.0)
 
+    def _recorded(self, cluster, channel, kind):
+        events = []
+        cluster.obs.subscribe(
+            channel, lambda e: events.append(e) if e.kind == kind else None)
+        return events
+
     def test_activation_skipped_recorded(self):
         cluster = tiny_cluster(num_nodes=2, memory_mb=100.0,
                                cpu_threshold=3)
         policy = self._vpolicy(cluster)
-        tracer = ExecutionTracer(cluster)
-        tracer.watch_policy(policy)
+        skipped = self._recorded(cluster, "reconfig.blocking",
+                                 "activation-skipped")
         for node_id in range(2):
             cluster.nodes[node_id].add_job(job(work=300.0, demand=60.0))
             cluster.nodes[node_id].add_job(job(work=300.0, demand=60.0))
         cluster.sim.run(until=20.0)
-        skipped = tracer.events_of_kind("activation-skipped")
         assert len(skipped) >= 1
-        assert skipped[0].node_id is not None
-        assert "avg-user=" in skipped[0].detail
+        data = skipped[0].data
+        assert data["node"] is not None
+        assert data["idle_memory_mb"] <= data["threshold_mb"]
         assert len(skipped) == policy.stats.extra["activation_skipped"]
 
     def test_backoff_cancel_recorded(self):
         cluster = tiny_cluster(num_nodes=3, memory_mb=100.0)
         policy = self._vpolicy(cluster)
-        tracer = ExecutionTracer(cluster)
-        tracer.watch_policy(policy)
+        cancels = self._recorded(cluster, "reconfig.reservation",
+                                 "backoff-cancel")
         # Reserving an idle node completes the reserving period at
         # once; with no blocked victim anywhere the policy adaptively
         # cancels with backoff — the path under test.
         reservation = policy.reservations.reserve(cluster.nodes[2],
                                                   needed_mb=50.0)
-        cancels = tracer.events_of_kind("backoff-cancel")
         assert len(cancels) == 1
-        assert cancels[0].node_id == 2
-        assert f"reservation={reservation.reservation_id}" in \
-            cancels[0].detail
+        assert cancels[0].data["node"] == 2
+        assert cancels[0].data["reservation"] == \
+            reservation.reservation_id
+        assert cancels[0].data["backoff_until"] > cluster.sim.now
         assert policy.stats.extra["backoff_cancellations"] == 1
 
 

@@ -5,15 +5,9 @@ import io
 
 import pytest
 
+from repro.cluster.state import FLAG_ALIVE, FLAG_RESERVED, FLAG_THRASHING
 from repro.experiments.runner import run_experiment
-from repro.obs.sampler import (
-    FLAG_ALIVE,
-    FLAG_RESERVED,
-    FLAG_THRASHING,
-    SAMPLE_FIELDS,
-    ClusterSampler,
-    _flag_str,
-)
+from repro.obs.sampler import SAMPLE_FIELDS, ClusterSampler, _flag_str
 from repro.obs.session import EXTRA_PREFIX, ObsSession
 from repro.workload.programs import WorkloadGroup
 
@@ -79,6 +73,24 @@ class TestSampling:
         assert _flag_str(FLAG_ALIVE) == "A"
         assert _flag_str(FLAG_ALIVE | FLAG_RESERVED) == "AR"
         assert _flag_str(FLAG_ALIVE | FLAG_THRASHING) == "AT"
+
+    def test_sample_reads_no_node_attributes(self):
+        """``sample`` copies rows from the state columns without a
+        single per-node Python attribute access."""
+
+        class TrapNode:
+            def __getattr__(self, name):
+                raise AssertionError(
+                    f"sampler touched node attribute {name!r}; it must "
+                    f"read ClusterState columns only")
+
+        cluster = run_experiment(WorkloadGroup.SPEC, 3, policy="memory",
+                                 seed=0, scale=0.1).cluster
+        sampler = ClusterSampler(cluster, period_s=10.0)
+        cluster.nodes = [TrapNode() for _ in range(cluster.num_nodes)]
+        sampler.sample()
+        assert sampler.num_samples == 1
+        assert len(sampler.series["running"]) == cluster.num_nodes
 
 
 class TestExports:

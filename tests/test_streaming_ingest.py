@@ -183,13 +183,12 @@ def test_live_checkpoint_and_fork(tmp_path):
         side = resume(restored)
         assert side.summary.num_jobs == len(restored.jobs)
 
-        # Path variant: meta echoed back, file written.
-        target = str(tmp_path / "live.ckpt")
-        status, reply = post(f"{url}/checkpoint", {"path": target})
-        assert status == 200
-        assert reply["path"] == target
-        assert os.path.getsize(target) == reply["bytes"]
-        assert reply["meta"]["policy"] == "V-Reconfiguration"
+        # A client-named path is refused: the server writes no files.
+        target = tmp_path / "live.ckpt"
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            post(f"{url}/checkpoint", {"path": str(target)})
+        assert excinfo.value.code == 400
+        assert not target.exists()
 
         # Fork: an independent what-if universe, live run unperturbed.
         status, reply = post(f"{url}/fork",

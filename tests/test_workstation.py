@@ -7,6 +7,7 @@ import pytest
 from repro.cluster.config import ClusterConfig, WorkstationSpec
 from repro.cluster.job import Job, JobState, MemoryProfile
 from repro.cluster.memory import PagingModel
+from repro.cluster.state import ClusterState
 from repro.cluster.workstation import Workstation
 from repro.sim import Simulator
 
@@ -22,7 +23,7 @@ def make_node(sim, memory_mb=384.0, on_finish=None, **config_kwargs):
                          max_fault_rate_per_cpu_s=config.max_fault_rate_per_cpu_s,
                          fault_service_s=config.fault_service_s)
     return Workstation(sim, 0, config.spec, config, paging,
-                       on_job_finished=on_finish)
+                       on_job_finished=on_finish, state=ClusterState(1))
 
 
 def make_job(work=100.0, demand=50.0, **kwargs):
@@ -248,3 +249,26 @@ class TestAdmission:
         # memory fits -> nobody faults
         assert node.most_memory_intensive_job(faulting_only=True) is None
         assert node.most_memory_intensive_job() is not None
+
+
+class TestRecompute:
+    def test_recompute_short_circuits_on_identical_inputs(self):
+        """A recompute whose inputs (liveness, demand vector, dedicated
+        flags) match the previous one is skipped; the skip still
+        notifies listeners, so downstream consumers (directory,
+        collector dirty flag) behave exactly as before."""
+        node = make_node(Simulator())
+        job = make_job(work=100.0, demand=50.0)
+        node.add_job(job)
+        recomputes = node.recomputes
+        notified = []
+        node.add_change_listener(lambda n: notified.append(n.node_id))
+        # Constant demand and no progress boundary crossed: identical key.
+        node._recompute()
+        assert node.recomputes == recomputes
+        assert node.recompute_skips == 1
+        assert notified == [0]
+        # A real change (job removed) recomputes again.
+        node.remove_job(job)
+        assert node.recomputes == recomputes + 1
+        assert node.recompute_skips == 1
