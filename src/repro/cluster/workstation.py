@@ -235,13 +235,23 @@ class Workstation:
         limit = self.user_memory_mb * self.config.memory_threshold_factor
         return self.total_demand_mb + demand_mb <= limit + _EPS
 
+    def has_room_for(self, demand_mb: float) -> bool:
+        """A free job slot and enough idle memory for ``demand_mb``
+        (``has_free_slot`` and ``idle_memory_mb``, read from the
+        fields: a dead node's idle memory reads 0).  Liveness and the
+        reservation flag are left to the caller."""
+        idle = (max(0.0, self.user_memory_mb - self._total_demand_cache)
+                if self._alive else 0.0)
+        return (len(self._running) + self._inbound_jobs
+                < self.config.cpu_threshold
+                and idle >= demand_mb - _EPS)
+
     def accepts_migration(self, job: Job) -> bool:
         """Qualified migration destination per [3]: enough idle memory
         for the job's current demand and a free job slot."""
         return (self._alive
-                and not self.reserved
-                and self.has_free_slot
-                and self.idle_memory_mb >= job.current_demand_mb - _EPS)
+                and not self._reserved
+                and self.has_room_for(job.current_demand_mb))
 
     # ------------------------------------------------------------------
     # state changes
@@ -314,12 +324,18 @@ class Workstation:
         job with the largest current memory demand (optionally only
         among jobs currently suffering page faults)."""
         self._advance()
-        candidates = [job for job in self._running
-                      if not faulting_only or job.faulting]
-        if not candidates:
-            return None
-        return max(candidates, key=lambda job: (job.current_demand_mb,
-                                                -job.job_id))
+        best = None
+        best_demand = 0.0
+        for job in self._running:
+            if faulting_only and not job.faulting:
+                continue
+            demand = job.current_demand_mb
+            # The maximum of (demand, -job_id): ties go to the lowest id.
+            if (best is None or demand > best_demand
+                    or (demand == best_demand and job.job_id < best.job_id)):
+                best = job
+                best_demand = demand
+        return best
 
     # ------------------------------------------------------------------
     # internal mechanics
@@ -334,19 +350,21 @@ class Workstation:
             return
         self._last_update = now
         speed = self.spec.speed_factor
-        for i, job in enumerate(self._running):
-            rate = self._rates[i]
-            fault_stall = self._fault_stalls[i]
-            io_stall = self._io_stalls[i]
+        busy = self.busy_cpu_s
+        for job, rate, fault_stall, io_stall in zip(
+                self._running, self._rates, self._fault_stalls,
+                self._io_stalls):
             job.progress_s = min(job.cpu_work_s, job.progress_s + rate * dt)
             cpu_part = rate / speed * dt
             page_part = rate * fault_stall * dt
             io_part = rate * io_stall * dt
-            job.acct.cpu_s += cpu_part
-            job.acct.page_s += page_part
-            job.acct.io_s += io_part
-            job.acct.queue_s += max(0.0, dt - cpu_part - page_part - io_part)
-            self.busy_cpu_s += cpu_part
+            acct = job.acct
+            acct.cpu_s += cpu_part
+            acct.page_s += page_part
+            acct.io_s += io_part
+            acct.queue_s += max(0.0, dt - cpu_part - page_part - io_part)
+            busy += cpu_part
+        self.busy_cpu_s = busy
 
     def _recompute(self) -> None:
         """Recompute paging state and progress rates; reschedule the

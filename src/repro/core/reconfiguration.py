@@ -121,9 +121,7 @@ class VReconfiguration(GLoadSharing):
             return
         # Bounded parallelism: a few reserving periods may overlap, but
         # don't hoard nodes for one episode.
-        reserving = sum(1 for r in self.reservations.active_reservations
-                        if r.state is ReservationState.RESERVING)
-        if reserving >= self.max_concurrent_reserving:
+        if self.reservations.num_reserving >= self.max_concurrent_reserving:
             return
         if not self.reservations.can_reserve():
             return

@@ -86,11 +86,7 @@ class Reservation:
 
     def has_capacity_for(self, job: Job) -> bool:
         """Can this (serving) reservation take another large job?"""
-        if not self.active:
-            return False
-        node = self.node
-        return (node.has_free_slot
-                and node.idle_memory_mb >= job.current_demand_mb - 1e-9)
+        return self.active and self.node.has_room_for(job.current_demand_mb)
 
 
 @dataclass(frozen=True)
@@ -119,6 +115,9 @@ class ReservationManager:
         self.mode = mode
         self.max_reserved = max_reserved
         self.reserve_timeout_s = reserve_timeout_s
+        #: The active reservations by node id, in the order they were
+        #: made: :meth:`_close` pops a reservation as it leaves the
+        #: active states, so every entry is RESERVING or SERVING.
         self._by_node: Dict[int, Reservation] = {}
         self.history: List[Reservation] = []
         self.timeline: List[ReservationEvent] = []
@@ -134,30 +133,43 @@ class ReservationManager:
     # ------------------------------------------------------------------
     @property
     def active_reservations(self) -> List[Reservation]:
-        return [r for r in self._by_node.values() if r.active]
+        return list(self._by_node.values())
 
     @property
     def num_reserved(self) -> int:
-        return len(self.active_reservations)
+        return len(self._by_node)
+
+    @property
+    def num_reserving(self) -> int:
+        """Reservations still in their reserving period."""
+        return sum(1 for r in self._by_node.values()
+                   if r.state is ReservationState.RESERVING)
 
     def can_reserve(self) -> bool:
-        return self.num_reserved < self.max_reserved
+        return len(self._by_node) < self.max_reserved
 
     def reservation_for_node(self, node_id: int) -> Optional[Reservation]:
-        reservation = self._by_node.get(node_id)
-        return reservation if reservation is not None and reservation.active \
-            else None
+        return self._by_node.get(node_id)
 
     def serving_reservation_with_capacity(self, job: Job
                                           ) -> Optional[Reservation]:
         """The paper's reuse path: an existing reserved workstation
-        with enough available resources for ``job``."""
-        candidates = [r for r in self.active_reservations
-                      if r.state is ReservationState.SERVING
-                      and r.has_capacity_for(job)]
-        if not candidates:
-            return None
-        return max(candidates, key=lambda r: r.node.idle_memory_mb)
+        with enough available resources for ``job``.  The one with the
+        most idle memory wins; on a tie, the earliest made."""
+        demand = job.current_demand_mb
+        best = None
+        best_idle = 0.0
+        for reservation in self._by_node.values():
+            if reservation.state is not ReservationState.SERVING:
+                continue
+            node = reservation.node
+            if not node.has_room_for(demand):
+                continue
+            idle = node.idle_memory_mb
+            if best is None or idle > best_idle:
+                best = reservation
+                best_idle = idle
+        return best
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -238,7 +250,7 @@ class ReservationManager:
         reconfiguration routine can re-trigger elsewhere.  Returns the
         aborted reservation, or None if the node held none."""
         reservation = self._by_node.get(node_id)
-        if reservation is None or not reservation.active:
+        if reservation is None:
             return None
         reservation.state = ReservationState.CANCELLED
         reservation.closed_at = self.cluster.sim.now
@@ -266,7 +278,7 @@ class ReservationManager:
     # ------------------------------------------------------------------
     def _job_finished(self, job: Job, node: Workstation) -> None:
         reservation = self._by_node.get(node.node_id)
-        if reservation is None or not reservation.active:
+        if reservation is None:
             return
         if reservation.state is ReservationState.SERVING:
             reservation.migrated_job_ids.discard(job.job_id)

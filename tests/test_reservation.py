@@ -1,7 +1,9 @@
 """Unit tests for the reservation lifecycle (§2.1)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.core.reconfiguration import VReconfiguration
 from repro.core.reservation import (
     ReservationManager,
     ReservationMode,
@@ -196,3 +198,174 @@ class TestCancelAndTimeout:
         cluster.sim.run()
         kinds = [event.kind for event in mgr.timeline]
         assert kinds == ["reserve", "ready", "assign", "arrive", "release"]
+
+
+# ----------------------------------------------------------------------
+# the reuse path
+# ----------------------------------------------------------------------
+def serving(cluster, mgr, node_id, demand, work=1000.0):
+    """A SERVING reservation on ``node_id`` running one migrated job."""
+    reservation = mgr.reserve(cluster.nodes[node_id], needed_mb=demand)
+    big = job(work=work, demand=demand)
+    mgr.assign(reservation, big)
+    cluster.nodes[node_id].add_job(big)
+    mgr.job_arrived(reservation, big)
+    return reservation
+
+
+class TestReuseChoice:
+    def test_equal_idle_memory_goes_to_the_earliest_reservation(self):
+        cluster = tiny_cluster(memory_mb=100.0)
+        mgr = manager(cluster, max_reserved=3)
+        first = serving(cluster, mgr, 2, demand=50.0)
+        serving(cluster, mgr, 1, demand=50.0)
+        assert mgr.serving_reservation_with_capacity(
+            job(demand=40.0)) is first
+
+    def test_most_idle_memory_wins(self):
+        cluster = tiny_cluster(memory_mb=100.0)
+        mgr = manager(cluster, max_reserved=3)
+        serving(cluster, mgr, 0, demand=50.0)
+        roomier = serving(cluster, mgr, 1, demand=30.0)
+        assert mgr.serving_reservation_with_capacity(
+            job(demand=40.0)) is roomier
+
+    def test_reserving_period_is_not_reused(self):
+        cluster = tiny_cluster(memory_mb=100.0)
+        mgr = manager(cluster, max_reserved=3)
+        cluster.nodes[0].add_job(job(work=1000.0, demand=10.0))
+        mgr.reserve(cluster.nodes[0], needed_mb=50.0)
+        assert mgr.serving_reservation_with_capacity(job(demand=5.0)) is None
+
+    def test_node_without_a_free_slot_is_skipped(self):
+        cluster = tiny_cluster(memory_mb=100.0, cpu_threshold=3)
+        mgr = manager(cluster, max_reserved=3)
+        full = serving(cluster, mgr, 0, demand=10.0)
+        for _ in range(2):
+            cluster.nodes[0].add_job(job(work=1000.0, demand=5.0))
+        other = serving(cluster, mgr, 1, demand=50.0)
+        assert full.node.idle_memory_mb > other.node.idle_memory_mb
+        assert mgr.serving_reservation_with_capacity(
+            job(demand=40.0)) is other
+
+    def test_idle_memory_edge(self):
+        cluster = tiny_cluster(memory_mb=100.0)
+        mgr = manager(cluster)
+        reservation = serving(cluster, mgr, 0, demand=50.0)
+        assert reservation.node.idle_memory_mb == 50.0
+        assert mgr.serving_reservation_with_capacity(
+            job(demand=50.0 + 0.5e-9)) is reservation
+        assert mgr.serving_reservation_with_capacity(
+            job(demand=50.0 + 2e-9)) is None
+
+
+# ----------------------------------------------------------------------
+# the active-only index
+# ----------------------------------------------------------------------
+def assert_active_only(mgr):
+    """``_by_node`` holds exactly the active reservations, in the order
+    they were made, so the O(1) counts equal the scans."""
+    active = [r for r in mgr.history if r.active]
+    assert list(mgr._by_node.values()) == active
+    assert all(mgr._by_node[r.node.node_id] is r for r in active)
+    assert mgr.num_reserved == len(mgr.active_reservations) == len(active)
+    assert mgr.num_reserving == sum(
+        1 for r in active if r.state is ReservationState.RESERVING)
+    assert mgr.can_reserve() == (len(active) < mgr.max_reserved)
+    for node in mgr.cluster.nodes:
+        reservation = mgr.reservation_for_node(node.node_id)
+        assert reservation is None or reservation.active
+
+
+class CheckedManager(ReservationManager):
+    """Checks the index after every logged transition."""
+
+    def _log(self, kind, reservation, job_id=None):
+        super()._log(kind, reservation, job_id)
+        assert_active_only(self)
+
+
+class TestActiveOnlyIndex:
+    def test_every_transition_keeps_the_index_active_only(self):
+        cluster = tiny_cluster(num_nodes=6)
+        mgr = CheckedManager(cluster, mode=ReservationMode.DRAIN_ALL,
+                             max_reserved=4, reserve_timeout_s=50.0)
+        for node_id in (0, 2, 3):
+            cluster.nodes[node_id].add_job(job(work=1000.0, demand=10.0))
+        times_out = mgr.reserve(cluster.nodes[0], needed_mb=40.0)
+        released = serving(cluster, mgr, 1, demand=40.0, work=20.0)
+        mgr.cancel(mgr.reserve(cluster.nodes[2], needed_mb=40.0))
+        mgr.reserve(cluster.nodes[3], needed_mb=40.0)
+        mgr.node_crashed(3)
+        abandoned = mgr.reserve(cluster.nodes[4], needed_mb=40.0)
+        lost = job(demand=40.0)
+        mgr.assign(abandoned, lost)
+        mgr.migration_abandoned(abandoned, lost)
+        assert abandoned.state is ReservationState.RELEASED
+        assert mgr.active_reservations == [times_out, released]
+        cluster.sim.run(until=60.0)
+        assert released.state is ReservationState.RELEASED
+        assert times_out.state is ReservationState.CANCELLED
+        assert mgr.num_reserved == 0
+        kinds = {event.kind for event in mgr.timeline}
+        assert kinds >= {"reserve", "assign", "release", "cancel",
+                         "timeout", "crash-abort", "abandon"}
+        assert_active_only(mgr)
+
+    def test_policy_retire_keeps_the_index_active_only(self):
+        cluster = tiny_cluster(num_nodes=6)
+        policy = VReconfiguration(cluster, max_reserved=3)
+        mgr = policy.reservations
+        # Reserving periods that cannot end yet: the policy would serve
+        # or cancel a ready one on its own.
+        for node_id in (0, 1):
+            cluster.nodes[node_id].add_job(job(work=1000.0, demand=10.0))
+            mgr.reserve(cluster.nodes[node_id], needed_mb=95.0)
+        kept = mgr.reservation_for_node(1)
+        mgr.assign(kept, job(demand=40.0))
+        assert mgr.num_reserving == 1
+        policy.retire()
+        assert mgr.active_reservations == [kept]
+        assert mgr.num_reserving == 0
+        assert_active_only(mgr)
+
+    @given(st.lists(st.tuples(st.sampled_from(
+        ["reserve", "assign", "land", "cancel", "release", "crash",
+         "abandon", "run"]), st.integers(0, 5)), max_size=30))
+    @settings(max_examples=60, deadline=None)
+    def test_random_transitions_keep_the_index_active_only(self, ops):
+        cluster = tiny_cluster(num_nodes=6)
+        mgr = CheckedManager(cluster, mode=ReservationMode.FIRST_FIT,
+                             max_reserved=3, reserve_timeout_s=20.0)
+        for node in cluster.nodes:
+            node.add_job(job(work=30.0 + 10 * node.node_id, demand=30.0))
+        in_flight = {}
+        for op, node_id in ops:
+            node = cluster.nodes[node_id]
+            reservation = mgr.reservation_for_node(node_id)
+            if op == "reserve":
+                if not node.reserved and mgr.can_reserve():
+                    mgr.reserve(node, needed_mb=40.0)
+            elif op == "run":
+                cluster.sim.run(until=cluster.sim.now + 5.0 * (node_id + 1))
+            elif reservation is None:
+                continue
+            elif op == "assign":
+                migrant = job(work=15.0, demand=20.0)
+                mgr.assign(reservation, migrant)
+                in_flight.setdefault(node_id, []).append(
+                    (reservation, migrant))
+            elif op in ("land", "abandon") and in_flight.get(node_id):
+                target, migrant = in_flight[node_id].pop()
+                if op == "abandon":
+                    mgr.migration_abandoned(target, migrant)
+                elif target.active:
+                    target.node.add_job(migrant)
+                    mgr.job_arrived(target, migrant)
+            elif op == "cancel":
+                mgr.cancel(reservation)
+            elif op == "release":
+                mgr.release(reservation)
+            elif op == "crash":
+                mgr.node_crashed(node_id)
+            assert_active_only(mgr)

@@ -3,12 +3,18 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cluster.config import ClusterConfig, WorkstationSpec
 from repro.cluster.job import Job, JobState, MemoryProfile
 from repro.cluster.memory import PagingModel
 from repro.cluster.state import ClusterState
 from repro.cluster.workstation import Workstation
+from repro.core.reservation import (
+    Reservation,
+    ReservationMode,
+    ReservationState,
+)
 from repro.sim import Simulator
 
 
@@ -249,6 +255,97 @@ class TestAdmission:
         # memory fits -> nobody faults
         assert node.most_memory_intensive_job(faulting_only=True) is None
         assert node.most_memory_intensive_job() is not None
+
+    def test_most_memory_intensive_tie_goes_to_lowest_job_id(self):
+        sim = Simulator()
+        node = make_node(sim, memory_mb=500.0)
+        for job_id in (7, 3, 5):
+            node.add_job(make_job(work=10.0, demand=30.0, job_id=job_id))
+        assert node.most_memory_intensive_job().job_id == 3
+        node.add_job(make_job(work=10.0, demand=31.0, job_id=9))
+        assert node.most_memory_intensive_job().job_id == 9
+
+    def test_most_memory_intensive_faulting_only_skips_quiet_jobs(self):
+        sim = Simulator()
+        node = make_node(sim, memory_mb=100.0)
+        big = make_job(work=10.0, demand=90.0)
+        small = make_job(work=10.0, demand=5.0)
+        middle = make_job(work=10.0, demand=40.0)
+        for job in (big, small, middle):
+            node.add_job(job)
+        assert [j.faulting for j in (big, small, middle)] == [
+            True, False, False]
+        assert node.most_memory_intensive_job(faulting_only=True) is big
+        # Only the flag decides: a quiet job never wins, however large.
+        big.faulting, small.faulting = False, True
+        assert node.most_memory_intensive_job(faulting_only=True) is small
+        assert node.most_memory_intensive_job() is big
+
+    def test_most_memory_intensive_none_without_a_qualifying_job(self):
+        sim = Simulator()
+        node = make_node(sim)
+        assert node.most_memory_intensive_job() is None
+        assert node.most_memory_intensive_job(faulting_only=True) is None
+
+    @given(st.lists(st.tuples(st.sampled_from([0.0, 20.0, 45.5, 70.0]),
+                              st.booleans()), max_size=6),
+           st.permutations(range(6)), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_most_memory_intensive_matches_max(self, jobs, job_ids,
+                                               faulting_only):
+        node = make_node(Simulator(), memory_mb=100.0)
+        for (demand, _), job_id in zip(jobs, job_ids):
+            node.add_job(make_job(work=10.0, demand=demand, job_id=job_id))
+        for job, (_, faulting) in zip(node.running_jobs, jobs):
+            job.faulting = faulting
+        candidates = [job for job in node.running_jobs
+                      if not faulting_only or job.faulting]
+        expected = (max(candidates, key=lambda job: (job.current_demand_mb,
+                                                     -job.job_id))
+                    if candidates else None)
+        assert node.most_memory_intensive_job(faulting_only) is expected
+
+
+@st.composite
+def node_states(draw):
+    """A workstation in a random state (possibly dead, reserved, with
+    jobs in flight) and the demand of a job to place on it."""
+    node = make_node(Simulator(), memory_mb=100.0,
+                     cpu_threshold=draw(st.integers(1, 4)))
+    for demand in draw(st.lists(st.sampled_from([0.0, 10.0, 35.5, 60.0]),
+                                max_size=4)):
+        node.add_job(make_job(work=10.0, demand=demand))
+    node.inbound_jobs = draw(st.integers(0, 2))
+    node.reserved = draw(st.booleans())
+    if draw(st.booleans()):
+        node.crash()
+    idle = max(0.0, node.user_memory_mb - node.total_demand_mb)
+    demand = draw(st.sampled_from([0.0, 1e-10, 10.0, 39.0, 100.0,
+                                   idle, idle + 0.5e-9, idle + 2e-9]))
+    return node, make_job(work=10.0, demand=demand)
+
+
+class TestPlacementChecks:
+    """The placement checks read the node's fields directly; they must
+    answer exactly what the public properties say."""
+
+    @given(node_states(), st.sampled_from(list(ReservationState)))
+    @settings(max_examples=200, deadline=None)
+    def test_field_reads_match_the_properties(self, state, res_state):
+        node, job = state
+        if not node.alive:
+            assert node.idle_memory_mb == 0.0
+        demand = job.current_demand_mb
+        fits = (node.has_free_slot
+                and node.idle_memory_mb >= demand - 1e-9)
+        assert node.has_room_for(demand) == fits
+        assert node.accepts_migration(job) == (
+            node.alive and not node.reserved and fits)
+        reservation = Reservation(node=node, mode=ReservationMode.FIRST_FIT,
+                                  needed_mb=demand, created_at=0.0,
+                                  state=res_state)
+        assert reservation.has_capacity_for(job) == (
+            reservation.active and fits)
 
 
 class TestRecompute:
