@@ -21,8 +21,9 @@ from __future__ import annotations
 
 import enum
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 
 class JobState(enum.Enum):
@@ -33,6 +34,15 @@ class JobState(enum.Enum):
     MIGRATING = "migrating"    # frozen, image in transit
     SUSPENDED = "suspended"    # explicitly suspended by a policy
     FINISHED = "finished"
+
+
+def _check_point(start_progress: float, demand_mb: float) -> None:
+    """The per-segment checks of :class:`Phase`, shared by every
+    profile constructor."""
+    if start_progress < 0:
+        raise ValueError("start_progress must be non-negative")
+    if demand_mb < 0:
+        raise ValueError("demand_mb must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -47,65 +57,96 @@ class Phase:
     demand_mb: float
 
     def __post_init__(self) -> None:
-        if self.start_progress < 0:
-            raise ValueError("start_progress must be non-negative")
-        if self.demand_mb < 0:
-            raise ValueError("demand_mb must be non-negative")
+        _check_point(self.start_progress, self.demand_mb)
 
 
 class MemoryProfile:
-    """Piecewise-constant memory demand as a function of CPU progress."""
+    """Piecewise-constant memory demand as a function of CPU progress.
+
+    Stored as two columns, the segment starts and their demands, so a
+    lookup is one C-level bisection over the starts; :attr:`phases`
+    builds :class:`Phase` objects only when asked.
+    """
+
+    __slots__ = ("_starts", "_demands")
 
     def __init__(self, phases: Sequence[Phase]):
-        if not phases:
+        self._set_columns([p.start_progress for p in phases],
+                          [p.demand_mb for p in phases])
+
+    def _set_columns(self, starts: List[float],
+                     demands: List[float]) -> None:
+        if not starts:
             raise ValueError("a memory profile needs at least one phase")
-        starts = [p.start_progress for p in phases]
         if starts != sorted(starts) or len(set(starts)) != len(starts):
             raise ValueError("phases must have strictly increasing starts")
-        if phases[0].start_progress != 0.0:
+        if starts[0] != 0.0:
             raise ValueError("first phase must start at progress 0")
-        self._phases: Tuple[Phase, ...] = tuple(phases)
+        self._starts: Tuple[float, ...] = tuple(starts)
+        self._demands: Tuple[float, ...] = tuple(demands)
 
     @classmethod
     def constant(cls, demand_mb: float) -> "MemoryProfile":
         """A profile with a single flat demand."""
-        return cls([Phase(0.0, demand_mb)])
+        return cls.from_pairs(((0.0, demand_mb),))
 
     @classmethod
-    def from_pairs(cls, pairs: Sequence[Tuple[float, float]]
+    def from_pairs(cls, pairs: Iterable[Tuple[float, float]]
                    ) -> "MemoryProfile":
         """Build from ``(start_progress, demand_mb)`` pairs."""
-        return cls([Phase(s, d) for s, d in pairs])
+        starts = []
+        demands = []
+        for start, demand in pairs:
+            _check_point(start, demand)
+            starts.append(start)
+            demands.append(demand)
+        profile = cls.__new__(cls)
+        profile._set_columns(starts, demands)
+        return profile
 
     @property
     def phases(self) -> Tuple[Phase, ...]:
-        return self._phases
+        return tuple(Phase(start, demand)
+                     for start, demand in zip(self._starts, self._demands))
+
+    @property
+    def pairs(self) -> List[Tuple[float, float]]:
+        """The profile as ``(start_progress, demand_mb)`` pairs (the
+        input of :meth:`from_pairs`)."""
+        return list(zip(self._starts, self._demands))
 
     @property
     def peak_demand_mb(self) -> float:
         """Maximum demand over the whole profile (the working set of
         the paper's Tables 1 and 2)."""
-        return max(p.demand_mb for p in self._phases)
+        return max(self._demands)
 
     #: Progress comparisons tolerate this much float error so that a
     #: job advanced exactly onto a boundary is counted as past it.
     _TOL = 1e-9
 
     def demand_at(self, progress: float) -> float:
-        """Memory demand (MB) at a given CPU progress."""
-        demand = self._phases[0].demand_mb
-        for phase in self._phases:
-            if phase.start_progress > progress + self._TOL:
-                break
-            demand = phase.demand_mb
-        return demand
+        """Memory demand (MB) at a given CPU progress: the demand of
+        the last segment starting at or before ``progress + _TOL``."""
+        i = bisect_right(self._starts, progress + self._TOL)
+        return self._demands[i - 1 if i else 0]
 
     def next_boundary(self, progress: float) -> Optional[float]:
         """The next phase start strictly after ``progress``, if any."""
-        for phase in self._phases:
-            if phase.start_progress > progress + self._TOL:
-                return phase.start_progress
-        return None
+        starts = self._starts
+        i = bisect_right(starts, progress + self._TOL)
+        return starts[i] if i < len(starts) else None
+
+    def __getstate__(self):
+        return self._starts, self._demands
+
+    def __setstate__(self, state) -> None:
+        if isinstance(state, dict):
+            # Schema-1 checkpoints hold ``{"_phases": (Phase, ...)}``.
+            phases = state["_phases"]
+            state = (tuple(p.start_progress for p in phases),
+                     tuple(p.demand_mb for p in phases))
+        self._starts, self._demands = state
 
 
 @dataclass

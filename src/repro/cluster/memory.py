@@ -124,9 +124,12 @@ class PagingModel:
                user_memory_mb: float) -> PagingAssessment:
         """Full paging assessment for one node.
 
-        Results are memoized on ``(tuple(demands), user_memory_mb)``
-        with a bounded LRU, so a cache hit returns the *same*
-        :class:`PagingAssessment` object: callers must treat the
+        An under-subscribed node (``sum(demands) <= user_memory_mb``)
+        gets the all-resident, zero-fault assessment directly, as the
+        model's first rule says; it neither reads nor fills the cache.
+        Other results are memoized on ``(tuple(demands),
+        user_memory_mb)`` with a bounded LRU, so a cache hit returns the
+        *same* :class:`PagingAssessment` object: callers must treat the
         assessment (including its lists) as immutable.
         """
         if not demands:
@@ -138,6 +141,18 @@ class PagingModel:
             assessment = self._assess_uncached((), user_memory_mb)
             self._empty_assessments[user_memory_mb] = assessment
             return assessment
+        total = sum(demands)
+        if total <= user_memory_mb and min(demands) >= 0:
+            # What _assess_uncached computes here: residency returns
+            # the demands and every missing fraction is 0.0.
+            zeros = [0.0] * len(demands)
+            return PagingAssessment(
+                resident_mb=list(demands),
+                fault_rates_per_cpu_s=zeros,
+                stall_per_work_s=list(zeros),
+                total_demand_mb=float(total),
+                user_memory_mb=float(user_memory_mb),
+            )
         key = (tuple(demands), user_memory_mb)
         cache = self._assess_cache
         cached = cache.get(key)

@@ -14,7 +14,7 @@ Per-job accounting accumulates the paper's §5 decomposition:
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from repro.cluster.config import ClusterConfig, WorkstationSpec
 from repro.cluster.cpu import progress_rates
@@ -370,12 +370,10 @@ class Workstation:
         """Recompute paging state and progress rates; reschedule the
         node's internal event.
 
-        Thrashing has two node-level penalties on top of the per-job
-        stalls: kernel CPU burned handling faults (shrinks usable
-        capacity for everyone) and paging-disk contention (stall per
-        fault inflates as the disk approaches saturation).  Both depend
-        on the progress rates, which depend back on them, so a short
-        fixed-point iteration resolves the coupling.
+        One pass over the running jobs reads every per-job input.  When
+        some job faults, :meth:`_fault_fixed_point` resolves the
+        thrashing penalties; otherwise a single rate allocation is
+        exact.
 
         When the recompute inputs match the previous recompute exactly
         (same liveness, same job objects — guaranteed by the key, see
@@ -387,9 +385,19 @@ class Workstation:
         before this early exit existed, and the next completion
         horizon genuinely moved.
         """
-        demands = tuple(job.current_demand_mb for job in self._running)
-        key = (self._alive, demands,
-               tuple(job.dedicated for job in self._running))
+        running = self._running
+        demand_list = []
+        dedicated_list = []
+        io_list = []
+        cache_list = []
+        for job in running:
+            demand_list.append(job.memory.demand_at(job.progress_s))
+            dedicated_list.append(job.dedicated)
+            io_list.append(job.io_stall_per_cpu_s)
+            cache_list.append(job.buffer_cache_mb)
+        demands = tuple(demand_list)
+        dedicated = tuple(dedicated_list)
+        key = (self._alive, demands, dedicated)
         if key == self._recompute_key:
             self.recompute_skips += 1
             self._schedule_next_event()
@@ -400,9 +408,6 @@ class Workstation:
         self._total_demand_cache = sum(demands)
         self._assessment = self._paging.assess(demands, self.user_memory_mb)
         lambdas = self._assessment.fault_rates_per_cpu_s
-        service = self.config.fault_service_s
-        overhead_s = self.config.fault_cpu_overhead_ms / 1000.0
-        max_inflation = self.config.paging_disk_max_inflation
         speed = self.spec.speed_factor
         tax = self.config.context_switch_tax
 
@@ -410,7 +415,7 @@ class Workstation:
         # anyone pages.  When pressure squeezes it below what the
         # node's I/O-active jobs want, their I/O stalls inflate
         # (uncached I/O costs the configured penalty factor more).
-        cache_wanted = sum(job.buffer_cache_mb for job in self._running)
+        cache_wanted = sum(cache_list)
         if cache_wanted > 0:
             free = max(0.0, self.user_memory_mb - self._total_demand_cache)
             cache_hit = min(1.0, free / cache_wanted)
@@ -418,40 +423,33 @@ class Workstation:
                 * (1.0 - cache_hit)
         else:
             io_factor = 1.0
-        io_stalls = [job.io_stall_per_cpu_s * io_factor
-                     for job in self._running]
+        io_stalls = [io * io_factor for io in io_list]
 
-        inflation = 1.0
-        capacity_factor = 1.0
-        rates: list = []
-        fault_stalls: list = []
-        iterations = 3 if any(lam > 0 for lam in lambdas) else 1
-        for _ in range(iterations):
-            fault_stalls = [lam * service * inflation for lam in lambdas]
-            stalls = [fault + io
-                      for fault, io in zip(fault_stalls, io_stalls)]
-            rates = self._allocate_rates(speed, tax, stalls,
-                                         capacity_factor)
-            faults_per_s = sum(r * lam for r, lam in zip(rates, lambdas))
-            disk_util = min(0.99, faults_per_s * service)
-            new_inflation = min(max_inflation, 1.0 / (1.0 - disk_util))
-            new_capacity = max(0.05, 1.0 - faults_per_s * overhead_s)
-            if new_inflation == inflation and new_capacity == capacity_factor:
-                # Exact fixed point: the next iteration would recompute
-                # identical stalls and rates, so the remaining passes
-                # are no-ops and the early exit is behavior-identical.
-                break
-            inflation = new_inflation
-            capacity_factor = new_capacity
+        if any(lam > 0 for lam in lambdas):
+            rates, fault_stalls = self._fault_fixed_point(
+                lambdas, io_stalls, speed, tax, dedicated)
+            self._fault_rate_cache = sum(
+                rate * lam for rate, lam in zip(rates, lambdas))
+            self._starving_cache = any(
+                stall >= 1.0 for stall in fault_stalls)
+            for job, lam in zip(running, lambdas):
+                job.faulting = lam > 0.0
+        else:
+            # Nobody faults: every fault stall ``lam * service *
+            # inflation`` is 0.0, so the stalls are the I/O stalls
+            # alone and one rate allocation at full capacity is the
+            # fixed point.  ``sum`` of the zero fault rates is the int
+            # 0 on an empty node and 0.0 otherwise.
+            fault_stalls = [0.0] * len(running)
+            rates = self._allocate_rates(speed, tax, io_stalls, 1.0,
+                                         dedicated)
+            self._fault_rate_cache = 0.0 if running else 0
+            self._starving_cache = False
+            for job in running:
+                job.faulting = False
         self._rates = rates
         self._fault_stalls = fault_stalls
         self._io_stalls = io_stalls
-        self._fault_rate_cache = sum(
-            rate * lam for rate, lam in zip(rates, lambdas))
-        self._starving_cache = any(
-            stall >= 1.0 for stall in fault_stalls)
-        for job, lam in zip(self._running, lambdas):
-            job.faulting = lam > 0.0
         obs = self.obs_fault
         if obs.enabled:
             thrash = self.thrashing
@@ -465,6 +463,45 @@ class Workstation:
         self._sync_row()
         self._schedule_next_event()
         self._notify_changed()
+
+    def _fault_fixed_point(self, lambdas: List[float],
+                           io_stalls: List[float], speed: float,
+                           tax: float, dedicated: Tuple[bool, ...]
+                           ) -> Tuple[List[float], List[float]]:
+        """Rates and fault stalls of a node where some job faults.
+
+        Thrashing has two node-level penalties on top of the per-job
+        stalls: kernel CPU burned handling faults (shrinks usable
+        capacity for everyone) and paging-disk contention (stall per
+        fault inflates as the disk approaches saturation).  Both depend
+        on the progress rates, which depend back on them, so a short
+        fixed-point iteration resolves the coupling.
+        """
+        service = self.config.fault_service_s
+        overhead_s = self.config.fault_cpu_overhead_ms / 1000.0
+        max_inflation = self.config.paging_disk_max_inflation
+        inflation = 1.0
+        capacity_factor = 1.0
+        rates: list = []
+        fault_stalls: list = []
+        for _ in range(3):
+            fault_stalls = [lam * service * inflation for lam in lambdas]
+            stalls = [fault + io
+                      for fault, io in zip(fault_stalls, io_stalls)]
+            rates = self._allocate_rates(speed, tax, stalls,
+                                         capacity_factor, dedicated)
+            faults_per_s = sum(r * lam for r, lam in zip(rates, lambdas))
+            disk_util = min(0.99, faults_per_s * service)
+            new_inflation = min(max_inflation, 1.0 / (1.0 - disk_util))
+            new_capacity = max(0.05, 1.0 - faults_per_s * overhead_s)
+            if new_inflation == inflation and new_capacity == capacity_factor:
+                # Exact fixed point: the next iteration would recompute
+                # identical stalls and rates, so the remaining passes
+                # are no-ops and the early exit is behavior-identical.
+                break
+            inflation = new_inflation
+            capacity_factor = new_capacity
+        return rates, fault_stalls
 
     def _sync_row(self) -> None:
         """Write this node's published state through to its columnar
@@ -506,18 +543,18 @@ class Workstation:
         state.flags[i] = bits
 
     def _allocate_rates(self, speed: float, tax: float, stalls: list,
-                        capacity_factor: float) -> list:
+                        capacity_factor: float,
+                        dedicated_flags: Tuple[bool, ...]) -> list:
         """Water-fill CPU capacity, giving jobs under dedicated service
-        (migrated to a reserved workstation) strict priority: they are
-        served first, and other jobs share what remains."""
-        dedicated = [i for i, job in enumerate(self._running)
-                     if job.dedicated]
-        if not dedicated:
+        (migrated to a reserved workstation; ``dedicated_flags[i]`` is
+        job *i*'s flag) strict priority: they are served first, and
+        other jobs share what remains."""
+        if not any(dedicated_flags):
             return progress_rates(speed, tax, stalls,
                                   capacity_factor=capacity_factor)
-        rates = [0.0] * len(self._running)
-        others = [i for i in range(len(self._running))
-                  if i not in set(dedicated)]
+        dedicated = [i for i, flag in enumerate(dedicated_flags) if flag]
+        rates = [0.0] * len(dedicated_flags)
+        others = [i for i, flag in enumerate(dedicated_flags) if not flag]
         # Special service, not starvation: while a dedicated job is
         # served, co-resident jobs keep a quarter of the node.
         share = 0.75 if others else 1.0
@@ -541,16 +578,21 @@ class Workstation:
         if self._next_event is not None:
             self._next_event.cancel()
             self._next_event = None
+        # Strict ``<``: on a tie the earlier horizon stays.
         horizon = None
         for job, rate in zip(self._running, self._rates):
             if rate <= 0:
                 continue
-            dt_done = job.remaining_work_s / rate
-            horizon = dt_done if horizon is None else min(horizon, dt_done)
-            boundary = job.memory.next_boundary(job.progress_s)
-            if boundary is not None and boundary < job.cpu_work_s:
-                dt_phase = (boundary - job.progress_s) / rate
-                horizon = min(horizon, dt_phase)
+            progress = job.progress_s
+            work = job.cpu_work_s
+            dt_done = max(0.0, work - progress) / rate  # remaining_work_s
+            if horizon is None or dt_done < horizon:
+                horizon = dt_done
+            boundary = job.memory.next_boundary(progress)
+            if boundary is not None and boundary < work:
+                dt_phase = (boundary - progress) / rate
+                if dt_phase < horizon:
+                    horizon = dt_phase
         if horizon is None:
             return
         self._next_event = self._sim.schedule(

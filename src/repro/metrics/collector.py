@@ -65,7 +65,10 @@ def _skew_of(jobs_per_node: Tuple[Optional[int], ...]) -> float:
     if not counts:
         return 0.0
     mean = sum(counts) / len(counts)
-    return math.sqrt(sum((c - mean) ** 2 for c in counts) / len(counts))
+    # Few distinct counts among many nodes: square each deviation once
+    # and sum the same floats in the same order through a C-level map.
+    table = {c: (c - mean) ** 2 for c in set(counts)}
+    return math.sqrt(sum(map(table.__getitem__, counts)) / len(counts))
 
 
 class PolicyPendingProbe:

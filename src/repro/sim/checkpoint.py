@@ -55,7 +55,13 @@ from typing import Any, Dict, List, Optional
 MAGIC = "repro-checkpoint"
 
 #: Bump on any incompatible change to the envelope or world layout.
-SCHEMA_VERSION = 1
+#: Schema 2 keys the event heap by ``(time, priority, seq, handle)``
+#: tuples and stores memory profiles as columns.
+SCHEMA_VERSION = 2
+
+#: Schemas this build restores; older ones are upgraded after
+#: unpickling (:func:`_upgrade_schema_1`).
+READABLE_SCHEMAS = (1, SCHEMA_VERSION)
 
 
 class CheckpointError(RuntimeError):
@@ -160,12 +166,13 @@ def _decode_envelope(data: bytes) -> Dict[str, Any]:
             "not a checkpoint file (missing the "
             f"{MAGIC!r} format marker)")
     schema = envelope.get("schema")
-    if schema != SCHEMA_VERSION:
+    if schema not in READABLE_SCHEMAS:
         raise CheckpointError(
             f"checkpoint schema {schema!r} is not supported by this "
-            f"build (reads schema {SCHEMA_VERSION}); it was written by "
-            f"a different version of repro — re-create the checkpoint "
-            f"with this build or restore it with the matching one")
+            f"build (reads schemas {READABLE_SCHEMAS}); it was written "
+            f"by a different version of repro — re-create the "
+            f"checkpoint with this build or restore it with the "
+            f"matching one")
     return envelope
 
 
@@ -188,12 +195,31 @@ def restore_bytes(data: bytes,
     """
     envelope = _decode_envelope(data)
     world = pickle.loads(envelope["world"])
+    if envelope["schema"] == 1:
+        _upgrade_schema_1(world)
     if advance_counters:
         _advance_global_counters(world)
     return RestoredRun(cluster=world["cluster"], policy=world["policy"],
                        collector=world["collector"], jobs=world["jobs"],
                        trace_name=world["trace_name"],
                        meta=dict(envelope["meta"]))
+
+
+def _upgrade_schema_1(world: Dict[str, Any]) -> None:
+    """Bring an unpickled schema-1 world to the current layout.
+
+    Schema 1 kept bare :class:`~repro.sim.engine.EventHandle` objects on
+    the heap.  Re-keying each as its ``(time, priority, seq, handle)``
+    entry in place keeps a valid heap, since that was the handles' sort
+    key.
+    The handles themselves (dropped ``sort_key``) and memory profiles
+    (``Phase`` objects to columns) upgrade in their ``__setstate__``.
+    This runs after ``pickle.loads`` returns, because pickle may build
+    the simulator before the handles it reaches through a cycle.
+    """
+    sim = world["cluster"].sim
+    sim._heap = [(handle.time, handle.priority, handle.seq, handle)
+                 for handle in sim._heap]
 
 
 def load_checkpoint(path: str,

@@ -1,9 +1,11 @@
 """Event-queue simulation engine.
 
-The engine keeps a binary heap of ``(time, priority, sequence)`` keyed
-events.  Events are plain callables; cancellation is *lazy* — a
-cancelled :class:`EventHandle` stays in the heap but is skipped when it
-surfaces, which keeps cancellation O(1).
+The engine keeps a binary heap of ``(time, priority, sequence, handle)``
+entries.  Tuples compare in C and the sequence number is unique, so
+``heapq`` orders entries without calling back into Python and never
+reaches the handle.  Events are plain callables; cancellation is
+*lazy* — a cancelled :class:`EventHandle` stays in the heap but is
+skipped when it surfaces, which keeps cancellation O(1).
 
 Determinism guarantees:
 
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from repro.obs.bus import NULL_CHANNEL
 
@@ -35,8 +37,8 @@ class EventHandle:
     daemon events remain.
     """
 
-    __slots__ = ("time", "priority", "seq", "sort_key", "callback",
-                 "cancelled", "daemon", "_owner")
+    __slots__ = ("time", "priority", "seq", "callback", "cancelled",
+                 "daemon", "_owner")
 
     def __init__(self, time: float, priority: int, seq: int,
                  callback: Callable[[], None], daemon: bool = False,
@@ -44,10 +46,6 @@ class EventHandle:
         self.time = time
         self.priority = priority
         self.seq = seq
-        #: Precomputed heap key: built once at schedule time instead of
-        #: twice per comparison (heap sift paths compare O(log n) times
-        #: per push/pop).
-        self.sort_key = (time, priority, seq)
         self.callback: Optional[Callable[[], None]] = callback
         self.cancelled = False
         self.daemon = daemon
@@ -71,7 +69,16 @@ class EventHandle:
         return not self.cancelled and self.callback is not None
 
     def __lt__(self, other: "EventHandle") -> bool:
-        return self.sort_key < other.sort_key
+        return ((self.time, self.priority, self.seq)
+                < (other.time, other.priority, other.seq))
+
+    def __setstate__(self, state) -> None:
+        # Slotted objects pickle as ``(None, {slot: value})``.  Schema-1
+        # checkpoints also carry the retired precomputed ``sort_key``.
+        _, slots = state
+        for name, value in slots.items():
+            if name != "sort_key":
+                setattr(self, name, value)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
@@ -94,7 +101,7 @@ class Simulator:
 
     def __init__(self, start_time: float = 0.0):
         self._now = float(start_time)
-        self._heap: List[EventHandle] = []
+        self._heap: List[Tuple[float, int, int, EventHandle]] = []
         self._seq = itertools.count()
         self._running = False
         self._event_count = 0
@@ -152,19 +159,25 @@ class Simulator:
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule at t={time!r} before now={self._now!r}")
-        handle = EventHandle(float(time), priority, next(self._seq),
-                             callback, daemon=daemon, owner=self)
-        heapq.heappush(self._heap, handle)
+        time = float(time)
+        seq = next(self._seq)
+        handle = EventHandle(time, priority, seq, callback, daemon, self)
+        heap = self._heap
+        heapq.heappush(heap, (time, priority, seq, handle))
         if daemon:
             self._daemon_pending += 1
         else:
             self._non_daemon_pending += 1
-        self._maybe_compact()
+        if (len(heap) >= self._COMPACT_MIN_HEAP
+                and 2 * (self._non_daemon_pending + self._daemon_pending)
+                < len(heap)):
+            self._compact()
         return handle
 
-    def _maybe_compact(self) -> None:
-        """Rebuild the heap once lazily-cancelled events outnumber the
-        pending ones.
+    def _compact(self) -> None:
+        """Rebuild the heap without its lazily-cancelled entries;
+        :meth:`schedule_at` calls this once they outnumber the pending
+        ones.
 
         Lazy cancellation keeps :meth:`EventHandle.cancel` O(1), but a
         workload that cancels far-future events faster than the clock
@@ -173,12 +186,7 @@ class Simulator:
         entries when they exceed half the heap keeps total compaction
         work amortized O(1) per cancellation.
         """
-        heap = self._heap
-        if len(heap) < self._COMPACT_MIN_HEAP:
-            return
-        if 2 * (self._non_daemon_pending + self._daemon_pending) >= len(heap):
-            return
-        self._heap = [ev for ev in heap if ev.pending]
+        self._heap = [entry for entry in self._heap if entry[3].pending]
         heapq.heapify(self._heap)
         self.compactions += 1
 
@@ -191,10 +199,10 @@ class Simulator:
         Returns False when the queue is exhausted.
         """
         while self._heap:
-            handle = heapq.heappop(self._heap)
+            time, _, _, handle = heapq.heappop(self._heap)
             if not handle.pending:
                 continue
-            self._now = handle.time
+            self._now = time
             callback, handle.callback = handle.callback, None
             if handle.daemon:
                 self._daemon_pending -= 1
@@ -211,9 +219,9 @@ class Simulator:
 
     def peek(self) -> Optional[float]:
         """Time of the next pending event, or None if the queue is empty."""
-        while self._heap and not self._heap[0].pending:
+        while self._heap and not self._heap[0][3].pending:
             heapq.heappop(self._heap)
-        return self._heap[0].time if self._heap else None
+        return self._heap[0][0] if self._heap else None
 
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> float:
@@ -237,22 +245,24 @@ class Simulator:
             # Inlined peek+step: the heap top is scanned once per
             # event instead of once in peek() and again in step().
             # self._heap is re-read each iteration because callbacks
-            # can rebind it (lazy-cancellation compaction).
+            # can rebind it (lazy-cancellation compaction).  A handle
+            # is pending exactly while it holds its callback (cancel
+            # and fire both clear it), so that is the test here.
             while True:
                 if until is None and self._non_daemon_pending <= 0:
                     break
                 heap = self._heap
-                while heap and not heap[0].pending:
+                while heap and heap[0][3].callback is None:
                     pop(heap)
                 if not heap:
                     break
-                handle = heap[0]
-                if until is not None and handle.time > until:
+                time, _, _, handle = heap[0]
+                if until is not None and time > until:
                     break
                 if max_events is not None and executed >= max_events:
                     break
                 pop(heap)
-                self._now = handle.time
+                self._now = time
                 callback, handle.callback = handle.callback, None
                 if handle.daemon:
                     self._daemon_pending -= 1

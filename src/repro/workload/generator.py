@@ -71,8 +71,7 @@ class TraceGenerator:
                 peak_demand_mb=profile.peak_demand_mb,
                 io_stall_per_cpu_s=program.io_stall_per_cpu_s,
                 buffer_cache_mb=program.buffer_cache_mb,
-                memory_phases=[(p.start_progress, p.demand_mb)
-                               for p in profile.phases],
+                memory_phases=profile.pairs,
             ))
         name = ("SPEC-Trace-" if group is WorkloadGroup.SPEC
                 else "App-Trace-") + str(index)

@@ -23,7 +23,7 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
-from repro.cluster.job import MemoryProfile, Phase
+from repro.cluster.job import MemoryProfile
 
 
 class WorkloadGroup(enum.Enum):
@@ -88,16 +88,15 @@ class Program:
                        peak_mb: float) -> MemoryProfile:
         """Expand the shape into a profile for a concrete job instance."""
         floor = self.working_set_min_mb
-        phases = []
+        pairs = []
         last_start = -1.0
         for progress_frac, demand_frac in self.shape:
             start = progress_frac * lifetime_s
             if start <= last_start:  # guard against degenerate lifetimes
                 continue
-            demand = max(floor, demand_frac * peak_mb)
-            phases.append(Phase(start, demand))
+            pairs.append((start, max(floor, demand_frac * peak_mb)))
             last_start = start
-        return MemoryProfile(phases)
+        return MemoryProfile.from_pairs(pairs)
 
 
 def _spec(name: str, description: str, input_name: str, ws: float,

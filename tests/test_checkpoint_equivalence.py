@@ -14,11 +14,12 @@ executed-event count.  Three layers of pins:
   time); identity must hold at any cut point, not just the curated
   one;
 * **golden fixture** — ``tests/golden/checkpoint_v1.ckpt`` is a
-  committed schema-1 snapshot; it must keep restoring to the pinned
-  summary in ``tests/golden/checkpoint_v1_summary.json``, and
-  unknown/newer schemas must fail with a clear error *before* any
-  world bytes are unpickled.  Regenerate both (only after a
-  deliberate schema bump) with::
+  committed schema-1 snapshot; through the schema-1 upgrade it must
+  keep restoring to the pinned summary in
+  ``tests/golden/checkpoint_v1_summary.json``, and unknown/newer
+  schemas must fail with a clear error *before* any world bytes are
+  unpickled.  A fixture for the current schema is written (only after
+  a deliberate schema bump) with::
 
       PYTHONPATH=src python tests/golden/make_checkpoint_fixture.py
 """
@@ -39,9 +40,9 @@ from repro.experiments.scenario import (SCENARIO_CLUSTER,
                                         run_blocking_scenario)
 from repro.faults import FaultConfig
 from repro.sim.checkpoint import (MAGIC, SCHEMA_VERSION, CheckpointError,
-                                  fork, load_checkpoint, peek_meta,
-                                  restore_bytes, resume, save_checkpoint,
-                                  snapshot_bytes)
+                                  _decode_envelope, fork, load_checkpoint,
+                                  peek_meta, restore_bytes, resume,
+                                  save_checkpoint, snapshot_bytes)
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 GOLDEN_CKPT = os.path.join(GOLDEN_DIR, "checkpoint_v1.ckpt")
@@ -196,6 +197,29 @@ def test_missing_schema_is_rejected():
     data = gzip.compress(pickle.dumps(envelope, protocol=4))
     with pytest.raises(CheckpointError, match="schema"):
         restore_bytes(data)
+
+
+def _envelope_bytes(**fields):
+    envelope = dict({"format": MAGIC, "meta": {}, "world": b""}, **fields)
+    return gzip.compress(pickle.dumps(envelope, protocol=4))
+
+
+@pytest.mark.parametrize("schema", [1, 2])
+def test_decode_envelope_accepts_readable_schemas(schema):
+    envelope = _decode_envelope(_envelope_bytes(schema=schema))
+    assert envelope["schema"] == schema
+
+
+@pytest.mark.parametrize("fields", [{"schema": 3}, {}])
+def test_decode_envelope_rejects_unknown_or_missing_schema(fields):
+    with pytest.raises(CheckpointError, match="schema"):
+        _decode_envelope(_envelope_bytes(**fields))
+
+
+def test_peek_meta_reads_the_schema_1_fixture():
+    with open(GOLDEN_SUMMARY) as stream:
+        pinned = json.load(stream)
+    assert peek_meta(GOLDEN_CKPT) == pinned["meta"]
 
 
 def test_non_checkpoint_bytes_are_rejected():

@@ -1,6 +1,9 @@
 """Unit tests for the job and memory-profile models."""
 
+import pickle
+
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.cluster.job import (
     Job,
@@ -65,6 +68,105 @@ class TestMemoryProfile:
         with pytest.raises(ValueError):
             Phase(0.0, -5.0)
 
+
+
+# ----------------------------------------------------------------------
+# column storage: lookups and constructors against the Phase-list model
+# ----------------------------------------------------------------------
+_TOL = MemoryProfile._TOL
+
+
+def _scan_demand_at(pairs, progress):
+    """The linear scan over phases that the bisection replaced."""
+    demand = pairs[0][1]
+    for start, phase_demand in pairs:
+        if start > progress + _TOL:
+            break
+        demand = phase_demand
+    return demand
+
+
+def _scan_next_boundary(pairs, progress):
+    for start, _ in pairs:
+        if start > progress + _TOL:
+            return start
+    return None
+
+
+_lengths = st.floats(min_value=1e-12, max_value=1e4,
+                     allow_nan=False, allow_infinity=False)
+_demands = st.floats(min_value=0.0, max_value=1e4,
+                     allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _profile_pairs(draw):
+    """Strictly increasing starts from 0.0 with non-negative demands."""
+    gaps = draw(st.lists(_lengths, max_size=8))
+    starts = [0.0]
+    for gap in gaps:
+        start = starts[-1] + gap
+        if start > starts[-1]:
+            starts.append(start)
+    return [(start, draw(_demands)) for start in starts]
+
+
+def _probes(pairs):
+    starts = [start for start, _ in pairs]
+    points = [-1.0, -_TOL, starts[-1] + 1.0]
+    for start in starts:
+        points += [start, start - _TOL, start + _TOL,
+                   start - _TOL / 2, start + _TOL / 2]
+    points += [(a + b) / 2 for a, b in zip(starts, starts[1:])]
+    return points
+
+
+class TestColumnarProfile:
+    @given(_profile_pairs())
+    def test_lookups_match_the_linear_scan(self, pairs):
+        profile = MemoryProfile.from_pairs(pairs)
+        for progress in _probes(pairs):
+            assert (profile.demand_at(progress)
+                    == _scan_demand_at(pairs, progress))
+            assert (profile.next_boundary(progress)
+                    == _scan_next_boundary(pairs, progress))
+        assert profile.peak_demand_mb == max(d for _, d in pairs)
+
+    @given(_profile_pairs())
+    def test_constructors_round_trip(self, pairs):
+        profile = MemoryProfile.from_pairs(pairs)
+        assert profile.pairs == pairs
+        phases = tuple(Phase(start, demand) for start, demand in pairs)
+        assert profile.phases == phases
+        assert MemoryProfile(phases).pairs == pairs
+        assert MemoryProfile.from_pairs(profile.pairs).phases == phases
+
+    @given(_profile_pairs())
+    def test_pickle_round_trip_and_schema_1_state(self, pairs):
+        profile = MemoryProfile.from_pairs(pairs)
+        assert pickle.loads(pickle.dumps(profile)).pairs == pairs
+        legacy = MemoryProfile.__new__(MemoryProfile)
+        legacy.__setstate__({"_phases": profile.phases})
+        assert legacy.pairs == pairs
+
+    @pytest.mark.parametrize("pairs, message", [
+        ([], "at least one phase"),
+        ([(-1.0, 5.0)], "start_progress must be non-negative"),
+        ([(0.0, -5.0)], "demand_mb must be non-negative"),
+        ([(1.0, -5.0)], "demand_mb must be non-negative"),
+        ([(0.0, 1.0), (5.0, 2.0), (3.0, 1.0)], "strictly increasing"),
+        ([(0.0, 1.0), (0.0, 2.0)], "strictly increasing"),
+        ([(1.0, 1.0)], "start at progress 0"),
+    ])
+    def test_errors_are_unchanged(self, pairs, message):
+        with pytest.raises(ValueError, match=message):
+            MemoryProfile.from_pairs(pairs)
+        with pytest.raises(ValueError, match=message):
+            MemoryProfile([Phase(start, demand) for start, demand in pairs])
+
+    def test_constant_rejects_negative_demand(self):
+        with pytest.raises(ValueError, match="demand_mb"):
+            MemoryProfile.constant(-1.0)
 
 class TestJob:
     def make_job(self, **kwargs):

@@ -172,3 +172,36 @@ class TestThrashingCliff:
             demands = [100.0, 1000000.0]
             rates = model.assess(demands, 1.0).fault_rates_per_cpu_s
             assert rates[1] == pytest.approx(100.0, rel=0.01)
+
+
+class TestUnderSubscribedFastPath:
+    """``assess`` answers ``sum(demands) <= U`` without the cache; the
+    answer must be what the full computation gives, field for field."""
+
+    @given(demands=st.lists(st.one_of(
+               st.just(0.0),
+               st.floats(min_value=0.0, max_value=500.0,
+                         allow_nan=False)), max_size=6),
+           memory=st.floats(min_value=0.0, max_value=2000.0,
+                            allow_nan=False),
+           alpha=st.floats(min_value=0.1, max_value=1.0),
+           max_rate=st.floats(min_value=0.0, max_value=1000.0),
+           exponent=st.floats(min_value=1.0, max_value=3.0))
+    def test_matches_the_uncached_assessment(self, demands, memory, alpha,
+                                             max_rate, exponent):
+        model = PagingModel(alpha=alpha, max_fault_rate_per_cpu_s=max_rate,
+                            curve_exponent=exponent)
+        fast = model.assess(tuple(demands), memory)
+        full = model._assess_uncached(tuple(demands), memory)
+        # repr tells 0 from 0.0 and -0.0 from 0.0; == does not.
+        assert repr(fast) == repr(full)
+
+    def test_fast_path_skips_the_cache(self, model):
+        assessment = model.assess([30.0, 40.0], 100.0)
+        assert assessment.fault_rates_per_cpu_s == [0.0, 0.0]
+        assert not model._assess_cache
+        assert model.assess_hits == model.assess_misses == 0
+
+    def test_negative_demand_still_rejected(self, model):
+        with pytest.raises(ValueError, match="non-negative"):
+            model.assess([-1.0, 10.0], 100.0)

@@ -3,8 +3,9 @@
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
-from repro.metrics.collector import ClusterSample, MetricsCollector
+from repro.metrics.collector import ClusterSample, MetricsCollector, _skew_of
 from repro.metrics.report import (
     comparison_table,
     percentage_reduction,
@@ -214,3 +215,23 @@ class TestReservedNodeSeconds:
                     if s.time <= 3.5]
         assert collector.average_idle_memory_mb(until=3.5) == pytest.approx(
             sum(expected) / len(expected))
+
+
+def _skew_by_generator(jobs_per_node):
+    """The per-count generator expression the lookup table replaced."""
+    counts = [c for c in jobs_per_node if c is not None]
+    if not counts:
+        return 0.0
+    mean = sum(counts) / len(counts)
+    return math.sqrt(sum((c - mean) ** 2 for c in counts) / len(counts))
+
+
+@given(st.lists(st.one_of(st.none(), st.integers(0, 12)), max_size=600))
+def test_skew_table_matches_the_generator_expression(jobs_per_node):
+    assert (repr(_skew_of(tuple(jobs_per_node)))
+            == repr(_skew_by_generator(jobs_per_node)))
+
+
+def test_skew_of_all_excluded_nodes_is_zero():
+    assert _skew_of((None, None, None)) == 0.0
+    assert _skew_of(()) == 0.0

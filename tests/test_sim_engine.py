@@ -1,8 +1,12 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+import pickle
+from types import SimpleNamespace
+
 import pytest
 
 from repro.sim import Simulator, SimulationError
+from repro.sim.checkpoint import _upgrade_schema_1
 from repro.sim.engine import EventHandle
 
 
@@ -252,10 +256,11 @@ class TestPendingEventsCounter:
                                         daemon=(i % 3 == 0)))
         for handle in handles[::2]:
             handle.cancel()
-        expected = sum(1 for ev in sim._heap if ev.pending)
+        # Heap entries are (time, priority, seq, handle) tuples.
+        expected = sum(1 for entry in sim._heap if entry[3].pending)
         assert sim.pending_events() == expected
         sim.run(until=10.0)
-        expected = sum(1 for ev in sim._heap if ev.pending)
+        expected = sum(1 for entry in sim._heap if entry[3].pending)
         assert sim.pending_events() == expected
 
 
@@ -311,3 +316,73 @@ class TestHeapCompaction:
         assert sim.pending_events() == 2
         live.cancel()
         previous.cancel()
+
+
+class TestHeapEntries:
+    """The heap holds ``(time, priority, seq, handle)`` tuples."""
+
+    def test_equal_time_events_keep_priority_seq_order_across_compaction(self):
+        sim = Simulator()
+        fired = []
+        expected = []
+        handles = [sim.schedule(5.0, lambda i=i: fired.append(i),
+                                priority=i % 3) for i in range(300)]
+        for i, handle in enumerate(handles):
+            if i % 4 == 0:
+                expected.append((i % 3, i))
+            else:
+                handle.cancel()
+        # The next schedule finds dead entries outnumbering live ones.
+        sim.schedule(5.0, lambda: fired.append("last"), priority=1)
+        assert sim.compactions == 1
+        assert len(sim._heap) == len(expected) + 1
+        expected.append((1, 300))
+        sim.run()
+        assert fired == [i if i != 300 else "last"
+                         for _, i in sorted(expected)]
+
+    def test_handle_survives_a_pickle_round_trip(self):
+        sim = Simulator()
+        sim.schedule(1.0, _noop)
+        handle = sim.schedule(2.5, _noop, priority=3, daemon=True)
+        copy = pickle.loads(pickle.dumps(handle))
+        assert (copy.time, copy.priority, copy.seq, copy.daemon,
+                copy.cancelled) == (2.5, 3, 1, True, False)
+        assert copy.callback is _noop and copy.pending
+        assert copy._owner.pending_events() == 2
+        earlier = pickle.loads(pickle.dumps(sim._heap[0][3]))
+        assert earlier < copy and not copy < earlier
+
+    def test_upgraded_schema_1_heap_fires_in_the_same_order(self):
+        def build():
+            sim = Simulator()
+            fired = []
+            for i in range(40):
+                sim.schedule(float(i % 7), lambda i=i: fired.append(i),
+                             priority=i % 2)
+            return sim, fired
+
+        control, control_fired = build()
+        control.run()
+
+        legacy, legacy_fired = build()
+        # Schema 1 kept bare handles, heap-ordered by their sort key,
+        # and pickled that key with each handle.
+        handles = [entry[3] for entry in legacy._heap]
+        for handle in handles:
+            state = (None, {name: getattr(handle, name)
+                            for name in EventHandle.__slots__})
+            state[1]["sort_key"] = (handle.time, handle.priority, handle.seq)
+            handle.__setstate__(state)
+        legacy._heap = handles
+        _upgrade_schema_1({"cluster": SimpleNamespace(sim=legacy)})
+        assert all(isinstance(entry, tuple) and entry[3] is handle
+                   for entry, handle in zip(sorted(legacy._heap),
+                                            sorted(handles)))
+        legacy.run()
+        assert legacy_fired == control_fired
+        assert legacy.event_count == control.event_count == 40
+
+
+def _noop():
+    pass

@@ -369,3 +369,61 @@ class TestRecompute:
         node.remove_job(job)
         assert node.recomputes == recomputes + 1
         assert node.recompute_skips == 1
+
+
+@st.composite
+def unfaulted_nodes(draw):
+    """An under-subscribed node (no job faults) whose jobs may be
+    dedicated or I/O-active, with buffer caches that free memory may
+    not hold."""
+    memory = draw(st.sampled_from([100.0, 128.0, 384.0]))
+    node = make_node(Simulator(), memory_mb=memory,
+                     uncached_io_penalty=draw(st.sampled_from([0.0, 2.0])))
+    fractions = draw(st.lists(st.floats(0.0, 1.0), max_size=4))
+    scale = 0.999 * memory / max(1.0, sum(fractions))
+    for fraction in fractions:
+        node.add_job(make_job(
+            work=draw(st.floats(1.0, 500.0)), demand=fraction * scale,
+            dedicated=draw(st.booleans()),
+            io_stall_per_cpu_s=draw(st.sampled_from([0.0, 0.005, 0.08])),
+            buffer_cache_mb=draw(st.sampled_from([0.0, 9.6, 150.0]))))
+    if not fractions and draw(st.booleans()):
+        # An emptied node: its last recompute summed no fault rates.
+        job = make_job()
+        node.add_job(job)
+        node.remove_job(job)
+    return node
+
+
+class TestNoFaultRecompute:
+    @given(unfaulted_nodes())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_fixed_point_branch(self, node):
+        """With every lambda zero, ``_recompute`` skips the fixed point;
+        running it on the same inputs must give the same objects."""
+        if node._assessment is None:
+            return  # a fresh node never recomputed
+        running = node._running
+        lambdas = node._assessment.fault_rates_per_cpu_s
+        assert not any(lam > 0 for lam in lambdas)
+        rates, fault_stalls = node._fault_fixed_point(
+            lambdas, node._io_stalls, node.spec.speed_factor,
+            node.config.context_switch_tax,
+            tuple(job.dedicated for job in running))
+        fault_rate = sum(rate * lam for rate, lam in zip(rates, lambdas))
+        # repr tells an int 0 from 0.0 and -0.0 from 0.0.
+        assert repr(node._rates) == repr(rates)
+        assert repr(node._fault_stalls) == repr(fault_stalls)
+        assert repr(node.fault_rate_per_s) == repr(fault_rate)
+        assert node.has_starving_job == any(
+            stall >= 1.0 for stall in fault_stalls)
+        assert [job.faulting for job in running] == [
+            lam > 0.0 for lam in lambdas]
+
+    def test_squeezed_cache_inflates_io_stalls(self):
+        node = make_node(Simulator(), memory_mb=100.0)
+        node.add_job(make_job(demand=90.0, io_stall_per_cpu_s=0.1,
+                              buffer_cache_mb=20.0))
+        # Half the wanted cache fits: stall x (1 + 2.0 x 0.5).
+        assert node._io_stalls == [0.1 * 2.0]
+        assert node.fault_rate_per_s == 0.0
