@@ -40,9 +40,9 @@ Endpoints:
 Threading model — the invariant that keeps this safe without slowing
 the engine: **HTTP handler threads never touch live state.**  The
 engine thread *publishes* fully rendered, immutable payload bytes
-under a lock at every slice boundary; handlers only read the latest
-published payloads.  Staleness is bounded by the slice width and the
-engine never blocks on a scrape.
+under a lock at slice boundaries; handlers only read the latest
+published payloads.  Staleness is bounded by the publish interval and
+the engine never blocks on a scrape.
 
 The write endpoints keep the same invariant from the other side:
 handler threads only *validate primitives and enqueue*.  Job
@@ -61,10 +61,11 @@ exiting, so jobs arriving later still find a live engine.
 
 Pacing: ``pace`` is simulated seconds per wall second.  ``pace=0``
 runs the engine as fast as possible (publishing between slices);
-``pace>0`` sleeps between slices to hold the ratio, and reports
-``sim_lag_s`` — how far (in wall seconds) the engine is behind its
-real-time schedule — into the windowed snapshot and the metrics
-registry, where a health rule can watch it.
+``pace>0`` runs ``SLICE_WALL_S``-wide slices, publishes every
+``PUBLISH_WALL_S`` and sleeps between slices to hold the ratio, and
+reports ``sim_lag_s`` — how far (in wall seconds) the engine is
+behind its real-time schedule — into the windowed snapshot and the
+metrics registry, where a health rule can watch it.
 """
 
 from __future__ import annotations
@@ -81,8 +82,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.session import ObsSession
     from repro.sim.engine import Simulator
 
-#: Wall-clock width of one paced engine slice.
-SLICE_WALL_S = 0.25
+#: Wall-clock width of one paced engine slice: how often a paced or
+#: idling engine admits queued jobs and serves control requests.  A
+#: burst of submissions is admitted over many slices, so the engine's
+#: work on it interleaves with the requests instead of landing in one
+#: block whose place depends on when the burst began.
+SLICE_WALL_S = 0.025
+
+#: Wall-clock interval between publishes of a paced or idling engine.
+PUBLISH_WALL_S = 0.25
 
 #: Wall seconds a control request (``/checkpoint``, ``/fork``) waits
 #: for the engine to reach a slice boundary before answering 503.
@@ -603,9 +611,10 @@ class LiveMonitor:
     # ------------------------------------------------------------------
     def drive(self, sim: "Simulator",
               run_fn: Optional[Callable[..., float]] = None) -> None:
-        """Advance the engine in bounded slices, publishing at every
-        slice boundary and (when paced) sleeping to hold the
-        sim-seconds-per-wall-second ratio."""
+        """Advance the engine in bounded slices and (when paced) sleep
+        to hold the sim-seconds-per-wall-second ratio.  Unpaced, every
+        slice boundary publishes; paced or idling, a boundary publishes
+        once ``PUBLISH_WALL_S`` has passed since the last publish."""
         if run_fn is None:
             run_fn = sim.run
         window = self.session.window
@@ -616,6 +625,7 @@ class LiveMonitor:
         else:
             slice_sim = 100.0
         wall_start = time.perf_counter()
+        published = wall_start
         sim_start = sim.now
         registry = self.session.registry
         while True:
@@ -631,9 +641,13 @@ class LiveMonitor:
                     break
                 # Simulation ran dry but an ingest source is still
                 # open: idle at wall pace until jobs arrive or the
-                # source closes.
-                self.publish()
+                # source closes.  Waiting for work is not falling
+                # behind, so the real-time schedule moves past the wait
+                # and ``sim_lag_s`` counts only time spent running.
+                published = self._publish_due(published)
+                idle = time.perf_counter()
                 time.sleep(SLICE_WALL_S)
+                wall_start += time.perf_counter() - idle
                 continue
             run_fn(until=sim.now + slice_sim)
             if self.pace > 0:
@@ -646,7 +660,7 @@ class LiveMonitor:
                 if window is not None:
                     window.record_sim_lag(self.sim_lag_s)
                 registry.gauge("sim_lag_s").set(self.sim_lag_s)
-                self.publish()
+                published = self._publish_due(published)
                 if lag < 0:
                     time.sleep(min(-lag, SLICE_WALL_S))
             else:
@@ -655,6 +669,15 @@ class LiveMonitor:
         # cannot hang until its timeout.
         self._service_control(sim)
         self.publish()
+
+    def _publish_due(self, published: float) -> float:
+        """Publish if ``PUBLISH_WALL_S`` has passed since
+        ``published``; returns the time of the latest publish."""
+        now = time.perf_counter()
+        if now - published < PUBLISH_WALL_S:
+            return published
+        self.publish()
+        return now
 
     def aggregate(self) -> Dict[str, float]:
         """Flat gauges for ``RunSummary.extra`` (``obs.live_*``)."""
@@ -672,5 +695,5 @@ class LiveMonitor:
         return out
 
 
-__all__ = ["LiveMonitor", "SLICE_WALL_S", "CONTROL_TIMEOUT_S",
-           "validate_job_spec"]
+__all__ = ["LiveMonitor", "SLICE_WALL_S", "PUBLISH_WALL_S",
+           "CONTROL_TIMEOUT_S", "validate_job_spec"]

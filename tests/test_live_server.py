@@ -4,13 +4,14 @@ summary."""
 
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 
 import pytest
 
 from repro.experiments.scenario import run_blocking_scenario
-from repro.obs.live import SLICE_WALL_S, LiveMonitor
+from repro.obs.live import PUBLISH_WALL_S, SLICE_WALL_S, LiveMonitor
 from repro.obs.session import ObsSession
 
 from helpers import job, tiny_cluster
@@ -158,7 +159,7 @@ class TestPacedDrive:
                 except urllib.error.URLError:
                     pass
 
-            timer = threading.Timer(SLICE_WALL_S * 1.2, poll)
+            timer = threading.Timer(PUBLISH_WALL_S * 1.2, poll)
             timer.start()
             obs.run_engine(cluster.sim)
             timer.join()
@@ -170,6 +171,68 @@ class TestPacedDrive:
             snap = obs.window.snapshot(cluster.sim.now)
             assert snap["totals"]["jobs_finished"] == 1.0
             assert "sim_lag_s" in snap
+        finally:
+            obs.close()
+
+    def test_paced_slices_admit_more_often_than_they_publish(self):
+        # 20 sim-seconds at 40 sim-s per wall-s in slices of
+        # 40 * SLICE_WALL_S sim-seconds; payloads are rendered at most
+        # once per PUBLISH_WALL_S, plus the initial and final ones.
+        obs = ObsSession(record_events=False, window_s=5.0, serve=0,
+                         pace=40.0)
+        cluster = tiny_cluster()
+        obs.attach(cluster)
+        sim = cluster.sim
+        slices = []
+        run = sim.run
+
+        def counted(until=None, max_events=None):
+            slices.append(until - sim.now)
+            return run(until=until, max_events=max_events)
+
+        sim.run = counted
+        try:
+            cluster.nodes[0].add_job(job(work=20.0, demand=10.0))
+            start = time.perf_counter()
+            obs.run_engine(sim)
+            wall = time.perf_counter() - start
+            assert sim.now >= 20.0
+            assert len(slices) >= 20
+            assert all(width == pytest.approx(40.0 * SLICE_WALL_S)
+                       for width in slices)
+            assert obs.live.publishes <= 2 + wall / PUBLISH_WALL_S
+        finally:
+            obs.close()
+
+    def test_waiting_for_ingest_is_not_lag(self):
+        # The run goes dry under an ingest hold, idles ~0.4 s, then a
+        # job arrives: the pacer is not behind schedule once it runs it.
+        obs = ObsSession(record_events=False, window_s=5.0, serve=0,
+                         pace=40.0)
+        cluster = tiny_cluster()
+        obs.attach(cluster)
+        arrivals = []
+
+        def admit(sim):
+            if not arrivals:
+                return 0
+            arrivals.pop()
+            cluster.nodes[0].add_job(job(work=4.0, demand=10.0))
+            return 1
+
+        obs.live._admit_ingest = admit
+        obs.live.add_ingest_hold()
+        timers = [threading.Timer(0.4, arrivals.append, (True,)),
+                  threading.Timer(0.8, obs.live.release_ingest_hold)]
+        try:
+            cluster.nodes[0].add_job(job(work=4.0, demand=10.0))
+            for timer in timers:
+                timer.start()
+            obs.run_engine(cluster.sim)
+            for timer in timers:
+                timer.join()
+            assert cluster.sim.now >= 8.0
+            assert obs.live.sim_lag_max_s < 0.2
         finally:
             obs.close()
 
