@@ -98,6 +98,12 @@ class Cluster:
         self.finished_jobs: List[Job] = []
         self._job_listeners: List[JobListener] = []
         self._node_listeners: List[NodeListener] = []
+        #: Called when :attr:`thrashing_nodes` goes from empty to
+        #: non-empty (re-arms a parked overload monitor).
+        self._thrashing_listeners: List[Callable[[], None]] = []
+        #: Called when a policy's pending queue grows (re-arms a parked
+        #: metrics collector: queueing a job changes no node).
+        self._pending_listeners: List[Callable[[], None]] = []
         #: Fault injector (None on fault-free runs — the common case;
         #: every fault-aware code path guards on this being set).
         self.faults: Optional[FaultInjector] = None
@@ -124,6 +130,30 @@ class Cluster:
         except ValueError:
             pass
 
+    def on_thrashing(self, listener: Callable[[], None]) -> None:
+        """Subscribe to the thrashing set going from empty to
+        non-empty."""
+        self._thrashing_listeners.append(listener)
+
+    def remove_thrashing_listener(self,
+                                  listener: Callable[[], None]) -> None:
+        """Unsubscribe a thrashing listener (unknown ones are
+        ignored)."""
+        try:
+            self._thrashing_listeners.remove(listener)
+        except ValueError:
+            pass
+
+    def on_pending_changed(self, listener: Callable[[], None]) -> None:
+        """Subscribe to pending-queue growth."""
+        self._pending_listeners.append(listener)
+
+    def notify_pending_changed(self) -> None:
+        """Fan a pending-queue change out to subscribers (called by
+        policies when they queue a job)."""
+        for listener in self._pending_listeners:
+            listener()
+
     def _job_finished(self, job: Job, node: Workstation) -> None:
         self.finished_jobs.append(job)
         for listener in self._job_listeners:
@@ -137,10 +167,15 @@ class Cluster:
             listener(node)
 
     def _track_thrashing(self, node: Workstation) -> None:
+        hot = self.thrashing_nodes
         if node.thrashing:
-            self.thrashing_nodes.add(node.node_id)
+            was_quiet = not hot
+            hot.add(node.node_id)
+            if was_quiet:
+                for listener in self._thrashing_listeners:
+                    listener()
         else:
-            self.thrashing_nodes.discard(node.node_id)
+            hot.discard(node.node_id)
 
     # ------------------------------------------------------------------
     # cluster-wide queries

@@ -9,7 +9,10 @@ The directory publishes a snapshot of every node at a configurable
 period.  Schedulers *select* candidates from snapshots (possibly
 stale) and perform a live admission check at the chosen node, the way
 a real remote submission would.  A period of 0 disables staleness:
-every lookup reads the live node.
+every lookup reads the live node.  The exchange tick is scheduled only
+while some node is dirty: a round that collects everything parks it,
+and the next change re-arms it on the same grid
+(:mod:`repro.sim.daemon`).
 
 Beyond the snapshot store, the directory incrementally maintains the
 two candidate orders the scheduling layer consumes on its hot path:
@@ -51,6 +54,7 @@ from repro.cluster.state import (
     ClusterState,
 )
 from repro.obs.bus import NULL_CHANNEL, Channel
+from repro.sim.daemon import DaemonTick
 from repro.sim.engine import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -167,24 +171,26 @@ class LoadInfoDirectory:
         #: per shard instead of a per-node walk.
         self._agg_idle_mb = 0.0
         self._agg_thrashing = 0
+        #: The periodic exchange tick; None in live mode and for a
+        #: managed directory (a domain shard), whose owning
+        #: DomainDirectory drives all K shards with one exchange event
+        #: per round.
+        self._exchange: Optional[DaemonTick] = None
         for node in nodes:
             node.add_change_listener(self._node_changed)
         if exchange_interval_s > 0:
             self.refresh()
-            # A managed directory (a domain shard) leaves tick
-            # scheduling to its owning DomainDirectory: one exchange
-            # event per round drives all K shards.
             if not managed:
-                self._schedule_next()
+                self._exchange = DaemonTick(sim, self, "_tick",
+                                            exchange_interval_s, priority=2,
+                                            armed=bool(self._dirty))
 
     # ------------------------------------------------------------------
-    def _schedule_next(self) -> None:
-        self._sim.schedule(self.exchange_interval_s, self._tick, priority=2,
-                           daemon=True)
-
     def _tick(self) -> None:
         self.refresh()
-        self._schedule_next()
+        # A round that left nothing dirty parks the tick until the next
+        # dirty mark; a dropped update stays dirty and keeps it armed.
+        self._exchange.fired(keep=bool(self._dirty))
 
     def refresh(self) -> None:
         """Collect fresh snapshots (one exchange round).
@@ -328,13 +334,16 @@ class LoadInfoDirectory:
 
     def _node_changed(self, node: "Workstation") -> None:
         """Workstation change hook: live mode repositions the node in
-        the active orders immediately; periodic mode just marks it
-        dirty for the next exchange round."""
+        the active orders immediately; periodic mode marks it dirty for
+        the next exchange round, arming a parked exchange tick."""
         if self.exchange_interval_s == 0:
             if self._reposition(node.node_id, self._live_keys(node)):
                 self.order_version += 1
         else:
             self._dirty.add(node.node_id)
+            exchange = self._exchange
+            if exchange is not None and exchange.handle is None:
+                exchange.arm()
 
     # ------------------------------------------------------------------
     # fail-stop membership (fault injection)

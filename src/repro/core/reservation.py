@@ -119,6 +119,9 @@ class ReservationManager:
         #: made: :meth:`_close` pops a reservation as it leaves the
         #: active states, so every entry is RESERVING or SERVING.
         self._by_node: Dict[int, Reservation] = {}
+        #: How many of them are RESERVING (kept by reserve, assign and
+        #: _close, the only places a state leaves or enters it).
+        self._num_reserving = 0
         self.history: List[Reservation] = []
         self.timeline: List[ReservationEvent] = []
         self._obs = cluster.obs.channel("reconfig.reservation")
@@ -142,8 +145,7 @@ class ReservationManager:
     @property
     def num_reserving(self) -> int:
         """Reservations still in their reserving period."""
-        return sum(1 for r in self._by_node.values()
-                   if r.state is ReservationState.RESERVING)
+        return self._num_reserving
 
     def can_reserve(self) -> bool:
         return len(self._by_node) < self.max_reserved
@@ -185,6 +187,7 @@ class ReservationManager:
                                   needed_mb=needed_mb,
                                   created_at=self.cluster.sim.now)
         self._by_node[node.node_id] = reservation
+        self._num_reserving += 1
         self.history.append(reservation)
         self._log("reserve", reservation)
         if self.reserve_timeout_s > 0:
@@ -201,6 +204,8 @@ class ReservationManager:
         (call before the transfer starts)."""
         if not reservation.active:
             raise ValueError("reservation is not active")
+        if reservation.state is ReservationState.RESERVING:
+            self._num_reserving -= 1
         reservation.state = ReservationState.SERVING
         if reservation.serving_since is None:
             reservation.serving_since = self.cluster.sim.now
@@ -218,19 +223,22 @@ class ReservationManager:
         node to normal load sharing."""
         if reservation.state is not ReservationState.RESERVING:
             return
-        reservation.state = ReservationState.CANCELLED
-        reservation.closed_at = self.cluster.sim.now
-        self._close(reservation, "cancel")
+        self._close(reservation, ReservationState.CANCELLED, "cancel")
 
     def release(self, reservation: Reservation) -> None:
         """All migrated jobs completed: turn the reservation flag off."""
         if not reservation.active:
             return
-        reservation.state = ReservationState.RELEASED
-        reservation.closed_at = self.cluster.sim.now
-        self._close(reservation, "release")
+        self._close(reservation, ReservationState.RELEASED, "release")
 
-    def _close(self, reservation: Reservation, kind: str) -> None:
+    def _close(self, reservation: Reservation, state: ReservationState,
+               kind: str) -> None:
+        """Move an active reservation to its final ``state`` and return
+        its node to normal load sharing."""
+        if reservation.state is ReservationState.RESERVING:
+            self._num_reserving -= 1
+        reservation.state = state
+        reservation.closed_at = self.cluster.sim.now
         node = reservation.node
         node.reserved = False
         self._by_node.pop(node.node_id, None)
@@ -252,9 +260,7 @@ class ReservationManager:
         reservation = self._by_node.get(node_id)
         if reservation is None:
             return None
-        reservation.state = ReservationState.CANCELLED
-        reservation.closed_at = self.cluster.sim.now
-        self._close(reservation, "crash-abort")
+        self._close(reservation, ReservationState.CANCELLED, "crash-abort")
         return reservation
 
     def migration_abandoned(self, reservation: Reservation,

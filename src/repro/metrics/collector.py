@@ -8,14 +8,25 @@ the interval so the benchmark suite can repeat that check).
 The 1 Hz sample is the dominant scaling cost of large-cluster runs:
 most simulated seconds see *no* node change (job events are sparse
 compared to the tick).  The collector therefore subscribes to node
-change notifications and recomputes the sample components only on
-ticks where something actually changed — an unchanged tick reuses the
-previous components, which are identical by construction (same
-inputs, same arithmetic).  Changed ticks read the columns of the
-cluster's :class:`~repro.cluster.state.ClusterState` rather than node
-properties.  Balance skew is computed once per tick into a parallel
-series instead of per access, so summarize-time averaging is O(ticks)
-instead of O(ticks x N).
+change and pending-queue notifications:
+
+* The tick parks after every sample (:mod:`repro.sim.daemon`); the
+  next change re-arms it on the same grid.  Every grid tick skipped
+  meanwhile would have repeated the last sample, so the collector
+  appends those copies, each with its own ``time``, before the change
+  applies.  Copies still due at the engine's position are appended
+  before :attr:`MetricsCollector.samples` is read and before a
+  checkpoint is written (:meth:`MetricsCollector.flush`).
+* A tick recomputes the sample components only if a node changed
+  since the last sample; otherwise it reuses the previous components,
+  which are identical by construction (same inputs, same arithmetic).
+  Changed ticks read the columns of the cluster's
+  :class:`~repro.cluster.state.ClusterState` rather than node
+  properties.
+
+Balance skew is computed once per sample into a parallel series
+instead of per access, so summarize-time averaging is O(samples)
+instead of O(samples x N).
 """
 
 from __future__ import annotations
@@ -26,6 +37,7 @@ from typing import List, Optional, Tuple
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.state import FLAG_ALIVE, FLAG_RESERVED
+from repro.sim.daemon import DaemonTick
 
 
 @dataclass(frozen=True)
@@ -100,7 +112,7 @@ class MetricsCollector:
             raise ValueError("sample_interval_s must be positive")
         #: Optional callable returning the current pending-queue length.
         self.pending_probe = pending_probe
-        self.samples: List[ClusterSample] = []
+        self._samples: List[ClusterSample] = []
         #: Per-sample balance skew, parallel to ``samples``: computed
         #: once at sample time so summarize-time averaging does not
         #: revisit every counts vector.
@@ -109,8 +121,7 @@ class MetricsCollector:
         # Change-driven caching: any externally visible node change
         # flags the next tick for recomputation; clean ticks reuse the
         # previous components verbatim.  The pending-queue length is
-        # NOT cached — enqueueing a pending job causes no node change,
-        # so it is probed fresh every tick.
+        # NOT cached: it is probed fresh at every sample.
         self._dirty = True
         self._cached_idle = 0.0
         self._cached_jobs: Tuple[Optional[int], ...] = ()
@@ -118,18 +129,50 @@ class MetricsCollector:
         self._cached_reserved = 0
         for node in cluster.nodes:
             node.add_change_listener(self._mark_dirty)
-        self._schedule()
+        cluster.on_pending_changed(self._wake)
+        self._sample_tick = DaemonTick(cluster.sim, self, "_tick",
+                                       self.sample_interval_s, priority=4)
 
-    def _schedule(self) -> None:
-        self.cluster.sim.schedule(self.sample_interval_s, self._tick,
-                                  priority=4, daemon=True)
+    @property
+    def samples(self) -> List[ClusterSample]:
+        """Every sample up to the engine's current position."""
+        self.flush()
+        return self._samples
+
+    @samples.setter
+    def samples(self, samples: List[ClusterSample]) -> None:
+        self._samples = samples
 
     def _tick(self) -> None:
         self.sample()
-        self._schedule()
+        # Until a node or the pending queue changes, every grid tick
+        # would repeat this sample: park, and let flush() copy it.
+        self._sample_tick.fired(keep=False)
 
     def _mark_dirty(self, node) -> None:
         self._dirty = True
+        if self._sample_tick.handle is None:
+            self._wake()
+
+    def _wake(self) -> None:
+        """Something the samples read changed: append the copies the
+        parked tick owes, then arm it for the next grid time."""
+        self.flush()
+        self._sample_tick.arm()
+
+    def flush(self) -> None:
+        """Append the samples a parked tick skipped up to the engine's
+        current position: each a copy of the last sample at its own
+        grid time (nothing changed since, so sampling would have
+        reproduced it)."""
+        times = self._sample_tick.catch_up()
+        if times:
+            last = self._samples[-1]
+            fields = (last.total_idle_memory_mb, last.jobs_per_node,
+                      last.num_reserved, last.pending_jobs)
+            self._samples.extend(ClusterSample(time, *fields)
+                                 for time in times)
+            self._skews.extend([self._cached_skew] * len(times))
 
     def sample(self) -> ClusterSample:
         """Take one sample immediately (also used by tests).
@@ -139,6 +182,7 @@ class MetricsCollector:
         components are what recomputation would produce (no node
         changed, so no input changed).
         """
+        self.flush()
         state = self._state
         if self._dirty:
             self._dirty = False
@@ -147,16 +191,19 @@ class MetricsCollector:
             if excluded.count(1) == 0:
                 # Common case: every node alive and unreserved, so the
                 # jobs vector is the running-count column verbatim.
-                self._cached_jobs = tuple(num_running)
+                jobs = tuple(num_running)
                 self._cached_reserved = 0
             else:
-                self._cached_jobs = tuple(
-                    None if excl else num_running[node_id]
-                    for node_id, excl in enumerate(excluded))
+                jobs = tuple(None if excl else num_running[node_id]
+                             for node_id, excl in enumerate(excluded))
                 self._cached_reserved = bytes(state.flags).translate(
                     _RESERVED_TABLE).count(1)
             self._cached_idle = sum(state.idle_memory_mb)
-            self._cached_skew = _skew_of(self._cached_jobs)
+            # A change to memory alone leaves the job counts, and so
+            # the skew, as they were.
+            if jobs != self._cached_jobs:
+                self._cached_jobs = jobs
+                self._cached_skew = _skew_of(jobs)
         pending = self.pending_probe() if self.pending_probe else 0
         sample = ClusterSample(
             time=self.cluster.sim.now,
@@ -165,7 +212,7 @@ class MetricsCollector:
             num_reserved=self._cached_reserved,
             pending_jobs=pending,
         )
-        self.samples.append(sample)
+        self._samples.append(sample)
         self._skews.append(self._cached_skew)
         return sample
 
@@ -191,14 +238,15 @@ class MetricsCollector:
         """
         total = 0.0
         count = 0
-        if len(self._skews) == len(self.samples):
-            for s, skew in zip(self.samples, self._skews):
+        samples = self.samples
+        if len(self._skews) == len(samples):
+            for s, skew in zip(samples, self._skews):
                 if until is not None and s.time > until:
                     break
                 total += skew
                 count += 1
         else:
-            for s in self.samples:
+            for s in samples:
                 if until is not None and s.time > until:
                     break
                 total += s.job_balance_skew

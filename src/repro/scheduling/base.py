@@ -10,7 +10,8 @@ describes around the placement decision itself:
   state change;
 * **monitoring** — a periodic monitor (default 1 s) checks each node
   for thrashing and calls :meth:`handle_overload`, where concrete
-  policies implement their migration logic;
+  policies implement their migration logic; the monitor is scheduled
+  only while some node thrashes (:mod:`repro.sim.daemon`);
 * **migration mechanics** — preemptive migration freezes the job,
   transfers its working-set image at cost ``r + D/B``, and restarts it
   at the destination, charging the delay to the job's ``t_mig``.
@@ -31,6 +32,7 @@ from collections import deque
 from repro.cluster.cluster import Cluster
 from repro.cluster.job import Job, JobState
 from repro.cluster.workstation import Workstation
+from repro.sim.daemon import DaemonTick
 
 
 class _TransferArrival:
@@ -137,12 +139,15 @@ class LoadSharingPolicy:
         self._obs_job = cluster.obs.channel("cluster.job")
         if cluster.faults is not None:
             cluster.faults.policy = self
-        #: Handle of the next monitor tick, kept so :meth:`retire` can
-        #: cancel it when a checkpoint fork replaces this policy.
-        self._monitor_event = None
         self._retired = False
         cluster.on_node_changed(self._on_node_changed)
-        self._schedule_monitor()
+        #: The overload monitor's tick: parked while no node thrashes,
+        #: re-armed when one starts to.
+        self._monitor = DaemonTick(self.sim, self, "_monitor_tick",
+                                   self.config.monitor_interval_s,
+                                   priority=3,
+                                   armed=bool(cluster.thrashing_nodes))
+        cluster.on_thrashing(self._wake_monitor)
 
     # ------------------------------------------------------------------
     # submission path
@@ -164,6 +169,7 @@ class LoadSharingPolicy:
         self._pending.append(job)
         self.stats.pending_peak = max(self.stats.pending_peak,
                                       len(self._pending))
+        self.cluster.notify_pending_changed()
 
     def _try_place(self, job: Job) -> bool:
         node = self.select_node(job)
@@ -262,10 +268,9 @@ class LoadSharingPolicy:
     # ------------------------------------------------------------------
     # monitoring and migration
     # ------------------------------------------------------------------
-    def _schedule_monitor(self) -> None:
-        self._monitor_event = self.sim.schedule(
-            self.config.monitor_interval_s,
-            self._monitor_tick, priority=3, daemon=True)
+    def _wake_monitor(self) -> None:
+        """A node started thrashing: arm the parked monitor."""
+        self._monitor.arm()
 
     def _monitor_tick(self) -> None:
         """Check overloaded nodes once per monitor period.
@@ -275,7 +280,8 @@ class LoadSharingPolicy:
         in the tick may have stopped thrashing).  No node can *become*
         thrashing synchronously inside a tick — demand only arrives
         through delayed network events — so the set always covers what
-        a full scan would find.
+        a full scan would find.  A tick that ends with the set empty
+        parks the monitor until a node starts thrashing again.
         """
         hot = self.cluster.thrashing_nodes
         if hot:
@@ -285,8 +291,8 @@ class LoadSharingPolicy:
                 node = nodes[node_id]
                 if node.thrashing and not node.reserved:
                     self.handle_overload(node)
-        if not self._retired:
-            self._schedule_monitor()
+        self._monitor.fired(keep=bool(self.cluster.thrashing_nodes)
+                            and not self._retired)
 
     def _migratable(self, job: Job) -> bool:
         """A migration must plausibly pay for itself: the job keeps
@@ -444,18 +450,18 @@ class LoadSharingPolicy:
         """Permanently stop this policy's autonomous activity.
 
         Used when a checkpoint fork replaces the policy mid-run: the
-        monitor tick is cancelled and the node-change listener removed,
-        so the retiree makes no further placement or migration
-        decisions.  Callbacks already in flight (transfer arrivals,
+        monitor tick is cancelled and the node-change and thrashing
+        listeners removed, so the retiree makes no further placement or
+        migration decisions and its monitor, armed or parked, stays
+        parked.  Callbacks already in flight (transfer arrivals,
         retry backoffs) still execute against the shared cluster — they
         represent work physically on the wire — and land their jobs or
         requeue them into the pending deque the successor adopted.
         """
         self._retired = True
-        if self._monitor_event is not None:
-            self._monitor_event.cancel()
-            self._monitor_event = None
+        self._monitor.cancel()
         self.cluster.remove_node_changed_listener(self._on_node_changed)
+        self.cluster.remove_thrashing_listener(self._wake_monitor)
 
     def adopt_pending_from(self, old: "LoadSharingPolicy") -> None:
         """Take over a retired predecessor's queue state *by reference*.

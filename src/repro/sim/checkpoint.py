@@ -47,21 +47,26 @@ from __future__ import annotations
 import copy
 import gzip
 import itertools
+import math
 import pickle
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
+
+from repro.sim.daemon import DaemonTick
 
 #: File-format magic; rejects arbitrary pickles early.
 MAGIC = "repro-checkpoint"
 
 #: Bump on any incompatible change to the envelope or world layout.
 #: Schema 2 keys the event heap by ``(time, priority, seq, handle)``
-#: tuples and stores memory profiles as columns.
-SCHEMA_VERSION = 2
+#: tuples and stores memory profiles as columns.  Schema 3 parks the
+#: exchange, monitor and collector ticks while they have no work
+#: (:mod:`repro.sim.daemon`) and counts reserving reservations.
+SCHEMA_VERSION = 3
 
 #: Schemas this build restores; older ones are upgraded after
-#: unpickling (:func:`_upgrade_schema_1`).
-READABLE_SCHEMAS = (1, SCHEMA_VERSION)
+#: unpickling (:func:`_upgrade_schema_1`, :func:`_upgrade_schema_2`).
+READABLE_SCHEMAS = (1, 2, SCHEMA_VERSION)
 
 
 class CheckpointError(RuntimeError):
@@ -109,6 +114,10 @@ def snapshot_bytes(*, cluster, policy, collector, jobs,
     import repro.cluster.job as job_mod
     import repro.core.reservation as reservation_mod
 
+    if collector is not None:
+        # Samples a parked collector tick owes up to this instant are
+        # part of the state being captured.
+        collector.flush()
     world = {
         "cluster": cluster,
         "policy": policy,
@@ -197,6 +206,8 @@ def restore_bytes(data: bytes,
     world = pickle.loads(envelope["world"])
     if envelope["schema"] == 1:
         _upgrade_schema_1(world)
+    if envelope["schema"] < 3:
+        _upgrade_schema_2(world)
     if advance_counters:
         _advance_global_counters(world)
     return RestoredRun(cluster=world["cluster"], policy=world["policy"],
@@ -220,6 +231,64 @@ def _upgrade_schema_1(world: Dict[str, Any]) -> None:
     sim = world["cluster"].sim
     sim._heap = [(handle.time, handle.priority, handle.seq, handle)
                  for handle in sim._heap]
+
+
+def _upgrade_schema_2(world: Dict[str, Any]) -> None:
+    """Bring an unpickled schema-1/2 world to schema 3.
+
+    Before schema 3 the exchange, monitor and collector ticks
+    rescheduled themselves every round, so each live one has its
+    handle in the heap: such a daemon is armed on that handle's grid
+    time.  A checkpoint is written between ``run(until=...)`` slices,
+    so every event at the saved instant has fired.
+    """
+    from repro.cluster.loadinfo import LoadInfoDirectory
+    from repro.core.reservation import (ReservationManager,
+                                        ReservationState)
+
+    cluster = world["cluster"]
+    policy = world["policy"]
+    collector = world["collector"]
+    sim = cluster.sim
+    sim._priority = math.inf
+    handles = {}
+    for _, _, _, handle in sim._heap:
+        owner = getattr(handle.callback, "__self__", None)
+        if owner is not None:
+            handles[id(owner), handle.callback.__name__] = handle
+
+    def adopt(owner, method: str, interval: float, priority: int):
+        tick = DaemonTick(sim, owner, method, interval, priority,
+                          armed=False)
+        tick.handle = handles.get((id(owner), method))
+        if tick.handle is not None:
+            tick.next_time = tick.handle.time
+        return tick
+
+    directory = cluster.directory
+    for shard in getattr(directory, "_shards", [directory]):
+        shard._exchange = None
+    if (isinstance(directory, LoadInfoDirectory)
+            and directory.exchange_interval_s > 0):
+        directory._exchange = adopt(directory, "_tick",
+                                    directory.exchange_interval_s, 2)
+    policy.__dict__.pop("_monitor_event", None)
+    policy._monitor = adopt(policy, "_monitor_tick",
+                            policy.config.monitor_interval_s, 3)
+    cluster._thrashing_listeners = (
+        [] if policy._retired else [policy._wake_monitor])
+    cluster._pending_listeners = []
+    if collector is not None:
+        collector._samples = collector.__dict__.pop("samples")
+        collector._sample_tick = adopt(collector, "_tick",
+                                       collector.sample_interval_s, 4)
+        cluster._pending_listeners.append(collector._wake)
+    for listener in cluster._job_listeners:
+        manager = getattr(listener, "__self__", None)
+        if isinstance(manager, ReservationManager):
+            manager._num_reserving = sum(
+                1 for reservation in manager._by_node.values()
+                if reservation.state is ReservationState.RESERVING)
 
 
 def load_checkpoint(path: str,

@@ -1,0 +1,109 @@
+"""Periodic daemon ticks that are scheduled only while they have work.
+
+The load-information exchange, the overload monitor and the metrics
+collector each run on a fixed tick grid, but most of their ticks find
+nothing to do.  A :class:`DaemonTick` keeps such a daemon's grid while
+its owner *parks* the tick after a round that left no work and *arms*
+it again when work appears.  A parked daemon schedules no events.
+
+One grid rule serves every daemon (:meth:`DaemonTick.catch_up`):
+
+* The grid is the chain ``start + interval + interval + ...`` formed
+  by float addition, exactly as a daemon that reschedules itself
+  ``interval`` after each firing produces it.  A parked chain advances
+  by the same additions (never ``k * interval``), so a quiet stretch
+  cannot shift the phase of later ticks.
+* :meth:`DaemonTick.arm` schedules the first grid tick that would not
+  yet have fired at the engine's position.  A grid time before ``now``
+  has passed.  A tick at exactly ``now`` has fired if a
+  higher-priority event already fired at this instant
+  (:attr:`~repro.sim.engine.Simulator.priority`).  At an equal
+  priority it is taken as not fired: the only same-priority event
+  that wakes a daemon is the suspension policy's retry, which the
+  monitor it wakes always follows.
+* The tick callback is looked up on the owner by name each time it is
+  scheduled, so a wrapper installed on the instance (the obs profiler)
+  takes effect from the next tick on.
+"""
+
+from __future__ import annotations
+
+from typing import TYPE_CHECKING, List
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.sim.engine import EventHandle, Simulator
+
+
+class DaemonTick:
+    """Grid and arm state of one periodic daemon.
+
+    The owner's tick method must end with :meth:`fired`; work arriving
+    while the tick is parked calls :meth:`arm`.  The grid starts one
+    ``interval`` after construction; ``armed`` schedules that first
+    tick right away.
+    """
+
+    __slots__ = ("sim", "owner", "method", "interval", "priority",
+                 "next_time", "handle")
+
+    def __init__(self, sim: "Simulator", owner: object, method: str,
+                 interval: float, priority: int, armed: bool = True):
+        self.sim = sim
+        self.owner = owner
+        self.method = method
+        self.interval = interval
+        self.priority = priority
+        #: Grid time of the next tick: the scheduled one while armed;
+        #: while parked, the earliest one not known to have passed.
+        self.next_time = sim.now + interval
+        #: The scheduled (or firing) tick; None while parked.
+        self.handle: "EventHandle | None" = None
+        if armed:
+            self._schedule()
+
+    @property
+    def armed(self) -> bool:
+        return self.handle is not None
+
+    def catch_up(self) -> List[float]:
+        """Advance a parked chain past every grid time whose tick would
+        already have fired at the engine's position, and return those
+        times (none while armed)."""
+        passed = []
+        if self.handle is None:
+            sim = self.sim
+            now = sim.now
+            t = self.next_time
+            while t < now or (t == now and self.priority < sim.priority):
+                passed.append(t)
+                t += self.interval
+            self.next_time = t
+        return passed
+
+    def arm(self) -> None:
+        """Schedule the next grid tick that has not fired yet; no-op
+        while a tick is scheduled or firing."""
+        if self.handle is None:
+            self.catch_up()
+            self._schedule()
+
+    def fired(self, keep: bool) -> None:
+        """Close the tick firing now.  The next grid time follows it;
+        it is scheduled if ``keep`` (the owner still has work), else
+        the tick parks."""
+        self.next_time += self.interval
+        self.handle = None
+        if keep:
+            self._schedule()
+
+    def cancel(self) -> None:
+        """Drop the scheduled tick (the daemon stays parked for good
+        unless :meth:`arm` is called again)."""
+        if self.handle is not None:
+            self.handle.cancel()
+            self.handle = None
+
+    def _schedule(self) -> None:
+        self.handle = self.sim.schedule_at(
+            self.next_time, getattr(self.owner, self.method),
+            self.priority, daemon=True)

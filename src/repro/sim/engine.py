@@ -11,6 +11,10 @@ Determinism guarantees:
 
 * events at the same timestamp fire in (priority, scheduling-order)
   order;
+* :attr:`Simulator.priority` tells how far the current instant has
+  been processed, so a daemon scheduled only while it has work (see
+  :mod:`repro.sim.daemon`) can tell whether its tick at ``now`` would
+  already have fired;
 * the engine never consults wall-clock time or global random state.
 """
 
@@ -18,6 +22,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from typing import Callable, List, Optional, Tuple
 
 from repro.obs.bus import NULL_CHANNEL
@@ -101,6 +106,8 @@ class Simulator:
 
     def __init__(self, start_time: float = 0.0):
         self._now = float(start_time)
+        #: Highest priority fired so far at ``_now`` (see ``priority``).
+        self._priority = -math.inf
         self._heap: List[Tuple[float, int, int, EventHandle]] = []
         self._seq = itertools.count()
         self._running = False
@@ -121,6 +128,22 @@ class Simulator:
     def now(self) -> float:
         """Current simulation time in seconds."""
         return self._now
+
+    @property
+    def priority(self) -> float:
+        """How far the current instant has been processed: the highest
+        priority of the events fired so far at :attr:`now`.
+
+        An event at ``now`` with a lower priority than this has already
+        fired (or would have, had it been scheduled).  The value is the
+        maximum rather than the priority of the latest event because an
+        event may schedule a lower-priority one at its own instant,
+        which fires next without undoing what already ran.  It is
+        ``-inf`` before anything fired at ``now`` and ``inf`` once
+        :meth:`run` with ``until`` has processed every event at or
+        before ``until``.
+        """
+        return self._priority
 
     @property
     def event_count(self) -> int:
@@ -199,10 +222,14 @@ class Simulator:
         Returns False when the queue is exhausted.
         """
         while self._heap:
-            time, _, _, handle = heapq.heappop(self._heap)
+            time, priority, _, handle = heapq.heappop(self._heap)
             if not handle.pending:
                 continue
-            self._now = time
+            if time != self._now:
+                self._now = time
+                self._priority = priority
+            elif priority > self._priority:
+                self._priority = priority
             callback, handle.callback = handle.callback, None
             if handle.daemon:
                 self._daemon_pending -= 1
@@ -241,6 +268,9 @@ class Simulator:
         self._running = True
         executed = 0
         pop = heapq.heappop
+        now = self._now
+        mark = self._priority
+        drained = True
         try:
             # Inlined peek+step: the heap top is scanned once per
             # event instead of once in peek() and again in step().
@@ -256,13 +286,18 @@ class Simulator:
                     pop(heap)
                 if not heap:
                     break
-                time, _, _, handle = heap[0]
+                time, priority, _, handle = heap[0]
                 if until is not None and time > until:
                     break
                 if max_events is not None and executed >= max_events:
+                    drained = False
                     break
                 pop(heap)
-                self._now = time
+                if time != now:
+                    self._now = now = time
+                    self._priority = mark = priority
+                elif priority > mark:
+                    self._priority = mark = priority
                 callback, handle.callback = handle.callback, None
                 if handle.daemon:
                     self._daemon_pending -= 1
@@ -277,6 +312,12 @@ class Simulator:
                 executed += 1
         finally:
             self._running = False
-        if until is not None and self._now < until:
-            self._now = float(until)
+        if until is not None:
+            if drained:
+                # Every event at or before ``until`` has fired.
+                self._priority = math.inf
+            elif self._now < until:
+                self._priority = -math.inf
+            if self._now < until:
+                self._now = float(until)
         return self._now

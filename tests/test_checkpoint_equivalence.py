@@ -204,13 +204,13 @@ def _envelope_bytes(**fields):
     return gzip.compress(pickle.dumps(envelope, protocol=4))
 
 
-@pytest.mark.parametrize("schema", [1, 2])
+@pytest.mark.parametrize("schema", [1, 2, 3])
 def test_decode_envelope_accepts_readable_schemas(schema):
     envelope = _decode_envelope(_envelope_bytes(schema=schema))
     assert envelope["schema"] == schema
 
 
-@pytest.mark.parametrize("fields", [{"schema": 3}, {}])
+@pytest.mark.parametrize("fields", [{"schema": SCHEMA_VERSION + 1}, {}])
 def test_decode_envelope_rejects_unknown_or_missing_schema(fields):
     with pytest.raises(CheckpointError, match="schema"):
         _decode_envelope(_envelope_bytes(**fields))
@@ -248,6 +248,48 @@ def test_golden_checkpoint_restores_to_pinned_summary():
     assert result.cluster.sim.event_count == pinned["event_count"]
 
 
+def test_upgraded_fixture_adopts_each_daemon_tick_once():
+    """A schema-1/2 world kept every daemon armed: each one adopts its
+    pending heap handle instead of scheduling a second tick."""
+    restored = load_checkpoint(GOLDEN_CKPT)
+    sim = restored.cluster.sim
+    daemons = [(restored.cluster.directory, "_tick",
+                restored.cluster.directory._exchange),
+               (restored.policy, "_monitor_tick", restored.policy._monitor),
+               (restored.collector, "_tick",
+                restored.collector._sample_tick)]
+    for owner, method, tick in daemons:
+        handles = [entry[3] for entry in sim._heap
+                   if entry[3].pending
+                   and getattr(entry[3].callback, "__self__", None) is owner
+                   and entry[3].callback.__name__ == method]
+        assert handles == [tick.handle]
+        assert tick.next_time == tick.handle.time
+
+
+def test_snapshot_with_every_daemon_parked_resumes_identically(tmp_path):
+    path = str(tmp_path / "parked.ckpt")
+    cfg = cell_config(domains=1, faulted=False)
+    baseline = run_blocking_scenario("v-reconfiguration", seed=0,
+                                     config=cfg)
+    checkpointed = run_blocking_scenario(
+        "v-reconfiguration", seed=0, config=cfg,
+        checkpoint_at=CHECKPOINT_AT, checkpoint_to=path)
+    restored = load_checkpoint(path)
+    assert not restored.cluster.directory._exchange.armed
+    assert not restored.policy._monitor.armed
+    assert not restored.collector._sample_tick.armed
+    # The samples the parked collector owed were written with it.
+    assert restored.collector._samples[-1].time == CHECKPOINT_AT
+    resumed = resume(restored)
+    for run in (checkpointed, resumed):
+        assert canonical(run.summary) == canonical(baseline.summary)
+        assert run.collector.samples == baseline.collector.samples
+        assert run.collector._skews == baseline.collector._skews
+    assert (resumed.cluster.sim.event_count
+            == baseline.cluster.sim.event_count)
+
+
 # ----------------------------------------------------------------------
 # fork: what-if replay semantics
 # ----------------------------------------------------------------------
@@ -283,8 +325,10 @@ def test_fork_retires_old_policy_monitor(tmp_path):
     old = restored.policy
     fork(restored, policy="g-loadsharing")
     assert old._retired
-    assert old._monitor_event is None
+    assert not old._monitor.armed
     assert old._on_node_changed not in restored.cluster._node_listeners
+    # A node that starts thrashing later cannot re-arm the retiree.
+    assert old._wake_monitor not in restored.cluster._thrashing_listeners
 
 
 def test_fork_unknown_policy_raises(tmp_path):

@@ -1,0 +1,132 @@
+"""Skip oracle for the daemons that tick only while they have work.
+
+The load-information exchange, the overload monitor and the metrics
+collector park their ticks when a round leaves them nothing to do and
+re-arm them on the same grid when work appears
+(:mod:`repro.sim.daemon`).  Parking must be invisible.  Each case here
+runs twice: once as shipped, and once with the park decisions patched
+to never park, so that every daemon fires on every grid point as a
+self-rescheduling daemon does.  The two runs must agree on the
+``RunSummary``, every collector sample (``time`` included) and skew,
+the directory's snapshots at the end, and the ``(time, node)``
+sequence of ``handle_overload`` calls.
+
+The run is App trace 5 on 8 nodes: enough memory pressure for
+thrashing, blocking, pending jobs, suspensions and reservations, with
+quiet stretches in between.
+"""
+
+import pytest
+
+from test_checkpoint_equivalence import FULL_FAULTS
+from test_determinism import canonical
+
+from repro.experiments.runner import POLICIES, default_config, run_experiment
+from repro.scheduling.suspension import SuspensionPolicy
+from repro.sim.daemon import DaemonTick
+from repro.workload.programs import WorkloadGroup
+
+#: (exchange, monitor, sample) intervals per regime.
+REGIMES = {
+    "periodic": (1.0, 1.0, 1.0),
+    "live": (0.0, 1.0, 1.0),
+    "interval-0.3": (0.3, 0.3, 0.3),
+}
+
+
+def never_park(monkeypatch) -> None:
+    """Patch the two park decisions: start armed, stay armed."""
+    init = DaemonTick.__init__
+    fired = DaemonTick.fired
+
+    def armed_init(self, *args, **kwargs):
+        kwargs["armed"] = True
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(DaemonTick, "__init__", armed_init)
+    monkeypatch.setattr(DaemonTick, "fired",
+                        lambda self, keep: fired(self, keep=True))
+
+
+def run_case(monkeypatch, policy: str, regime: str, faulted: bool,
+             park: bool) -> dict:
+    exchange, monitor, sample = REGIMES[regime]
+    cfg = default_config(WorkloadGroup.APP).replace(
+        load_exchange_interval_s=exchange, monitor_interval_s=monitor,
+        sample_interval_s=sample)
+    overloads = []
+    cls = POLICIES[policy]
+    handle_overload = cls.handle_overload
+
+    def recording(self, node):
+        overloads.append((self.sim.now, node.node_id))
+        handle_overload(self, node)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cls, "handle_overload", recording)
+        if not park:
+            never_park(patch)
+        result = run_experiment(WorkloadGroup.APP, 5, policy=policy,
+                                seed=0, scale=0.25, nodes=8, config=cfg,
+                                faults=FULL_FAULTS if faulted else None)
+    collector = result.collector
+    return {
+        "summary": canonical(result.summary),
+        "samples": list(collector.samples),
+        "skews": list(collector._skews),
+        "snapshots": result.cluster.directory.snapshots(),
+        "overloads": overloads,
+        "events": result.cluster.sim.event_count,
+    }
+
+
+@pytest.mark.parametrize("faulted", [False, True],
+                         ids=["nofaults", "faults"])
+@pytest.mark.parametrize("regime", sorted(REGIMES))
+@pytest.mark.parametrize("policy", sorted(POLICIES))
+def test_parked_ticks_change_nothing(monkeypatch, policy, regime, faulted):
+    parked = run_case(monkeypatch, policy, regime, faulted, park=True)
+    armed = run_case(monkeypatch, policy, regime, faulted, park=False)
+    assert parked["summary"] == armed["summary"]
+    assert len(parked["samples"]) == len(armed["samples"])
+    assert parked["samples"] == armed["samples"]
+    assert parked["skews"] == armed["skews"]
+    assert parked["snapshots"] == armed["snapshots"]
+    assert parked["overloads"] == armed["overloads"]
+    assert parked["events"] < armed["events"]
+
+
+def test_suspension_retry_keeps_its_place_before_the_monitor(monkeypatch):
+    """The suspension retry (priority 3, like the monitor) is scheduled
+    inside a monitor tick, so at a shared grid time it fires first.  A
+    retry that wakes the parked monitor at that time must still see
+    the monitor fire after it, at the same time."""
+    def order(park: bool):
+        fired = []
+        retry = SuspensionPolicy._retry_tick
+        monitor = SuspensionPolicy._monitor_tick
+
+        def logged_retry(self):
+            fired.append((self.sim.now, "retry"))
+            retry(self)
+
+        def logged_monitor(self):
+            if self.cluster.thrashing_nodes:
+                fired.append((self.sim.now, "monitor"))
+            monitor(self)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(SuspensionPolicy, "_retry_tick", logged_retry)
+            patch.setattr(SuspensionPolicy, "_monitor_tick", logged_monitor)
+            if not park:
+                never_park(patch)
+            run_experiment(WorkloadGroup.APP, 5, policy="suspension",
+                           seed=0, scale=0.25, nodes=8)
+        return fired
+
+    parked = order(park=True)
+    assert parked == order(park=False)
+    retry_times = {time for time, kind in parked if kind == "retry"}
+    shared = [time for time, kind in parked
+              if kind == "monitor" and time in retry_times]
+    assert shared, "no grid time where both fired: the case is vacuous"

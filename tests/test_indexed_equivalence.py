@@ -18,8 +18,11 @@ node under the memory-aware policies).  The checks:
 * after every exchange round each published snapshot equals what a
   full re-collection from the node objects would publish (timestamp
   aside — an unchanged node keeps the round that last saw it change);
-* at every monitor tick the maintained thrashing set is exactly the
-  set of nodes a full scan finds thrashing.
+* after every node change, and at every monitor tick, the maintained
+  thrashing set is exactly the set of nodes a full scan finds
+  thrashing.  The monitor ticks only while that set is non-empty, so
+  the set must also be exact while it is empty; and a run in which
+  some node thrashed must have ticked the monitor.
 
 Any divergence means the index changed scheduling decisions, not just
 their cost.
@@ -29,6 +32,7 @@ from collections import Counter
 
 import pytest
 
+from repro.cluster.cluster import Cluster
 from repro.cluster.loadinfo import LoadInfoDirectory, NodeSnapshot
 from repro.experiments.runner import default_config, run_experiment
 from repro.scheduling.base import LoadSharingPolicy
@@ -65,6 +69,7 @@ def legacy_checks(monkeypatch):
     load_order_ids = LoadInfoDirectory.load_order_ids
     least_num_jobs = LoadInfoDirectory.least_num_jobs
     refresh = LoadInfoDirectory.refresh
+    track_thrashing = Cluster._track_thrashing
 
     def sorted_live(directory):
         return sorted((s for s in directory.snapshots() if s.alive),
@@ -102,6 +107,14 @@ def legacy_checks(monkeypatch):
                                                    published.timestamp)
         checks["exchange"] += 1
 
+    def checked_track_thrashing(self, node):
+        track_thrashing(self, node)
+        scanned = {other.node_id for other in self.nodes
+                   if other.thrashing}
+        assert self.thrashing_nodes == scanned
+        checks["thrashing"] += 1
+        checks["hot"] += bool(scanned)
+
     def checked_monitor_tick(self):
         scanned = {node.node_id for node in self.cluster.nodes
                    if node.thrashing}
@@ -118,6 +131,8 @@ def legacy_checks(monkeypatch):
     monkeypatch.setattr(LoadInfoDirectory, "least_num_jobs",
                         checked_least)
     monkeypatch.setattr(LoadInfoDirectory, "refresh", checked_refresh)
+    monkeypatch.setattr(Cluster, "_track_thrashing",
+                        checked_track_thrashing)
     return checks
 
 
@@ -130,7 +145,9 @@ def run_checked(policy, checks, interval=None, nodes=None):
     selections = (checks["load_order"] if policy == "cpu"
                   else checks["accepting"])
     assert selections > 0
-    assert checks["monitor"] > 0
+    assert checks["thrashing"] > 0
+    if checks["hot"]:
+        assert checks["monitor"] > 0
 
 
 @pytest.mark.parametrize("policy", POLICIES)

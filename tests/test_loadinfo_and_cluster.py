@@ -44,8 +44,14 @@ class TestLoadInfoDirectory:
     def test_periodic_refresh_counts(self):
         cluster = Cluster(small_config(load_exchange_interval_s=1.0))
         cluster.sim.run(until=5.5)
-        # one initial refresh plus one per second
-        assert cluster.directory.refreshes == 6
+        # One initial refresh.  The exchange tick runs only rounds that
+        # have work, and an idle cluster dirties no node.
+        assert cluster.directory.refreshes == 1
+        cluster.nodes[0].add_job(make_job())
+        cluster.sim.run(until=8.5)
+        # The round at t=6 collects the change; the tick parks again.
+        assert cluster.directory.refreshes == 2
+        assert cluster.directory.snapshot(0).timestamp == 6.0
 
     def test_snapshot_fields(self):
         cluster = Cluster(small_config(load_exchange_interval_s=0.0))

@@ -312,6 +312,41 @@ class TestActiveOnlyIndex:
                          "timeout", "crash-abort", "abandon"}
         assert_active_only(mgr)
 
+    def test_reserving_count_follows_every_transition(self):
+        """``num_reserving`` is a maintained count: it must step with
+        each transition into and out of RESERVING (the checked manager
+        also compares it with a scan after every logged one)."""
+        cluster = tiny_cluster(num_nodes=6)
+        mgr = CheckedManager(cluster, mode=ReservationMode.DRAIN_ALL,
+                             max_reserved=4, reserve_timeout_s=50.0)
+        for node in cluster.nodes:
+            node.add_job(job(work=1000.0, demand=10.0))
+        counts = []
+        crashed = mgr.reserve(cluster.nodes[0], needed_mb=40.0)
+        served = mgr.reserve(cluster.nodes[1], needed_mb=40.0)
+        counts.append(mgr.num_reserving)
+        migrant = job(demand=40.0)
+        mgr.assign(served, migrant)               # RESERVING -> SERVING
+        mgr.assign(served, job(demand=10.0))      # stays SERVING
+        counts.append(mgr.num_reserving)
+        mgr.node_crashed(crashed.node.node_id)    # RESERVING -> CANCELLED
+        counts.append(mgr.num_reserving)
+        mgr.cancel(mgr.reserve(cluster.nodes[2], needed_mb=40.0))
+        counts.append(mgr.num_reserving)
+        abandoned = mgr.reserve(cluster.nodes[3], needed_mb=40.0)
+        lost = job(demand=40.0)
+        mgr.assign(abandoned, lost)
+        mgr.migration_abandoned(abandoned, lost)  # SERVING -> RELEASED
+        counts.append(mgr.num_reserving)
+        mgr.reserve(cluster.nodes[4], needed_mb=40.0)
+        mgr.node_crashed(served.node.node_id)     # SERVING -> CANCELLED
+        counts.append(mgr.num_reserving)
+        cluster.sim.run(until=60.0)               # timeout cancels node 4
+        counts.append(mgr.num_reserving)
+        assert counts == [2, 1, 0, 0, 0, 1, 0]
+        assert served.state is ReservationState.CANCELLED
+        assert abandoned.state is ReservationState.RELEASED
+
     def test_policy_retire_keeps_the_index_active_only(self):
         cluster = tiny_cluster(num_nodes=6)
         policy = VReconfiguration(cluster, max_reserved=3)

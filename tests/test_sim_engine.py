@@ -1,5 +1,6 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+import math
 import pickle
 from types import SimpleNamespace
 
@@ -7,6 +8,7 @@ import pytest
 
 from repro.sim import Simulator, SimulationError
 from repro.sim.checkpoint import _upgrade_schema_1
+from repro.sim.daemon import DaemonTick
 from repro.sim.engine import EventHandle
 
 
@@ -386,3 +388,144 @@ class TestHeapEntries:
 
 def _noop():
     pass
+
+
+# ----------------------------------------------------------------------
+# engine position and daemon ticks (repro.sim.daemon)
+# ----------------------------------------------------------------------
+def test_priority_is_the_highest_fired_at_the_current_instant():
+    sim = Simulator()
+    seen = []
+
+    def late():
+        seen.append(sim.priority)
+        sim.schedule(0.0, lambda: seen.append(sim.priority), priority=0)
+
+    assert sim.priority == -math.inf
+    sim.schedule(1.0, late, priority=3)
+    sim.run(until=1.0)
+    # The priority-0 event scheduled by the priority-3 one fires after
+    # it without undoing what already ran at t=1.
+    assert seen == [3, 3]
+    assert sim.priority == math.inf  # every event at t <= 1 has fired
+    sim.schedule(0.0, lambda: seen.append(sim.priority))
+    sim.schedule(1.0, lambda: seen.append(sim.priority), priority=2)
+    sim.run()
+    assert seen == [3, 3, math.inf, 2]
+
+
+class _ParkingDaemon:
+    """Parks after every tick and records when it fired."""
+
+    def __init__(self, sim, interval, priority=4):
+        self.sim = sim
+        self.fired = []
+        self.tick = DaemonTick(sim, self, "_tick", interval, priority)
+
+    def _tick(self):
+        self.fired.append(self.sim.now)
+        self.tick.fired(keep=False)
+
+
+def test_rearmed_ticks_stay_on_the_chained_grid():
+    sim = Simulator()
+    daemon = _ParkingDaemon(sim, 0.3)
+    wakes = [0.05, 7.31, 7.32, 50.0, 123.456, 999.99]
+    for time in wakes:
+        sim.schedule_at(time, daemon.tick.arm)
+    sim.schedule_at(1001.0, _noop)  # daemon ticks alone end a run
+    sim.run()
+    grid, t = [], 0.0
+    while t < 1001.0:
+        t += 0.3
+        grid.append(t)
+    expected = sorted({min(g for g in grid if g > wake) for wake in wakes}
+                      | {grid[0]})
+    assert daemon.fired == expected  # float equality: bit for bit
+    # The chained times are not the multiples k * 0.3, so the check
+    # above tells the two grids apart.
+    assert any(t != (grid.index(t) + 1) * 0.3 for t in expected)
+
+
+@pytest.mark.parametrize("priority, fires_at", [
+    (0, 2.0),   # the tick at t=2 (priority 4) has not fired yet
+    (4, 2.0),   # same priority: taken as not fired
+    (5, 3.0),   # the tick at t=2 already fired: wait for the next
+])
+def test_a_change_at_a_grid_time_fires_the_tick_only_if_still_due(
+        priority, fires_at):
+    sim = Simulator()
+    daemon = _ParkingDaemon(sim, 1.0, priority=4)
+    sim.schedule_at(2.0, daemon.tick.arm, priority=priority)
+    sim.schedule_at(10.0, _noop)
+    sim.run()
+    assert daemon.fired == [1.0, fires_at]
+
+
+def test_a_change_after_a_higher_priority_event_waits_for_the_next_tick():
+    sim = Simulator()
+    daemon = _ParkingDaemon(sim, 1.0, priority=4)
+    sim.schedule_at(2.0, lambda: sim.schedule(0.0, daemon.tick.arm),
+                    priority=5)
+    sim.schedule_at(10.0, _noop)
+    sim.run()
+    assert daemon.fired == [1.0, 3.0]
+
+
+def test_a_change_between_run_slices_waits_for_the_next_tick():
+    sim = Simulator()
+    daemon = _ParkingDaemon(sim, 1.0, priority=4)
+    sim.run(until=2.0)
+    daemon.tick.arm()
+    sim.schedule(0.0, daemon.tick.arm)  # fires at t=2 in the next slice
+    sim.run(until=5.0)
+    assert daemon.fired == [1.0, 3.0]
+
+
+class _MonitorWithRetry:
+    """A priority-3 monitor that starts a priority-3 retry from inside
+    its tick, as the suspension policy does; each retry re-heats the
+    monitor."""
+
+    def __init__(self, sim, keep_armed):
+        self.sim = sim
+        self.keep_armed = keep_armed
+        self.hot = False
+        self.retries = 3
+        self.log = []
+        self.tick = DaemonTick(sim, self, "_tick", 1.0, priority=3,
+                               armed=keep_armed)
+
+    def heat(self):
+        self.hot = True
+        self.tick.arm()
+
+    def _tick(self):
+        if self.hot:
+            self.log.append((self.sim.now, "monitor"))
+            self.hot = False
+            if self.retries:
+                self.retries -= 1
+                self.sim.schedule(1.0, self._retry, priority=3)
+        self.tick.fired(keep=self.keep_armed)
+
+    def _retry(self):
+        self.log.append((self.sim.now, "retry"))
+        self.heat()
+
+
+def test_a_same_priority_retry_keeps_its_place_before_the_monitor():
+    logs = []
+    for keep_armed in (False, True):
+        sim = Simulator()
+        monitor = _MonitorWithRetry(sim, keep_armed)
+        sim.schedule_at(0.5, monitor.heat)
+        sim.schedule_at(20.0, _noop)
+        sim.run()
+        logs.append(monitor.log)
+    parked, armed = logs
+    assert parked == armed == [
+        (1.0, "monitor"), (2.0, "retry"), (2.0, "monitor"),
+        (3.0, "retry"), (3.0, "monitor"), (4.0, "retry"),
+        (4.0, "monitor")]
+
