@@ -9,6 +9,7 @@ metric collectors subscribe to.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Callable, List, Optional, Set
 
 from repro.cluster.config import ClusterConfig
@@ -17,7 +18,7 @@ from repro.cluster.domains import DomainDirectory
 from repro.cluster.loadinfo import LoadInfoDirectory
 from repro.cluster.memory import PagingModel
 from repro.cluster.network import Network
-from repro.cluster.state import FLAG_RESERVED, ClusterState
+from repro.cluster.state import FLAG_ACCEPTING, FLAG_RESERVED, ClusterState
 from repro.cluster.workstation import Workstation
 from repro.faults.injector import FaultInjector
 from repro.obs.bus import EventBus
@@ -25,6 +26,9 @@ from repro.sim.engine import Simulator
 
 JobListener = Callable[[Job, Workstation], None]
 NodeListener = Callable[[Workstation], None]
+
+#: ``bytes.translate`` table: 1 for a flags byte with FLAG_ACCEPTING.
+_ACCEPTING = bytes(1 if bits & FLAG_ACCEPTING else 0 for bits in range(256))
 
 
 class Cluster:
@@ -50,6 +54,10 @@ class Cluster:
         #: directory, the cluster-wide queries below) read these
         #: columns instead of walking node objects.
         self.state = ClusterState(self.config.num_nodes)
+        #: ``destination_idle_bound_mb`` and the state version it was
+        #: taken at.
+        self._idle_bound_version: Optional[int] = None
+        self._idle_bound_mb = 0.0
         self.nodes: List[Workstation] = [
             Workstation(self.sim, node_id, self.config.spec_for(node_id),
                         self.config, self.paging,
@@ -194,6 +202,26 @@ class Cluster:
         flags = state.flags
         return sum(idle[i] for i in range(state.num_nodes)
                    if not flags[i] & FLAG_RESERVED)
+
+    def destination_idle_bound_mb(self) -> float:
+        """No node that can take a migration now has more idle memory
+        than this (recomputed only after some row changed).
+
+        A node passing ``accepts_migration`` is alive, unreserved and
+        has a free slot.  It is either accepting (those three and at
+        least ``min_idle_mb`` idle) or has less than ``min_idle_mb``
+        idle, so the larger of the accepting nodes' idle maximum and
+        ``min_idle_mb`` bounds it.  Read from the idle and flags
+        columns in C.
+        """
+        state = self.state
+        if self._idle_bound_version != state.version:
+            accepting = compress(state.idle_memory_mb,
+                                 state.flags.translate(_ACCEPTING))
+            self._idle_bound_mb = max(max(accepting, default=0.0),
+                                      self.config.min_idle_mb)
+            self._idle_bound_version = state.version
+        return self._idle_bound_mb
 
     def average_user_memory_mb(self) -> float:
         """Average user memory space of workstations (the paper's

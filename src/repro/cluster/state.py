@@ -60,7 +60,7 @@ class ClusterState:
 
     __slots__ = ("num_nodes", "user_memory_mb", "total_demand_mb",
                  "idle_memory_mb", "fault_rate_per_s", "num_running",
-                 "inbound_jobs", "flags")
+                 "inbound_jobs", "flags", "version")
 
     def __init__(self, num_nodes: int):
         if num_nodes <= 0:
@@ -81,6 +81,10 @@ class ClusterState:
         self.inbound_jobs = array("l", [0] * num_nodes)
         #: FLAG_* bits per node; nodes start alive.
         self.flags = bytearray([FLAG_ALIVE]) * num_nodes
+        #: Bumped by every row write (``Workstation._sync_row``, the
+        #: only column writer): a value derived from the columns stays
+        #: exact while the version it was computed at is current.
+        self.version = 0
 
     # ------------------------------------------------------------------
     # batch views

@@ -77,9 +77,12 @@ class Workstation:
         self._inbound_jobs = 0
 
         self._running: List[Job] = []
-        self._rates: List[float] = []
-        self._fault_stalls: List[float] = []
-        self._io_stalls: List[float] = []
+        #: Advance lanes built by ``_recompute``: six entries per
+        #: running job, ``job, job.acct, rate, rate / speed, rate *
+        #: fault_stall, rate * io_stall``; ``_advance`` multiplies the
+        #: last three by ``dt``.  One flat list rather than a tuple per
+        #: job, so a recompute allocates one container, not one per job.
+        self._lanes: list = []
         self._assessment: Optional[PagingAssessment] = None
         self._last_update = sim.now
         self._next_event: Optional[EventHandle] = None
@@ -349,20 +352,25 @@ class Workstation:
         if dt <= 0:
             return
         self._last_update = now
-        speed = self.spec.speed_factor
         busy = self.busy_cpu_s
-        for job, rate, fault_stall, io_stall in zip(
-                self._running, self._rates, self._fault_stalls,
-                self._io_stalls):
-            job.progress_s = min(job.cpu_work_s, job.progress_s + rate * dt)
-            cpu_part = rate / speed * dt
-            page_part = rate * fault_stall * dt
-            io_part = rate * io_stall * dt
-            acct = job.acct
+        # Each part is ``(rate op factor) * dt``, the order in which the
+        # unhoisted ``rate / speed * dt`` is evaluated; regrouping (say
+        # ``rate * (fault_stall * dt)``) would change float bits.
+        lane = iter(self._lanes)
+        for job, acct, rate, cpu_rate, page_rate, io_rate in zip(
+                lane, lane, lane, lane, lane, lane):
+            progress = job.progress_s + rate * dt
+            work = job.cpu_work_s
+            job.progress_s = progress if progress < work else work
+            cpu_part = cpu_rate * dt
+            page_part = page_rate * dt
+            io_part = io_rate * dt
             acct.cpu_s += cpu_part
             acct.page_s += page_part
             acct.io_s += io_part
-            acct.queue_s += max(0.0, dt - cpu_part - page_part - io_part)
+            queued = dt - cpu_part - page_part - io_part
+            if queued > 0.0:
+                acct.queue_s += queued
             busy += cpu_part
         self.busy_cpu_s = busy
 
@@ -425,6 +433,7 @@ class Workstation:
             io_factor = 1.0
         io_stalls = [io * io_factor for io in io_list]
 
+        lanes = []
         if any(lam > 0 for lam in lambdas):
             rates, fault_stalls = self._fault_fixed_point(
                 lambdas, io_stalls, speed, tax, dedicated)
@@ -432,24 +441,26 @@ class Workstation:
                 rate * lam for rate, lam in zip(rates, lambdas))
             self._starving_cache = any(
                 stall >= 1.0 for stall in fault_stalls)
-            for job, lam in zip(running, lambdas):
+            for job, lam, rate, fault_stall, io_stall in zip(
+                    running, lambdas, rates, fault_stalls, io_stalls):
                 job.faulting = lam > 0.0
+                lanes += (job, job.acct, rate, rate / speed,
+                          rate * fault_stall, rate * io_stall)
         else:
             # Nobody faults: every fault stall ``lam * service *
             # inflation`` is 0.0, so the stalls are the I/O stalls
             # alone and one rate allocation at full capacity is the
             # fixed point.  ``sum`` of the zero fault rates is the int
             # 0 on an empty node and 0.0 otherwise.
-            fault_stalls = [0.0] * len(running)
             rates = self._allocate_rates(speed, tax, io_stalls, 1.0,
                                          dedicated)
             self._fault_rate_cache = 0.0 if running else 0
             self._starving_cache = False
-            for job in running:
+            for job, rate, io_stall in zip(running, rates, io_stalls):
                 job.faulting = False
-        self._rates = rates
-        self._fault_stalls = fault_stalls
-        self._io_stalls = io_stalls
+                lanes += (job, job.acct, rate, rate / speed, 0.0,
+                          rate * io_stall)
+        self._lanes = lanes
         obs = self.obs_fault
         if obs.enabled:
             thrash = self.thrashing
@@ -516,6 +527,7 @@ class Workstation:
         ``accepting``/``has_starving_job``.
         """
         state = self._state
+        state.version += 1
         i = self.node_id
         alive = self._alive
         idle = (max(0.0, self.user_memory_mb - self._total_demand_cache)
@@ -580,7 +592,8 @@ class Workstation:
             self._next_event = None
         # Strict ``<``: on a tie the earlier horizon stays.
         horizon = None
-        for job, rate in zip(self._running, self._rates):
+        lanes = self._lanes
+        for job, rate in zip(lanes[::6], lanes[2::6]):
             if rate <= 0:
                 continue
             progress = job.progress_s

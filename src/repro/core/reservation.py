@@ -33,7 +33,7 @@ from typing import Callable, Dict, List, Optional, Set
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.job import Job
-from repro.cluster.workstation import Workstation
+from repro.cluster.workstation import _EPS, Workstation
 
 
 class ReservationMode(enum.Enum):
@@ -122,6 +122,15 @@ class ReservationManager:
         #: How many of them are RESERVING (kept by reserve, assign and
         #: _close, the only places a state leaves or enters it).
         self._num_reserving = 0
+        #: Bumped where a reservation is made, starts serving or closes
+        #: (reserve, assign, _close): with the cluster state version it
+        #: keys the reuse scan's cached answer.
+        self._version = 0
+        #: ``(state version, _version)`` of ``_reuse_best``.
+        self._reuse_key: Optional[tuple] = None
+        #: The first SERVING reservation with a free slot and the most
+        #: idle memory (None if no serving node has a free slot).
+        self._reuse_best: Optional[Reservation] = None
         self.history: List[Reservation] = []
         self.timeline: List[ReservationEvent] = []
         self._obs = cluster.obs.channel("reconfig.reservation")
@@ -157,15 +166,32 @@ class ReservationManager:
                                           ) -> Optional[Reservation]:
         """The paper's reuse path: an existing reserved workstation
         with enough available resources for ``job``.  The one with the
-        most idle memory wins; on a tie, the earliest made."""
-        demand = job.current_demand_mb
+        most idle memory wins; on a tie, the earliest made.
+
+        Every reservation with room for ``job`` is serving and has a
+        free slot, so the first such reservation with the most idle
+        memory (cached until a node row or a reservation changes) is
+        the answer if it has room, and no reservation has room if it
+        does not.
+        """
+        key = (self.cluster.state.version, self._version)
+        if key != self._reuse_key:
+            self._reuse_best = self._most_idle_serving()
+            self._reuse_key = key
+        best = self._reuse_best
+        if (best is not None and best.node.idle_memory_mb
+                >= job.current_demand_mb - _EPS):
+            return best
+        return None
+
+    def _most_idle_serving(self) -> Optional[Reservation]:
         best = None
         best_idle = 0.0
         for reservation in self._by_node.values():
             if reservation.state is not ReservationState.SERVING:
                 continue
             node = reservation.node
-            if not node.has_room_for(demand):
+            if not node.has_free_slot:
                 continue
             idle = node.idle_memory_mb
             if best is None or idle > best_idle:
@@ -188,6 +214,7 @@ class ReservationManager:
                                   created_at=self.cluster.sim.now)
         self._by_node[node.node_id] = reservation
         self._num_reserving += 1
+        self._version += 1
         self.history.append(reservation)
         self._log("reserve", reservation)
         if self.reserve_timeout_s > 0:
@@ -207,6 +234,7 @@ class ReservationManager:
         if reservation.state is ReservationState.RESERVING:
             self._num_reserving -= 1
         reservation.state = ReservationState.SERVING
+        self._version += 1
         if reservation.serving_since is None:
             reservation.serving_since = self.cluster.sim.now
         reservation.migrated_job_ids.add(job.job_id)
@@ -242,6 +270,7 @@ class ReservationManager:
         node = reservation.node
         node.reserved = False
         self._by_node.pop(node.node_id, None)
+        self._version += 1
         self._log(kind, reservation)
         self.cluster.notify_node_changed(node)
 

@@ -31,7 +31,7 @@ from collections import deque
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.job import Job, JobState
-from repro.cluster.workstation import Workstation
+from repro.cluster.workstation import _EPS, Workstation
 from repro.sim.daemon import DaemonTick
 
 
@@ -390,9 +390,8 @@ class LoadSharingPolicy:
         ordinary migrations a reservation that appeared mid-retry
         still leaves the capacity checks authoritative.
         """
-        if (destination.alive and destination.has_free_slot
-                and destination.idle_memory_mb
-                >= job.current_demand_mb - 1e-9):
+        if destination.alive and destination.has_room_for(
+                job.current_demand_mb):
             self._start_transfer(job, source, destination, image_mb,
                                  on_arrival, on_abandoned, attempt)
             return
@@ -539,7 +538,17 @@ class LoadSharingPolicy:
                                    exclude: Optional[int] = None
                                    ) -> Optional[Workstation]:
         """Qualified destination per [3]: enough idle memory for the
-        job's current demand and a free slot; largest idle memory wins."""
+        job's current demand and a free slot; largest idle memory wins.
+
+        A qualified node has idle memory of at least ``demand - _EPS``
+        (``has_room_for``), so when that exceeds the cluster's bound on
+        a destination's idle memory no candidate can qualify and the
+        candidate list is never built: on a saturated cluster nearly
+        every search ends here.
+        """
+        bound = self.cluster.destination_idle_bound_mb()
+        if job.current_demand_mb - _EPS > bound:
+            return None
         for node in self.candidates_by_idle_memory(exclude=exclude):
             if node.accepts_migration(job):
                 return node

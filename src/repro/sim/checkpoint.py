@@ -62,11 +62,14 @@ MAGIC = "repro-checkpoint"
 #: tuples and stores memory profiles as columns.  Schema 3 parks the
 #: exchange, monitor and collector ticks while they have no work
 #: (:mod:`repro.sim.daemon`) and counts reserving reservations.
-SCHEMA_VERSION = 3
+#: Schema 4 keeps per-job advance lanes on each workstation and
+#: versions the columnar state and the reservation manager.
+SCHEMA_VERSION = 4
 
 #: Schemas this build restores; older ones are upgraded after
-#: unpickling (:func:`_upgrade_schema_1`, :func:`_upgrade_schema_2`).
-READABLE_SCHEMAS = (1, 2, SCHEMA_VERSION)
+#: unpickling (:func:`_upgrade_schema_1`, :func:`_upgrade_schema_2`,
+#: :func:`_upgrade_schema_3`).
+READABLE_SCHEMAS = (1, 2, 3, SCHEMA_VERSION)
 
 
 class CheckpointError(RuntimeError):
@@ -208,6 +211,8 @@ def restore_bytes(data: bytes,
         _upgrade_schema_1(world)
     if envelope["schema"] < 3:
         _upgrade_schema_2(world)
+    if envelope["schema"] < 4:
+        _upgrade_schema_3(world)
     if advance_counters:
         _advance_global_counters(world)
     return RestoredRun(cluster=world["cluster"], policy=world["policy"],
@@ -289,6 +294,38 @@ def _upgrade_schema_2(world: Dict[str, Any]) -> None:
             manager._num_reserving = sum(
                 1 for reservation in manager._by_node.values()
                 if reservation.state is ReservationState.RESERVING)
+
+
+def _upgrade_schema_3(world: Dict[str, Any]) -> None:
+    """Bring an unpickled schema-1/2/3 world to schema 4.
+
+    Each workstation's advance lanes are built from its stored rate and
+    stall lists with the expressions ``_recompute`` uses, so the next
+    ``_advance`` is bit-identical.  The new versions start at 0 and
+    every cache key at None, which no version equals.
+    """
+    from repro.core.reservation import ReservationManager
+
+    cluster = world["cluster"]
+    for node in cluster.nodes:
+        speed = node.spec.speed_factor
+        fields = node.__dict__
+        node._lanes = [
+            entry
+            for job, rate, fault_stall, io_stall in zip(
+                node._running, fields.pop("_rates"),
+                fields.pop("_fault_stalls"), fields.pop("_io_stalls"))
+            for entry in (job, job.acct, rate, rate / speed,
+                          rate * fault_stall, rate * io_stall)]
+    cluster.state.version = 0
+    cluster._idle_bound_version = None
+    cluster._idle_bound_mb = 0.0
+    for listener in cluster._job_listeners:
+        manager = getattr(listener, "__self__", None)
+        if isinstance(manager, ReservationManager):
+            manager._version = 0
+            manager._reuse_key = None
+            manager._reuse_best = None
 
 
 def load_checkpoint(path: str,

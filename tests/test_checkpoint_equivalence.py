@@ -204,7 +204,7 @@ def _envelope_bytes(**fields):
     return gzip.compress(pickle.dumps(envelope, protocol=4))
 
 
-@pytest.mark.parametrize("schema", [1, 2, 3])
+@pytest.mark.parametrize("schema", [1, 2, 3, 4])
 def test_decode_envelope_accepts_readable_schemas(schema):
     envelope = _decode_envelope(_envelope_bytes(schema=schema))
     assert envelope["schema"] == schema
@@ -265,6 +265,22 @@ def test_upgraded_fixture_adopts_each_daemon_tick_once():
                    and entry[3].callback.__name__ == method]
         assert handles == [tick.handle]
         assert tick.next_time == tick.handle.time
+
+
+def test_upgraded_fixture_lanes_match_a_fresh_recompute():
+    """The schema-4 upgrade builds each node's advance lanes from its
+    stored rate and stall lists; forcing a full recompute of the same
+    jobs must give the same lanes, bit for bit."""
+    restored = load_checkpoint(GOLDEN_CKPT)
+    cluster = restored.cluster
+    assert cluster.state.version == 0
+    assert cluster._idle_bound_version is None
+    upgraded = [repr(node._lanes) for node in cluster.nodes]
+    assert any(node._lanes for node in cluster.nodes)
+    for node in cluster.nodes:
+        node._recompute_key = None
+        node._recompute()
+    assert [repr(node._lanes) for node in cluster.nodes] == upgraded
 
 
 def test_snapshot_with_every_daemon_parked_resumes_identically(tmp_path):

@@ -395,6 +395,18 @@ def unfaulted_nodes(draw):
     return node
 
 
+def io_factor(node) -> float:
+    """The I/O stall inflation of ``node``'s last recompute: uncached
+    I/O costs the penalty factor more when free memory cannot hold the
+    buffer cache its jobs want."""
+    wanted = sum(job.buffer_cache_mb for job in node._running)
+    if wanted <= 0:
+        return 1.0
+    free = max(0.0, node.user_memory_mb - node.total_demand_mb)
+    return 1.0 + node.config.uncached_io_penalty * (
+        1.0 - min(1.0, free / wanted))
+
+
 class TestNoFaultRecompute:
     @given(unfaulted_nodes())
     @settings(max_examples=200, deadline=None)
@@ -406,14 +418,20 @@ class TestNoFaultRecompute:
         running = node._running
         lambdas = node._assessment.fault_rates_per_cpu_s
         assert not any(lam > 0 for lam in lambdas)
+        io_stalls = [job.io_stall_per_cpu_s * io_factor(node)
+                     for job in running]
+        speed = node.spec.speed_factor
         rates, fault_stalls = node._fault_fixed_point(
-            lambdas, node._io_stalls, node.spec.speed_factor,
-            node.config.context_switch_tax,
+            lambdas, io_stalls, speed, node.config.context_switch_tax,
             tuple(job.dedicated for job in running))
         fault_rate = sum(rate * lam for rate, lam in zip(rates, lambdas))
         # repr tells an int 0 from 0.0 and -0.0 from 0.0.
-        assert repr(node._rates) == repr(rates)
-        assert repr(node._fault_stalls) == repr(fault_stalls)
+        lanes = node._lanes
+        assert repr(lanes) == repr([
+            entry for job, rate, fault_stall, io_stall in zip(
+                running, rates, fault_stalls, io_stalls)
+            for entry in (job, job.acct, rate, rate / speed,
+                          rate * fault_stall, rate * io_stall)])
         assert repr(node.fault_rate_per_s) == repr(fault_rate)
         assert node.has_starving_job == any(
             stall >= 1.0 for stall in fault_stalls)
@@ -425,5 +443,6 @@ class TestNoFaultRecompute:
         node.add_job(make_job(demand=90.0, io_stall_per_cpu_s=0.1,
                               buffer_cache_mb=20.0))
         # Half the wanted cache fits: stall x (1 + 2.0 x 0.5).
-        assert node._io_stalls == [0.1 * 2.0]
+        _, _, rate, _, _, io_rate = node._lanes
+        assert io_rate == rate * (0.1 * 2.0)
         assert node.fault_rate_per_s == 0.0
