@@ -326,19 +326,32 @@ class Workstation:
         """The paper's ``find_most_memory_intensive_job()``: the running
         job with the largest current memory demand (optionally only
         among jobs currently suffering page faults)."""
+        return self.most_memory_intensive(faulting_only)[0]
+
+    def most_memory_intensive(self, faulting_only: bool = False
+                              ) -> Tuple[Optional[Job], float]:
+        """``(job, demand_mb)`` of :meth:`most_memory_intensive_job`:
+        the victim and its ``current_demand_mb``, read once after the
+        advance so the overload path can pass the demand along
+        (``(None, 0.0)`` without a qualifying job).
+
+        The demand is read fresh, not taken from the last recompute:
+        ``demand_at`` tolerates ``_TOL``, so a job advanced to within
+        it of a phase start already reads the next phase before the
+        boundary event fires."""
         self._advance()
         best = None
         best_demand = 0.0
         for job in self._running:
             if faulting_only and not job.faulting:
                 continue
-            demand = job.current_demand_mb
+            demand = job.memory.demand_at(job.progress_s)
             # The maximum of (demand, -job_id): ties go to the lowest id.
             if (best is None or demand > best_demand
                     or (demand == best_demand and job.job_id < best.job_id)):
                 best = job
                 best_demand = demand
-        return best
+        return best, best_demand
 
     # ------------------------------------------------------------------
     # internal mechanics

@@ -105,27 +105,47 @@ class VReconfiguration(GLoadSharing):
     # ------------------------------------------------------------------
     # the reconfiguration routine
     # ------------------------------------------------------------------
-    def on_blocking(self, node: Workstation, job: Optional[Job]) -> None:
+    def on_blocking(self, node: Workstation, job: Job,
+                    demand_mb: float) -> None:
         """Blocking detected: reuse a reserved workstation or start a
-        reserving period."""
-        super().on_blocking(node, job)
-        if job is None or not self._migratable_to_reservation(job):
+        reserving period.  Counts and emits the blocking as the base
+        hook does (inlined: under saturation this runs every visit)."""
+        self.stats.blocking_events += 1
+        obs = self._obs_block
+        if obs.enabled:
+            obs.emit(self.sim.now, "blocking", node=node.node_id,
+                     job=job.job_id, fault_rate_per_s=node.fault_rate_per_s)
+        if not self._migratable_to_reservation(job, demand_mb):
             return
         # Reuse path: an existing reserved workstation with enough
         # available resources.
-        reservation = self.reservations.serving_reservation_with_capacity(job)
+        reservations = self.reservations
+        reservation = reservations.serving_reservation_with_capacity(
+            demand_mb)
         if reservation is not None:
             self._migrate_to_reservation(job, node, reservation)
             return
-        if not self._blocking_persisted(node):
+        # Persistence: blocking must be seen on this node in a row ("a
+        # certain amount of page faults", §2.1); a streak that lapses
+        # for more than 2.5 monitor periods starts over.
+        node_id = node.node_id
+        now = self.sim.now
+        last = self._last_blocked_at.get(node_id)
+        if last is None or now - last > 2.5 * self.config.monitor_interval_s:
+            streak = 1
+        else:
+            streak = self._blocked_streak[node_id] + 1
+        self._blocked_streak[node_id] = streak
+        self._last_blocked_at[node_id] = now
+        if streak < self.blocking_persistence:
             return
         # Bounded parallelism: a few reserving periods may overlap, but
         # don't hoard nodes for one episode.
-        if self.reservations.num_reserving >= self.max_concurrent_reserving:
+        if reservations.num_reserving >= self.max_concurrent_reserving:
             return
-        if not self.reservations.can_reserve():
+        if not reservations.can_reserve():
             return
-        if self.sim.now < self._backoff_until:
+        if now < self._backoff_until:
             return
         # Activation condition: accumulated idle memory must exceed the
         # average user memory of a workstation (§2.1, §2.3).
@@ -136,38 +156,26 @@ class VReconfiguration(GLoadSharing):
                 self.stats.extra.get("activation_skipped", 0) + 1)
             obs = self._obs_block
             if obs.enabled:
-                obs.emit(self.sim.now, "activation-skipped",
-                         node=node.node_id, idle_memory_mb=idle,
+                obs.emit(now, "activation-skipped",
+                         node=node_id, idle_memory_mb=idle,
                          threshold_mb=threshold)
             return
-        candidate = self._reserve_a_workstation(
-            exclude=node.node_id, needed_mb=job.current_demand_mb)
+        candidate = self._reserve_a_workstation(exclude=node_id,
+                                                needed_mb=demand_mb)
         if candidate is None:
             return
         self.stats.extra["reservations"] = (
             self.stats.extra.get("reservations", 0) + 1)
-        self.reservations.reserve(candidate, needed_mb=job.current_demand_mb)
+        reservations.reserve(candidate, needed_mb=demand_mb)
 
-    def _blocking_persisted(self, node: Workstation) -> bool:
-        """Track consecutive blocking observations per node; a streak
-        that lapses for more than two monitor periods resets."""
-        now = self.sim.now
-        last = self._last_blocked_at.get(node.node_id)
-        gap_limit = 2.5 * self.config.monitor_interval_s
-        if last is None or now - last > gap_limit:
-            self._blocked_streak[node.node_id] = 0
-        self._blocked_streak[node.node_id] = (
-            self._blocked_streak.get(node.node_id, 0) + 1)
-        self._last_blocked_at[node.node_id] = now
-        return self._blocked_streak[node.node_id] >= self.blocking_persistence
-
-    def _migratable_to_reservation(self, job: Job) -> bool:
+    def _migratable_to_reservation(self, job: Job, demand_mb: float) -> bool:
         """Like :meth:`_migratable` but with a softer payoff bound: a
         reserved workstation removes the job's page faults entirely, so
-        the transfer pays for itself sooner."""
+        the transfer pays for itself sooner.  ``demand_mb`` is the
+        job's current demand."""
         if job.state is not JobState.RUNNING:
             return False
-        cost = self.cluster.network.migration_cost_s(job.current_demand_mb)
+        cost = self.cluster.network.migration_cost_s(demand_mb)
         return job.remaining_work_s > max(
             self.min_remaining_for_migration_s, cost)
 
@@ -260,7 +268,7 @@ class VReconfiguration(GLoadSharing):
             self._cancel_with_backoff(reservation)
             return
         job, node = victim
-        if not self._migratable_to_reservation(job):
+        if not self._migratable_to_reservation(job, job.current_demand_mb):
             self._cancel_with_backoff(reservation)
             return
         self._migrate_to_reservation(job, node, reservation)
@@ -279,8 +287,9 @@ class VReconfiguration(GLoadSharing):
         for node in self.cluster.nodes:
             if node.reserved:
                 continue
-            job = node.most_memory_intensive_job(faulting_only=True)
-            if job is None or not self._migratable_to_reservation(job):
+            job, demand = node.most_memory_intensive(faulting_only=True)
+            if job is None or not self._migratable_to_reservation(job,
+                                                                  demand):
                 continue
             if best is None or (self._victim_score(job)
                                 > self._victim_score(best[0])):

@@ -162,13 +162,14 @@ class ReservationManager:
     def reservation_for_node(self, node_id: int) -> Optional[Reservation]:
         return self._by_node.get(node_id)
 
-    def serving_reservation_with_capacity(self, job: Job
+    def serving_reservation_with_capacity(self, demand_mb: float
                                           ) -> Optional[Reservation]:
         """The paper's reuse path: an existing reserved workstation
-        with enough available resources for ``job``.  The one with the
-        most idle memory wins; on a tie, the earliest made.
+        with enough available resources for a job demanding
+        ``demand_mb``.  The one with the most idle memory wins; on a
+        tie, the earliest made.
 
-        Every reservation with room for ``job`` is serving and has a
+        Every reservation with room for the job is serving and has a
         free slot, so the first such reservation with the most idle
         memory (cached until a node row or a reservation changes) is
         the answer if it has room, and no reservation has room if it
@@ -179,8 +180,8 @@ class ReservationManager:
             self._reuse_best = self._most_idle_serving()
             self._reuse_key = key
         best = self._reuse_best
-        if (best is not None and best.node.idle_memory_mb
-                >= job.current_demand_mb - _EPS):
+        if (best is not None
+                and best.node.idle_memory_mb >= demand_mb - _EPS):
             return best
         return None
 

@@ -353,7 +353,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="restore a checkpoint instead of building "
                              "a trace, and run it to completion "
                              "(byte-identical to the uninterrupted "
-                             "run; workload flags are ignored)")
+                             "run; workload flags are ignored).  The "
+                             "file is unpickled before any validation: "
+                             "restore only checkpoints you wrote")
     parser.add_argument("--submit-stdin", action="store_true",
                         help="admit JSONL job specs from stdin into "
                              "the live run until EOF (requires "

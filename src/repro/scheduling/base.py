@@ -286,11 +286,13 @@ class LoadSharingPolicy:
         hot = self.cluster.thrashing_nodes
         if hot:
             nodes = self.cluster.nodes
+            stats = self.stats
+            handle_overload = self.handle_overload
             for node_id in sorted(hot):
-                self.stats.overload_checks += 1
+                stats.overload_checks += 1
                 node = nodes[node_id]
-                if node.thrashing and not node.reserved:
-                    self.handle_overload(node)
+                if node.thrashing and not node._reserved:
+                    handle_overload(node)
         self._monitor.fired(keep=bool(self.cluster.thrashing_nodes)
                             and not self._retired)
 
@@ -487,16 +489,17 @@ class LoadSharingPolicy:
     def handle_overload(self, node: Workstation) -> None:
         """React to a thrashing node (called by the monitor)."""
 
-    def on_blocking(self, node: Workstation, job: Optional[Job]) -> None:
+    def on_blocking(self, node: Workstation, job: Job,
+                    demand_mb: float) -> None:
         """Called when ``node`` thrashes but no qualified migration
         destination exists — the paper's blocking problem.  ``job`` is
-        the migration candidate that could not be placed."""
+        the migration candidate that could not be placed and
+        ``demand_mb`` its current demand, as the victim loop read it."""
         self.stats.blocking_events += 1
         obs = self._obs_block
         if obs.enabled:
             obs.emit(self.sim.now, "blocking", node=node.node_id,
-                     job=job.job_id if job is not None else None,
-                     fault_rate_per_s=node.fault_rate_per_s)
+                     job=job.job_id, fault_rate_per_s=node.fault_rate_per_s)
 
     # ------------------------------------------------------------------
     # helpers shared by concrete policies
@@ -534,11 +537,12 @@ class LoadSharingPolicy:
             self._candidates_key = key
         return self._candidates_view
 
-    def find_migration_destination(self, job: Job,
-                                   exclude: Optional[int] = None
+    def find_migration_destination(self, job: Job, exclude: Optional[int],
+                                   demand_mb: float
                                    ) -> Optional[Workstation]:
         """Qualified destination per [3]: enough idle memory for the
-        job's current demand and a free slot; largest idle memory wins.
+        job's current demand ``demand_mb`` and a free slot; largest
+        idle memory wins.
 
         A qualified node has idle memory of at least ``demand - _EPS``
         (``has_room_for``), so when that exceeds the cluster's bound on
@@ -546,8 +550,7 @@ class LoadSharingPolicy:
         candidate list is never built: on a saturated cluster nearly
         every search ends here.
         """
-        bound = self.cluster.destination_idle_bound_mb()
-        if job.current_demand_mb - _EPS > bound:
+        if demand_mb - _EPS > self.cluster.destination_idle_bound_mb():
             return None
         for node in self.candidates_by_idle_memory(exclude=exclude):
             if node.accepts_migration(job):

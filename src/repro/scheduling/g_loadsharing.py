@@ -53,13 +53,13 @@ class GLoadSharing(LoadSharingPolicy):
         regardless of whether a regular migration would currently pay
         for itself, since that is the state the reconfiguration
         routine exists to resolve."""
-        job = node.most_memory_intensive_job(faulting_only=True)
+        job, demand = node.most_memory_intensive(faulting_only=True)
         if job is None:
             return
         destination = self.find_migration_destination(
-            job, exclude=node.node_id)
+            job, node.node_id, demand)
         if destination is None:
-            self.on_blocking(node, job)
+            self.on_blocking(node, job, demand)
             return
         if not self._migratable(job):
             return

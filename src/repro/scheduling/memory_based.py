@@ -32,13 +32,13 @@ class MemoryBasedPolicy(LoadSharingPolicy):
         return None
 
     def handle_overload(self, node: Workstation) -> None:
-        job = node.most_memory_intensive_job(faulting_only=True)
+        job, demand = node.most_memory_intensive(faulting_only=True)
         if job is None or not self._migratable(job):
             return
         self.stats.migration_attempts += 1
         destination = self.find_migration_destination(
-            job, exclude=node.node_id)
+            job, node.node_id, demand)
         if destination is None:
-            self.on_blocking(node, job)
+            self.on_blocking(node, job, demand)
             return
         self.migrate(job, node, destination)

@@ -48,9 +48,10 @@ class SuspensionPolicy(GLoadSharing):
         self.max_suspension_s = max_suspension_s
 
     # ------------------------------------------------------------------
-    def on_blocking(self, node: Workstation, job: Optional[Job]) -> None:
-        super().on_blocking(node, job)
-        if job is None or job.state is not JobState.RUNNING:
+    def on_blocking(self, node: Workstation, job: Job,
+                    demand_mb: float) -> None:
+        super().on_blocking(node, job, demand_mb)
+        if job.state is not JobState.RUNNING:
             return
         count = self._suspension_counts.get(job.job_id, 0)
         if count >= self.max_suspensions_per_job:
@@ -92,7 +93,8 @@ class SuspensionPolicy(GLoadSharing):
             waiting, self._suspended = self._suspended, []
             resumed = []
             for job in waiting:
-                destination = self.find_migration_destination(job)
+                destination = self.find_migration_destination(
+                    job, None, job.current_demand_mb)
                 if destination is None:
                     started = self._suspend_started.get(job.job_id,
                                                         self.sim.now)

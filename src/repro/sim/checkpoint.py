@@ -30,6 +30,12 @@ and validated *before* the world bytes are unpickled, so an unknown or
 newer schema fails with a clear :class:`CheckpointError` instead of an
 arbitrary unpickling error.
 
+Checkpoints are trusted input only.  The envelope is itself a pickle,
+so reading one (``peek_meta``, ``restore_bytes``, ``load_checkpoint``
+and the runner's ``--restore-from``) unpickles it before any
+validation, and unpickling can execute arbitrary code: restore only
+checkpoints you wrote.
+
 Observers are deliberately **not** part of a checkpoint: obs channels
 restore disabled and subscriber-free; a restored run attaches a fresh
 :class:`~repro.obs.session.ObsSession` if it wants telemetry.

@@ -1,6 +1,6 @@
 """The overload path's shortcuts are pure optimizations — pinned here.
 
-Three shortcuts make a visit to a blocked node cheap:
+Four shortcuts make a visit to a blocked node cheap:
 
 * **destination bound** — ``find_migration_destination`` returns None
   without building a candidate list when the job's demand, less
@@ -11,12 +11,16 @@ Three shortcuts make a visit to a blocked node cheap:
   until a node row or a reservation changes, and answers with it when
   it has room for the job;
 * **advance lanes** — ``_recompute`` stores each job's rate factors
-  once, and ``_advance`` multiplies them by ``dt``.
+  once, and ``_advance`` multiplies them by ``dt``;
+* **one demand per visit** — the victim loop reads the victim's
+  current demand once and the visit passes it along instead of
+  re-deriving it in each check.
 
 The grid test runs every policy on App trace 5 with the full scans
-below re-done next to every bounded answer; the hypothesis test checks
-``_advance`` against the unhoisted formula bit for bit; the unit tests
-pin the boundary cases a run rarely reaches.
+below re-done next to every bounded answer and the victim recomputed
+next to every visit; the hypothesis test checks ``_advance`` against
+the unhoisted formula bit for bit; the unit tests pin the boundary
+cases a run rarely reaches.
 """
 
 from collections import Counter
@@ -29,11 +33,13 @@ from repro.cluster.job import Job, MemoryProfile
 from repro.cluster.memory import PagingModel
 from repro.cluster.state import ClusterState
 from repro.cluster.workstation import _EPS, Workstation
+from repro.core.reconfiguration import VReconfiguration
 from repro.core.reservation import ReservationManager, ReservationState
 from repro.experiments.runner import POLICIES, default_config, run_experiment
 from repro.faults import FaultConfig
 from repro.scheduling.base import LoadSharingPolicy
 from repro.scheduling.g_loadsharing import GLoadSharing
+from repro.scheduling.suspension import SuspensionPolicy
 from repro.sim import Simulator
 from repro.workload.programs import WorkloadGroup
 
@@ -52,10 +58,10 @@ def scan_destination(policy, job, exclude):
     return None
 
 
-def scan_reuse(manager, job):
+def scan_reuse(manager, demand):
     """The reuse scan without the cache: the serving reservation with
-    room for ``job`` and the most idle memory, the earliest on a tie."""
-    demand = job.current_demand_mb
+    room for ``demand`` and the most idle memory, the earliest on a
+    tie."""
     best = None
     best_idle = 0.0
     for reservation in manager._by_node.values():
@@ -71,34 +77,60 @@ def scan_reuse(manager, job):
     return best
 
 
+def check_victim(node, job, demand_mb):
+    """The job and demand a visit passed along are the node's victim
+    and its current demand, recomputed now (same instant, so the
+    recomputation's ``_advance`` is a no-op)."""
+    assert job is node.most_memory_intensive_job(faulting_only=True)
+    assert repr(demand_mb) == repr(job.current_demand_mb)
+
+
+#: Every class that defines ``on_blocking``.
+BLOCKING_HOOKS = (LoadSharingPolicy, SuspensionPolicy, VReconfiguration)
+
+
 @pytest.fixture
 def full_scans(monkeypatch):
-    """Re-do both full scans next to every bounded answer and count
-    the answers compared, by kind."""
+    """Re-do both full scans next to every bounded answer, recompute
+    the victim next to every visit, and count the answers compared, by
+    kind."""
     checks = Counter()
     find = LoadSharingPolicy.find_migration_destination
     reuse = ReservationManager.serving_reservation_with_capacity
 
-    def checked_find(self, job, exclude=None):
-        bound_rejects = (job.current_demand_mb - _EPS
+    def checked_find(self, job, exclude, demand_mb):
+        if exclude is not None:  # a visit (a suspended job has no node)
+            check_victim(self.cluster.nodes[exclude], job, demand_mb)
+            checks["victim"] += 1
+        bound_rejects = (demand_mb - _EPS
                          > self.cluster.destination_idle_bound_mb())
-        result = find(self, job, exclude)
+        result = find(self, job, exclude, demand_mb)
         assert result is scan_destination(self, job, exclude)
         checks["destination"] += 1
         checks["rejected"] += bound_rejects
         return result
 
-    def checked_reuse(self, job):
-        result = reuse(self, job)
-        assert result is scan_reuse(self, job)
+    def checked_reuse(self, demand_mb):
+        result = reuse(self, demand_mb)
+        assert result is scan_reuse(self, demand_mb)
         checks["reuse"] += 1
         checks["reused"] += result is not None
         return result
+
+    def checked_blocking(on_blocking):
+        def wrapper(self, node, job, demand_mb):
+            check_victim(node, job, demand_mb)
+            checks["blocking"] += 1
+            return on_blocking(self, node, job, demand_mb)
+        return wrapper
 
     monkeypatch.setattr(LoadSharingPolicy, "find_migration_destination",
                         checked_find)
     monkeypatch.setattr(ReservationManager,
                         "serving_reservation_with_capacity", checked_reuse)
+    for cls in BLOCKING_HOOKS:
+        monkeypatch.setattr(cls, "on_blocking",
+                            checked_blocking(cls.__dict__["on_blocking"]))
     return checks
 
 
@@ -119,6 +151,11 @@ def test_bounds_match_full_scans(full_scans, policy, faulted, interval,
     if policy in ("g-loadsharing", "v-reconfiguration"):
         # The bound fired, so the cell compared a shortcut answer.
         assert full_scans["rejected"] > 0
+    if policy in ("g-loadsharing", "memory", "srpt-oracle", "suspension",
+                  "v-reconfiguration"):
+        # These visit thrashing nodes: each visit's victim was checked.
+        assert full_scans["victim"] > 0
+        assert full_scans["blocking"] > 0
     if policy == "v-reconfiguration":
         assert full_scans["reuse"] > 0
 
@@ -233,7 +270,7 @@ def test_destination_bound_admits_idle_exactly_demand_less_eps():
     cluster.nodes[2].add_job(make_job(demand=user - 1.0))
     assert cluster.destination_idle_bound_mb() == demand - _EPS
     assert policy.find_migration_destination(
-        victim, exclude=0) is cluster.nodes[1]
+        victim, 0, demand) is cluster.nodes[1]
 
 
 def _serving(manager, node):
@@ -246,10 +283,9 @@ def test_reuse_sees_a_reservation_start_serving():
     cluster = tiny_cluster(num_nodes=4)
     manager = ReservationManager(cluster, max_reserved=2)
     reservation = manager.reserve(cluster.nodes[1], needed_mb=1.0)
-    job = make_job(demand=10.0)
-    assert manager.serving_reservation_with_capacity(job) is None
+    assert manager.serving_reservation_with_capacity(10.0) is None
     manager.assign(reservation, make_job())
-    assert manager.serving_reservation_with_capacity(job) is reservation
+    assert manager.serving_reservation_with_capacity(10.0) is reservation
 
 
 def test_reuse_skips_the_most_idle_reservation_without_a_slot():
@@ -260,8 +296,44 @@ def test_reuse_skips_the_most_idle_reservation_without_a_slot():
     for _ in range(2):
         cluster.nodes[1].add_job(make_job(demand=5.0))
     cluster.nodes[2].add_job(make_job(demand=40.0))
-    job = make_job(demand=20.0)
     assert full.node.idle_memory_mb > roomy.node.idle_memory_mb
-    assert manager.serving_reservation_with_capacity(job) is roomy
-    assert manager.serving_reservation_with_capacity(
-        make_job(demand=70.0)) is None
+    assert manager.serving_reservation_with_capacity(20.0) is roomy
+    assert manager.serving_reservation_with_capacity(70.0) is None
+
+
+# ----------------------------------------------------------------------
+# one demand per visit
+# ----------------------------------------------------------------------
+def test_visit_before_a_phase_boundary_passes_the_fresh_demand(
+        monkeypatch):
+    """A visit that lands within ``_TOL`` of a phase start, before the
+    boundary event fires, passes along the next phase's demand (the
+    fresh read), not the demand of the node's last recompute."""
+    cluster = tiny_cluster(num_nodes=2, memory_mb=100.0)
+    policy = GLoadSharing(cluster)
+    node = cluster.nodes[0]
+    victim = Job(program="t", cpu_work_s=50.0,
+                 memory=MemoryProfile.from_pairs([(0.0, 120.0),
+                                                  (3.0, 150.0)]))
+    node.add_job(victim)
+    assert victim.faulting
+    rate = node._lanes[2]
+    boundary_event = node._next_event
+    cluster.sim.run(until=(3.0 - 0.5e-9) / rate)
+    assert boundary_event.pending
+    passed = []
+    find = LoadSharingPolicy.find_migration_destination
+
+    def recording(self, job, exclude, demand_mb):
+        passed.append((job, demand_mb))
+        return find(self, job, exclude, demand_mb)
+
+    monkeypatch.setattr(LoadSharingPolicy, "find_migration_destination",
+                        recording)
+    policy.handle_overload(node)
+    assert victim.progress_s < 3.0
+    assert node._recompute_key[1] == (120.0,)  # the last recompute's
+    assert passed == [(victim, 150.0)]
+    assert repr(passed[0][1]) == repr(victim.current_demand_mb)
+    assert node.most_memory_intensive(faulting_only=True) == (victim,
+                                                              150.0)

@@ -16,14 +16,14 @@ def vpolicy(cluster, **kwargs):
     return VReconfiguration(cluster, **defaults)
 
 
-def build_blocked_cluster(num_nodes=3, cpu_threshold=2):
+def build_blocked_cluster(num_nodes=3, cpu_threshold=2, **policy_kwargs):
     """Node 0 wedged by a hog; all other nodes slot-full with small
     long-running jobs, so no qualified destination exists, while their
     idle memory accumulates (the paper's blocking geometry)."""
     cluster = tiny_cluster(num_nodes=num_nodes, memory_mb=100.0,
                            cpu_threshold=cpu_threshold,
                            network_bandwidth_mbps=1000.0)
-    policy = vpolicy(cluster)
+    policy = vpolicy(cluster, **policy_kwargs)
     hog = job(work=400.0, demand=90.0)
     small = job(work=400.0, demand=60.0)
     cluster.nodes[0].add_job(hog)
@@ -150,6 +150,42 @@ class TestAdaptiveness:
         # both wedges resolved one way or another
         assert not cluster.nodes[0].thrashing
         assert not cluster.nodes[1].thrashing
+
+
+class TestBlockingPersistence:
+    """A reserving period starts only once blocking has been seen on a
+    node ``blocking_persistence`` visits in a row; a streak that lapses
+    for more than 2.5 monitor periods (1.25 s here) starts over."""
+
+    def blocked(self):
+        cluster, policy, hog, _, _ = build_blocked_cluster(
+            blocking_persistence=2)
+        policy._monitor.cancel()  # visits happen only where the test says
+        return cluster, policy, hog
+
+    @staticmethod
+    def visit(cluster, policy, hog, at):
+        """One blocked visit to node 0 at time ``at``; returns how many
+        reservations have been made."""
+        cluster.sim.run(until=at)
+        policy.on_blocking(cluster.nodes[0], hog, hog.current_demand_mb)
+        return len(policy.reservations.history)
+
+    def test_reserves_on_the_second_visit_in_a_row(self):
+        cluster, policy, hog = self.blocked()
+        assert self.visit(cluster, policy, hog, 0.5) == 0
+        assert self.visit(cluster, policy, hog, 1.0) == 1
+
+    def test_streak_survives_a_gap_of_two_and_a_half_periods(self):
+        cluster, policy, hog = self.blocked()
+        assert self.visit(cluster, policy, hog, 0.5) == 0
+        assert self.visit(cluster, policy, hog, 1.75) == 1
+
+    def test_a_longer_gap_restarts_the_streak(self):
+        cluster, policy, hog = self.blocked()
+        assert self.visit(cluster, policy, hog, 0.5) == 0
+        assert self.visit(cluster, policy, hog, 1.76) == 0
+        assert self.visit(cluster, policy, hog, 1.76) == 1
 
 
 class TestModes:

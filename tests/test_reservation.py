@@ -136,10 +136,8 @@ class TestServeAndRelease:
         cluster = tiny_cluster(memory_mb=100.0)
         mgr = manager(cluster)
         reservation, _ = self.serve_one(cluster, mgr)
-        fits = job(work=10.0, demand=40.0)
-        too_big = job(work=10.0, demand=60.0)
-        assert mgr.serving_reservation_with_capacity(fits) is reservation
-        assert mgr.serving_reservation_with_capacity(too_big) is None
+        assert mgr.serving_reservation_with_capacity(40.0) is reservation
+        assert mgr.serving_reservation_with_capacity(60.0) is None
 
     def test_local_leftovers_do_not_extend_reservation(self):
         """First-fit mode: the reservation ends when migrated jobs are
@@ -219,23 +217,21 @@ class TestReuseChoice:
         mgr = manager(cluster, max_reserved=3)
         first = serving(cluster, mgr, 2, demand=50.0)
         serving(cluster, mgr, 1, demand=50.0)
-        assert mgr.serving_reservation_with_capacity(
-            job(demand=40.0)) is first
+        assert mgr.serving_reservation_with_capacity(40.0) is first
 
     def test_most_idle_memory_wins(self):
         cluster = tiny_cluster(memory_mb=100.0)
         mgr = manager(cluster, max_reserved=3)
         serving(cluster, mgr, 0, demand=50.0)
         roomier = serving(cluster, mgr, 1, demand=30.0)
-        assert mgr.serving_reservation_with_capacity(
-            job(demand=40.0)) is roomier
+        assert mgr.serving_reservation_with_capacity(40.0) is roomier
 
     def test_reserving_period_is_not_reused(self):
         cluster = tiny_cluster(memory_mb=100.0)
         mgr = manager(cluster, max_reserved=3)
         cluster.nodes[0].add_job(job(work=1000.0, demand=10.0))
         mgr.reserve(cluster.nodes[0], needed_mb=50.0)
-        assert mgr.serving_reservation_with_capacity(job(demand=5.0)) is None
+        assert mgr.serving_reservation_with_capacity(5.0) is None
 
     def test_node_without_a_free_slot_is_skipped(self):
         cluster = tiny_cluster(memory_mb=100.0, cpu_threshold=3)
@@ -245,8 +241,7 @@ class TestReuseChoice:
             cluster.nodes[0].add_job(job(work=1000.0, demand=5.0))
         other = serving(cluster, mgr, 1, demand=50.0)
         assert full.node.idle_memory_mb > other.node.idle_memory_mb
-        assert mgr.serving_reservation_with_capacity(
-            job(demand=40.0)) is other
+        assert mgr.serving_reservation_with_capacity(40.0) is other
 
     def test_idle_memory_edge(self):
         cluster = tiny_cluster(memory_mb=100.0)
@@ -254,9 +249,8 @@ class TestReuseChoice:
         reservation = serving(cluster, mgr, 0, demand=50.0)
         assert reservation.node.idle_memory_mb == 50.0
         assert mgr.serving_reservation_with_capacity(
-            job(demand=50.0 + 0.5e-9)) is reservation
-        assert mgr.serving_reservation_with_capacity(
-            job(demand=50.0 + 2e-9)) is None
+            50.0 + 0.5e-9) is reservation
+        assert mgr.serving_reservation_with_capacity(50.0 + 2e-9) is None
 
 
 # ----------------------------------------------------------------------

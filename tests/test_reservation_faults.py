@@ -120,9 +120,10 @@ def test_blocking_with_zero_live_accepting_nodes_queues_not_crashes():
     cluster.sim.run(until=2.0)
     probe = job(work=5.0, demand=30.0, home=0)
     cluster.nodes[0].add_job(probe)
-    assert policy.find_migration_destination(probe, exclude=0) is None
+    demand = probe.current_demand_mb
+    assert policy.find_migration_destination(probe, 0, demand) is None
     for _ in range(3):  # past any persistence threshold
-        policy.on_blocking(cluster.nodes[0], probe)
+        policy.on_blocking(cluster.nodes[0], probe, demand)
     assert policy.reservations.active_reservations == []
     overflow = [job(work=5.0, demand=30.0, home=0, submit=3.0)
                 for _ in range(4)]
