@@ -15,7 +15,6 @@ from typing import Callable, List, Optional, Set
 from repro.cluster.config import ClusterConfig
 from repro.cluster.job import Job
 from repro.cluster.domains import DomainDirectory
-from repro.cluster.loadinfo import LoadInfoDirectory
 from repro.cluster.memory import PagingModel
 from repro.cluster.network import Network
 from repro.cluster.state import FLAG_ACCEPTING, FLAG_RESERVED, ClusterState
@@ -76,26 +75,17 @@ class Cluster:
         for node in self.nodes:
             node.obs_fault = fault_channel
             node.obs_job = job_channel
-        if self.config.domains > 1:
-            # Two-level load information: K per-domain shards plus
-            # slower inter-domain summaries (DESIGN.md §4).  domains=1
-            # builds the flat directory below, byte-identical to the
-            # pre-domain code path by construction.
-            self.directory = DomainDirectory(
-                self.sim, self.nodes,
-                num_domains=self.config.domains,
-                state=self.state,
-                exchange_interval_s=self.config.load_exchange_interval_s,
-                summary_interval_s=self.config.domain_exchange_interval_s,
-                obs=self.obs.channel("loadinfo.exchange"),
-                obs_domain=self.obs.channel("loadinfo.domain"),
-            )
-        else:
-            self.directory = LoadInfoDirectory(
-                self.sim, self.nodes, self.state,
-                exchange_interval_s=self.config.load_exchange_interval_s,
-                obs=self.obs.channel("loadinfo.exchange"),
-            )
+        #: The load directory: one shard per load-information domain,
+        #: plus inter-domain summaries when K > 1 (DESIGN.md §4).
+        self.directory = DomainDirectory(
+            self.sim, self.nodes,
+            num_domains=self.config.domains,
+            state=self.state,
+            exchange_interval_s=self.config.load_exchange_interval_s,
+            summary_interval_s=self.config.domain_exchange_interval_s,
+            obs=self.obs.channel("loadinfo.exchange"),
+            obs_domain=self.obs.channel("loadinfo.domain"),
+        )
         #: Ids of nodes whose cached fault rate / starvation currently
         #: crosses the thrashing threshold, maintained from workstation
         #: change notifications — monitors visit only this set instead

@@ -133,14 +133,13 @@ class ClusterConfig:
 
     # --- domain sharding (DESIGN.md §4) --------------------------------
     #: Number of load-information domains the cluster is partitioned
-    #: into (contiguous node-id slices).  ``1`` (the default) keeps the
-    #: single flat :class:`~repro.cluster.loadinfo.LoadInfoDirectory`
-    #: exactly as before — byte-identical by construction.  ``K > 1``
-    #: builds a :class:`~repro.cluster.domains.DomainDirectory`: one
-    #: directory shard per domain (exchange rounds over N/K nodes) plus
-    #: compact per-domain summaries exchanged on the slower period
-    #: below, so scheduling becomes two-level — pick a domain from
-    #: summaries, then a node from that domain's shard.
+    #: into (contiguous node-id slices) by its
+    #: :class:`~repro.cluster.domains.DomainDirectory`: one directory
+    #: shard per domain (exchange rounds over N/K nodes).  ``1`` (the
+    #: default) is one shard spanning the cluster and no summaries.
+    #: ``K > 1`` adds compact per-domain summaries exchanged on the
+    #: slower period below, so scheduling becomes two-level — pick a
+    #: domain from summaries, then a node from that domain's shard.
     domains: int = 1
     #: Inter-domain summary exchange period (s); the explicit staleness
     #: knob of the domain layer.  Summaries are refreshed this often

@@ -1,35 +1,25 @@
-"""Sharded load-information domains.
+"""The load-information directory: K domain shards plus summaries.
 
-At production scale a single global :class:`LoadInfoDirectory` stops
-being realistic: every exchange round is O(cluster) and every
-blocking/reservation decision becomes a cluster-wide scan.  Real
-systems shard or gossip.  This module partitions the cluster into
-``K`` *domains* — contiguous node-id slices — each owning a private
-directory shard that runs the existing dirty-node exchange and
-candidate indexes over ``N/K`` nodes.
+:class:`DomainDirectory` is the paper's global load index (§3.3.1),
+partitioned into ``K = ClusterConfig.domains`` *domains* — contiguous
+node-id slices — each owning a
+:class:`~repro.cluster.loadinfo.LoadInfoDirectory` shard that runs the
+dirty-node exchange and candidate indexes over ``N/K`` nodes.  One
+exchange tick drives every shard, scheduled only while some shard has
+a dirty node (:mod:`repro.sim.daemon`).  Across domains (real systems
+shard or gossip at scale) only a compact :class:`DomainSummary`
+travels, exchanged on a separate, typically *slower* period
+(``ClusterConfig.domain_exchange_interval_s``): inter-domain staleness
+is an explicit modeled knob.
 
-Across domains only a compact :class:`DomainSummary` travels (total
-idle memory, accepting count, least-loaded key, thrashing count),
-exchanged on a separate, typically *slower* period
-(``ClusterConfig.domain_exchange_interval_s``), so inter-domain
-staleness is an explicit modeled knob, independent of the fast
-intra-domain ``load_exchange_interval_s``.
-
-Placement becomes two-level: schedulers first rank domains from the
+Placement is two-level: schedulers first rank domains from the
 summaries (local domain always first), then pick a node inside the
-chosen domain's shard.  Blocking detection and reservation work the
-same way — per-domain scans with cross-domain escalation when the
-local domain is memory-exhausted.
-
-:class:`DomainDirectory` is a drop-in facade over the shards: it
-exposes the same surface the scheduling/faults layers consume from
-the flat directory (``snapshots``/``snapshot``/``accepting_ids``/
-``load_order_ids``/``least_num_jobs``/``order_version``/``evict``/
-``readmit``/``fault_hook``), plus the domain-level API
-(``summaries``/``domain_of``/``domain_bounds``/
-``ranked_remote_domains``).  ``ClusterConfig.domains == 1`` does not
-build this class at all — the flat directory is constructed
-unchanged, so the default path stays byte-identical by construction.
+chosen domain's shard.  Blocking detection and reservation escalate
+across domains the same way when the local one is memory-exhausted.
+With the default ``K = 1`` one shard spans the cluster and there is no
+remote domain, hence no reader for summaries: a one-domain directory
+computes none, schedules no summary tick, and activates each candidate
+order lazily on first use.
 """
 
 from __future__ import annotations
@@ -40,7 +30,8 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 from repro.cluster.loadinfo import LoadInfoDirectory, NodeSnapshot
 from repro.cluster.state import ClusterState
 from repro.obs.bus import NULL_CHANNEL, Channel
-from repro.sim.engine import Simulator
+from repro.sim.daemon import DaemonTick
+from repro.sim.engine import EventHandle, Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cluster.workstation import Workstation
@@ -75,12 +66,8 @@ class DomainSummary:
 
 
 class DomainDirectory:
-    """K per-domain :class:`LoadInfoDirectory` shards plus summaries.
-
-    The shards are constructed ``managed=True``: this directory drives
-    one exchange tick per round for all of them (instead of K
-    self-scheduled ticks) and one summary tick on the slower period.
-    """
+    """K :class:`LoadInfoDirectory` shards, one exchange tick, and the
+    inter-domain summaries (K > 1 only)."""
 
     def __init__(self, sim: Simulator, nodes: List["Workstation"],
                  num_domains: int,
@@ -95,6 +82,28 @@ class DomainDirectory:
             raise ValueError("num_domains cannot exceed the node count")
         if summary_interval_s < 0:
             raise ValueError("summary_interval_s must be >= 0")
+        self._setup(sim, nodes, num_domains, exchange_interval_s,
+                    summary_interval_s, obs, obs_domain)
+        self._shards = [
+            LoadInfoDirectory(sim, nodes[lo:hi], state,
+                              exchange_interval_s, self.obs,
+                              self._arm_exchange)
+            for lo, hi in self._bounds]
+        if exchange_interval_s > 0:
+            self._exchange = DaemonTick(
+                sim, self, "_exchange_tick", exchange_interval_s, priority=2,
+                armed=any(shard._dirty for shard in self._shards))
+        if num_domains > 1:
+            self._refresh_summaries(emit=False)
+            if summary_interval_s > 0:
+                self._schedule_summary(sim.now + summary_interval_s)
+
+    def _setup(self, sim: Simulator, nodes: List["Workstation"],
+               num_domains: int, exchange_interval_s: float,
+               summary_interval_s: float, obs: Optional[Channel],
+               obs_domain: Optional[Channel]) -> None:
+        """Everything but the shards and the ticks (a checkpoint upgrade
+        wraps a restored flat directory with this)."""
         self._sim = sim
         self._nodes = nodes
         self.num_domains = num_domains
@@ -103,60 +112,65 @@ class DomainDirectory:
         self.obs = obs if obs is not None else NULL_CHANNEL
         #: ``loadinfo.domain`` obs channel (summary rounds).
         self.obs_domain = (obs_domain if obs_domain is not None
-                          else NULL_CHANNEL)
+                           else NULL_CHANNEL)
         n = len(nodes)
         #: Contiguous slice [lo, hi) of node ids per domain.
         self._bounds: List[Tuple[int, int]] = [
             (d * n // num_domains, (d + 1) * n // num_domains)
             for d in range(num_domains)]
-        self._domain_of: List[int] = [0] * n
-        for d, (lo, hi) in enumerate(self._bounds):
-            for node_id in range(lo, hi):
-                self._domain_of[node_id] = d
+        self._domain_of: List[int] = [
+            d for d, (lo, hi) in enumerate(self._bounds)
+            for _ in range(lo, hi)]
         self._fault_hook = None
-        self._shards: List[LoadInfoDirectory] = [
-            LoadInfoDirectory(sim, nodes[lo:hi], state,
-                              exchange_interval_s=exchange_interval_s,
-                              obs=self.obs, managed=True)
-            for lo, hi in self._bounds]
+        #: The exchange tick (None in live mode) and summary handle.
+        self._exchange: Optional[DaemonTick] = None
+        self._summary_handle: Optional[EventHandle] = None
         #: Summary exchange rounds completed.
         self.summary_rounds = 0
         self._summary_version = 0
         self._summaries: List[DomainSummary] = []
-        self._refresh_summaries(emit=False)
         #: Concatenated candidate views keyed by local domain; each
         #: entry is ``(order_version_at_build, ids)``.
         self._accepting_cache: Dict[Optional[int],
                                     Tuple[int, List[int]]] = {}
         self._load_cache: Dict[Optional[int], Tuple[int, List[int]]] = {}
-        if exchange_interval_s > 0:
-            self._schedule_exchange()
-        if summary_interval_s > 0:
-            self._schedule_summary()
 
     # ------------------------------------------------------------------
     # periodic activities
     # ------------------------------------------------------------------
-    def _schedule_exchange(self) -> None:
-        self._sim.schedule(self.exchange_interval_s, self._exchange_tick,
-                           priority=2, daemon=True)
+    def _arm_exchange(self) -> None:
+        """A shard went dirty: schedule the next exchange round.  A
+        self-rescheduling exchange was queued before a summary due at
+        the same instant unless the summary's period is the longer one,
+        so such a summary is queued behind the round again."""
+        exchange = self._exchange
+        if exchange.handle is None:
+            exchange.arm()
+            summary = self._summary_handle
+            if (summary is not None and summary.time == exchange.next_time
+                    and self.summary_interval_s <= self.exchange_interval_s):
+                summary.cancel()
+                self._schedule_summary(summary.time)
 
     def _exchange_tick(self) -> None:
-        # A shard with no dirty nodes would no-op its refresh; skip
-        # the call entirely — K no-op calls per round add up at 10k
-        # nodes.  (Unpopulated shards always run.)
+        # Only dirty shards refresh (K no-op calls per round add up at
+        # 10k nodes).  A dropped update leaves its shard dirty and keeps
+        # the tick armed; otherwise it parks until the next dirty mark.
+        keep = False
         for shard in self._shards:
-            if shard._dirty or not shard._snapshots:
+            if shard._dirty:
                 shard.refresh()
-        self._schedule_exchange()
+                if shard._dirty:
+                    keep = True
+        self._exchange.fired(keep=keep)
 
-    def _schedule_summary(self) -> None:
-        self._sim.schedule(self.summary_interval_s, self._summary_tick,
-                           priority=2, daemon=True)
+    def _schedule_summary(self, time: float) -> None:
+        self._summary_handle = self._sim.schedule_at(
+            time, self._summary_tick, priority=2, daemon=True)
 
     def _summary_tick(self) -> None:
         self._refresh_summaries(emit=True)
-        self._schedule_summary()
+        self._schedule_summary(self._sim.now + self.summary_interval_s)
 
     def _refresh_summaries(self, emit: bool) -> int:
         """Recompute all K summaries from the shards' published
@@ -202,9 +216,9 @@ class DomainDirectory:
     # domain-level API
     # ------------------------------------------------------------------
     def summaries(self) -> List[DomainSummary]:
-        """Current inter-domain summaries, by domain id.  A period of
-        0 disables summary staleness: every read recomputes."""
-        if self.summary_interval_s == 0:
+        """Current inter-domain summaries, by domain id (none with one
+        domain).  A period of 0 makes every read recompute them."""
+        if self.summary_interval_s == 0 and self.num_domains > 1:
             self._refresh_summaries(emit=False)
         return self._summaries
 
@@ -225,18 +239,21 @@ class DomainDirectory:
         """Remote domains ordered most-promising first by summary idle
         memory (ties to the lower id) — the escalation order for
         reservation and blocking-destination searches."""
-        summaries = self.summaries()
         remote = [d for d in range(self.num_domains) if d != local_domain]
-        remote.sort(key=lambda d: (-summaries[d].idle_memory_mb, d))
+        if self.num_domains > 1:  # one domain: no summary, no ranking
+            summaries = self.summaries()
+            remote.sort(key=lambda d: (-summaries[d].idle_memory_mb, d))
         return remote
 
     # ------------------------------------------------------------------
-    # flat-directory facade (scheduling / faults layers)
+    # node-level API (scheduling / faults layers)
     # ------------------------------------------------------------------
     @property
     def order_version(self) -> int:
         """Monotone version over every shard order plus the summary
         ranking; schedulers key cached candidate views on it."""
+        if self.num_domains == 1:  # no summaries: the shard's version
+            return self._shards[0].order_version
         return (sum(shard.order_version for shard in self._shards)
                 + self._summary_version)
 
@@ -272,40 +289,45 @@ class DomainDirectory:
         A remote domain whose (possibly stale) summary advertises zero
         accepting nodes is skipped entirely: that is the modeled cost
         of staleness.  With no local domain every domain is included.
+        With one domain the answer is its shard's order.
         """
-        cached = self._accepting_cache.get(local_domain)
-        if cached is not None and cached[0] == self.order_version:
-            return cached[1]
-        summaries = self.summaries()
-        ids: List[int] = []
-        if local_domain is not None:
-            ids.extend(self._shards[local_domain].accepting_ids())
-        remote = [d for d in range(self.num_domains) if d != local_domain]
-        remote.sort(key=lambda d: (-summaries[d].idle_memory_mb,
-                                   -summaries[d].accepting_count, d))
-        for d in remote:
-            if local_domain is not None and summaries[d].accepting_count == 0:
-                continue
-            ids.extend(self._shards[d].accepting_ids())
-        self._accepting_cache[local_domain] = (self.order_version, ids)
-        return ids
+        if self.num_domains == 1:
+            return self._shards[0].accepting_ids()
+        return self._two_level(
+            local_domain, self._accepting_cache,
+            LoadInfoDirectory.accepting_ids,
+            lambda s: (-s.idle_memory_mb, -s.accepting_count),
+            skip_empty=local_domain is not None)
 
     def load_order_ids(self, local_domain: Optional[int] = None
                        ) -> List[int]:
         """Live node ids, local domain's load order first, then remote
         domains ranked by summary ``(least_num_jobs, domain_id)``."""
-        cached = self._load_cache.get(local_domain)
+        if self.num_domains == 1:
+            return self._shards[0].load_order_ids()
+        return self._two_level(local_domain, self._load_cache,
+                               LoadInfoDirectory.load_order_ids,
+                               lambda s: (s.least_num_jobs,),
+                               skip_empty=False)
+
+    def _two_level(self, local_domain: Optional[int], cache: dict,
+                   shard_ids, rank, skip_empty: bool) -> List[int]:
+        """``shard_ids`` of the local shard, then of the remote ones in
+        ``(rank(summary), domain_id)`` order, cached per order version."""
+        cached = cache.get(local_domain)
         if cached is not None and cached[0] == self.order_version:
             return cached[1]
         summaries = self.summaries()
         ids: List[int] = []
         if local_domain is not None:
-            ids.extend(self._shards[local_domain].load_order_ids())
+            ids.extend(shard_ids(self._shards[local_domain]))
         remote = [d for d in range(self.num_domains) if d != local_domain]
-        remote.sort(key=lambda d: (summaries[d].least_num_jobs, d))
+        remote.sort(key=lambda d: (*rank(summaries[d]), d))
         for d in remote:
-            ids.extend(self._shards[d].load_order_ids())
-        self._load_cache[local_domain] = (self.order_version, ids)
+            if skip_empty and summaries[d].accepting_count == 0:
+                continue
+            ids.extend(shard_ids(self._shards[d]))
+        cache[local_domain] = (self.order_version, ids)
         return ids
 
     def least_num_jobs(self, domain: Optional[int] = None) -> int:
@@ -313,14 +335,8 @@ class DomainDirectory:
         across the whole cluster when ``domain`` is None."""
         if domain is not None:
             return self._shards[domain].least_num_jobs()
-        best = None
-        for shard in self._shards:
-            if shard._load_order is None:
-                shard.load_order_ids()  # activate the order lazily
-            entries = shard._load_order.entries
-            if entries and (best is None or entries[0][0] < best):
-                best = entries[0][0]
-        return 0 if best is None else best
+        return min((shard.least_num_jobs() for shard in self._shards
+                    if shard.load_order_ids()), default=0)
 
     def evict(self, node_id: int) -> None:
         """Remove a crashed node from its owning shard's orders."""

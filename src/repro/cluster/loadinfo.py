@@ -1,21 +1,21 @@
-"""Global load-index directory.
+"""Global load-index directory shard.
 
 Each workstation "maintains a global load index file which contains
 CPU, memory, and I/O load status information of other computing
 nodes.  The load sharing system periodically collects and distributes
 the load information among the workstations" (paper §3.3.1).
 
-The directory publishes a snapshot of every node at a configurable
-period.  Schedulers *select* candidates from snapshots (possibly
-stale) and perform a live admission check at the chosen node, the way
-a real remote submission would.  A period of 0 disables staleness:
-every lookup reads the live node.  The exchange tick is scheduled only
-while some node is dirty: a round that collects everything parks it,
-and the next change re-arms it on the same grid
-(:mod:`repro.sim.daemon`).
+A shard holds that index for one domain (:mod:`repro.cluster.domains`;
+one shard spans the cluster by default) and publishes a snapshot of
+each of its nodes at a configurable period.  Schedulers *select*
+candidates from snapshots (possibly stale) and perform a live
+admission check at the chosen node, the way a real remote submission
+would.  A period of 0 disables staleness: every lookup reads the live
+node.  The owning directory runs the exchange rounds; a shard's first
+dirty mark calls it back to arm its tick.
 
-Beyond the snapshot store, the directory incrementally maintains the
-two candidate orders the scheduling layer consumes on its hot path:
+Beyond the snapshot store, a shard incrementally maintains the two
+candidate orders the scheduling layer consumes on its hot path:
 
 * the **accepting order** — accepting nodes sorted by
   ``(-idle_memory_mb, num_jobs, node_id)``, backing
@@ -45,7 +45,8 @@ from __future__ import annotations
 import functools
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
+from typing import (TYPE_CHECKING, Callable, Dict, Iterable, List,
+                    Optional, Set, Tuple)
 
 from repro.cluster.state import (
     FLAG_ACCEPTING,
@@ -54,7 +55,6 @@ from repro.cluster.state import (
     ClusterState,
 )
 from repro.obs.bus import NULL_CHANNEL, Channel
-from repro.sim.daemon import DaemonTick
 from repro.sim.engine import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -125,19 +125,21 @@ class _CandidateOrder:
 
 
 class LoadInfoDirectory:
-    """Periodically refreshed cluster-wide load information."""
+    """Periodically refreshed load information over a slice of nodes;
+    ``on_dirty`` is called when a clean shard marks a node dirty."""
 
     def __init__(self, sim: Simulator, nodes: List["Workstation"],
                  state: ClusterState,
-                 exchange_interval_s: float = 1.0,
-                 obs: Optional[Channel] = None,
-                 managed: bool = False):
+                 exchange_interval_s: float,
+                 obs: Optional[Channel],
+                 on_dirty: Callable[[], None]):
         if exchange_interval_s < 0:
             raise ValueError("exchange_interval_s must be >= 0")
         self._sim = sim
         self._nodes = nodes
-        #: Id-based lookup: a directory may cover a *subset* of the
-        #: cluster (a domain shard), so node ids are not list indexes.
+        self._on_dirty = on_dirty
+        #: Id-based lookup: a shard may cover a *subset* of the
+        #: cluster, so node ids are not list indexes.
         self._node_by_id: Dict[int, "Workstation"] = {
             node.node_id: node for node in nodes}
         #: Columnar cluster state: snapshot collection and candidate
@@ -171,27 +173,12 @@ class LoadInfoDirectory:
         #: per shard instead of a per-node walk.
         self._agg_idle_mb = 0.0
         self._agg_thrashing = 0
-        #: The periodic exchange tick; None in live mode and for a
-        #: managed directory (a domain shard), whose owning
-        #: DomainDirectory drives all K shards with one exchange event
-        #: per round.
-        self._exchange: Optional[DaemonTick] = None
         for node in nodes:
             node.add_change_listener(self._node_changed)
         if exchange_interval_s > 0:
             self.refresh()
-            if not managed:
-                self._exchange = DaemonTick(sim, self, "_tick",
-                                            exchange_interval_s, priority=2,
-                                            armed=bool(self._dirty))
 
     # ------------------------------------------------------------------
-    def _tick(self) -> None:
-        self.refresh()
-        # A round that left nothing dirty parks the tick until the next
-        # dirty mark; a dropped update stays dirty and keeps it armed.
-        self._exchange.fired(keep=bool(self._dirty))
-
     def refresh(self) -> None:
         """Collect fresh snapshots (one exchange round).
 
@@ -335,15 +322,15 @@ class LoadInfoDirectory:
     def _node_changed(self, node: "Workstation") -> None:
         """Workstation change hook: live mode repositions the node in
         the active orders immediately; periodic mode marks it dirty for
-        the next exchange round, arming a parked exchange tick."""
+        the next exchange round, telling the owner when the shard goes
+        from clean to dirty."""
         if self.exchange_interval_s == 0:
             if self._reposition(node.node_id, self._live_keys(node)):
                 self.order_version += 1
         else:
+            if not self._dirty:
+                self._on_dirty()
             self._dirty.add(node.node_id)
-            exchange = self._exchange
-            if exchange is not None and exchange.handle is None:
-                exchange.arm()
 
     # ------------------------------------------------------------------
     # fail-stop membership (fault injection)

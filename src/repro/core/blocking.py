@@ -49,8 +49,6 @@ class BlockingDetector:
 
     def __init__(self, cluster: Cluster):
         self.cluster = cluster
-        #: Load-information domains (1 = flat cluster-wide scans).
-        self._num_domains = cluster.config.domains
 
     # ------------------------------------------------------------------
     def destination_for(self, job: Job,
@@ -58,17 +56,26 @@ class BlockingDetector:
                         ) -> Optional[Workstation]:
         """A qualified migration destination for ``job``, or None.
 
-        With domains the scan is two-level: the blocked node's own
-        domain first, and only if it has no qualified node do we
-        escalate to remote domains in summary-ranked order, taking the
-        best node of the first domain that qualifies."""
-        if self._num_domains > 1:
-            return self._destination_domained(job, exclude)
-        return self._best_in_slice(job, 0, len(self.cluster.nodes), exclude)
+        The scan is two-level: the blocked node's own domain first, and
+        only if it has no qualified node do we escalate to remote
+        domains in summary-ranked order, taking the best node of the
+        first domain that qualifies."""
+        directory = self.cluster.directory
+        local = directory.domain_of(exclude) if exclude is not None else None
+        if local is not None:
+            best = self._best_in(local, job, exclude)
+            if best is not None:
+                return best
+        for d in directory.ranked_remote_domains(local):
+            best = self._best_in(d, job, exclude)
+            if best is not None:
+                return best
+        return None
 
-    def _best_in_slice(self, job: Job, lo: int, hi: int,
-                       exclude: Optional[int]) -> Optional[Workstation]:
-        """Largest-idle-memory qualified destination in nodes[lo:hi]."""
+    def _best_in(self, domain: int, job: Job,
+                 exclude: Optional[int]) -> Optional[Workstation]:
+        """Largest-idle-memory qualified destination in ``domain``."""
+        lo, hi = self.cluster.directory.domain_bounds(domain)
         best: Optional[Workstation] = None
         for node in self.cluster.nodes[lo:hi]:
             if node.node_id == exclude or node.reserved:
@@ -78,24 +85,6 @@ class BlockingDetector:
             if best is None or node.idle_memory_mb > best.idle_memory_mb:
                 best = node
         return best
-
-    def _destination_domained(self, job: Job,
-                              exclude: Optional[int]
-                              ) -> Optional[Workstation]:
-        directory = self.cluster.directory
-        local = (directory.domain_of(exclude)
-                 if exclude is not None else None)
-        if local is not None:
-            lo, hi = directory.domain_bounds(local)
-            best = self._best_in_slice(job, lo, hi, exclude)
-            if best is not None:
-                return best
-        for d in directory.ranked_remote_domains(local):
-            lo, hi = directory.domain_bounds(d)
-            best = self._best_in_slice(job, lo, hi, exclude)
-            if best is not None:
-                return best
-        return None
 
     def node_blocked(self, node: Workstation) -> Optional[Job]:
         """If ``node`` is blocked, return the stuck migration candidate."""

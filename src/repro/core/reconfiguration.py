@@ -185,47 +185,21 @@ class VReconfiguration(GLoadSharing):
         memory (§2.1).  "Most lightly loaded" is operationalized as the
         node whose reserving period will end soonest: the estimated
         time until, with submissions blocked, enough memory has been
-        freed for the candidate job."""
-        if self._num_domains > 1:
-            return self._reserve_in_domains(exclude, needed_mb)
-        candidates = self._reserve_candidates(0, self.cluster.num_nodes,
-                                              exclude)
-        if not candidates:
-            return None
-        # Prefer nodes that are already not accepting submissions
-        # (slot-capped): blocking those costs the cluster no admission
-        # capacity during the reserving period.
-        return min(candidates, key=self._reserve_key(needed_mb))
+        freed for the candidate job.
 
-    def _reserve_key(self, needed_mb: float):
-        return lambda n: (n.accepting, self._time_to_fit(n, needed_mb),
-                          -n.idle_memory_mb, n.node_id)
-
-    def _reserve_candidates(self, lo: int, hi: int, exclude: int) -> list:
-        return [n for n in self.cluster.nodes[lo:hi]
-                if n.alive and not n.reserved
-                and n.node_id != exclude and not n.thrashing]
-
-    def _reserve_in_domains(self, exclude: int,
-                            needed_mb: float) -> Optional[Workstation]:
-        """Per-domain reservation with cross-domain escalation: pick
-        from the blocked node's own domain; when that domain has no
-        reservable node, fall back to the summary-ranked remote domain
-        that first offers one (the migration then crosses the domain
-        boundary over the ordinary network model)."""
+        The pick comes from the blocked node's own domain; when that
+        domain has no reservable node, from the summary-ranked remote
+        domain that first offers one (the migration then crosses the
+        domain boundary over the ordinary network model)."""
         directory = self.cluster.directory
         local = directory.domain_of(exclude)
-        key = self._reserve_key(needed_mb)
-        lo, hi = directory.domain_bounds(local)
-        candidates = self._reserve_candidates(lo, hi, exclude)
-        if candidates:
-            return min(candidates, key=key)
+        chosen = self._reservable_in(local, exclude, needed_mb)
+        if chosen is not None:
+            return chosen
         for d in directory.ranked_remote_domains(local):
-            lo, hi = directory.domain_bounds(d)
-            candidates = self._reserve_candidates(lo, hi, exclude)
-            if not candidates:
+            chosen = self._reservable_in(d, exclude, needed_mb)
+            if chosen is None:
                 continue
-            chosen = min(candidates, key=key)
             self.stats.extra["cross_domain_reservations"] = (
                 self.stats.extra.get("cross_domain_reservations", 0) + 1)
             obs = self._obs_reserve
@@ -235,6 +209,22 @@ class VReconfiguration(GLoadSharing):
                          from_domain=local, blocked_node=exclude)
             return chosen
         return None
+
+    def _reservable_in(self, domain: int, exclude: int,
+                       needed_mb: float) -> Optional[Workstation]:
+        """The best node to reserve in ``domain``, or None."""
+        lo, hi = self.cluster.directory.domain_bounds(domain)
+        candidates = [n for n in self.cluster.nodes[lo:hi]
+                      if n.alive and not n.reserved
+                      and n.node_id != exclude and not n.thrashing]
+        if not candidates:
+            return None
+        # Prefer nodes that are already not accepting submissions
+        # (slot-capped): blocking those costs the cluster no admission
+        # capacity during the reserving period.
+        return min(candidates, key=lambda n: (
+            n.accepting, self._time_to_fit(n, needed_mb), -n.idle_memory_mb,
+            n.node_id))
 
     @staticmethod
     def _time_to_fit(node: Workstation, needed_mb: float) -> float:

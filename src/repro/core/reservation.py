@@ -84,10 +84,6 @@ class Reservation:
             return self.node.idle_memory_mb >= self.needed_mb
         return False
 
-    def has_capacity_for(self, job: Job) -> bool:
-        """Can this (serving) reservation take another large job?"""
-        return self.active and self.node.has_room_for(job.current_demand_mb)
-
 
 @dataclass(frozen=True)
 class ReservationEvent:

@@ -250,7 +250,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="partition the cluster into K load-info "
                              "domains (per-domain directory shards + "
                              "slower inter-domain summaries; default 1 "
-                             "= flat directory)")
+                             "= one shard, no summaries)")
     parser.add_argument("--domain-exchange-interval", type=float,
                         default=None, metavar="S",
                         help="inter-domain summary exchange period in "

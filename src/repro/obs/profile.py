@@ -111,10 +111,7 @@ class EngineProfiler:
         for node in cluster.nodes:
             self.wrap_method(node, "_recompute", "recompute")
         directory = cluster.directory
-        self.wrap_method(directory, "refresh", "loadinfo")
-        # Flat directory: its periodic exchange tick; domained: the
-        # shard-exchange and inter-domain summary ticks.
-        self.wrap_method(directory, "_tick", "loadinfo")
+        # The shard-exchange and inter-domain summary ticks.
         self.wrap_method(directory, "_exchange_tick", "loadinfo")
         self.wrap_method(directory, "_summary_tick", "loadinfo")
         if policy is not None:

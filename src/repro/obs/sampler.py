@@ -63,13 +63,12 @@ class ClusterSampler:
             name: array("d") for name in SAMPLE_FIELDS}
         self.flags = bytearray()
         self._started = False
-        #: Load-information domains (1 = no domain views).  Domain
-        #: series are *views* computed on demand from the stored
+        #: Load-information domains (1 = no per-domain output columns).
+        #: Domain series are *views* computed on demand from the stored
         #: per-node columns; ``sample()`` itself is domain-blind.
         self.domains = cluster.config.domains
-        self._domain_bounds = (
-            [cluster.directory.domain_bounds(d) for d in range(self.domains)]
-            if self.domains > 1 else [(0, self.num_nodes)])
+        self._domain_bounds = [cluster.directory.domain_bounds(d)
+                               for d in range(self.domains)]
 
     # ------------------------------------------------------------------
     def start(self) -> "ClusterSampler":
@@ -139,13 +138,6 @@ class ClusterSampler:
         data = self.series[metric]
         n = self.num_nodes
         return [sum(data[i * n + lo:i * n + hi])
-                for i in range(self.num_samples)]
-
-    def domain_flag_counts(self, bit: int, domain: int) -> List[int]:
-        """Nodes in ``domain`` with ``bit`` set, per tick."""
-        lo, hi = self._domain_bounds[domain]
-        n = self.num_nodes
-        return [sum(1 for b in self.flags[i * n + lo:i * n + hi] if b & bit)
                 for i in range(self.num_samples)]
 
     # ------------------------------------------------------------------

@@ -121,10 +121,6 @@ class LoadSharingPolicy:
         self._wait_started: Dict[int, float] = {}
         self._last_migration: Dict[int, float] = {}
         self._draining = False
-        #: Load-information domains (1 = flat directory).  K > 1
-        #: switches candidate selection to the two-level path: local
-        #: domain first, remote domains ranked from summaries.
-        self._num_domains = cluster.config.domains
         #: Cached candidate view keyed on (directory order version,
         #: exclude): one drain round over the pending queue — and any
         #: burst of selections between directory updates — reuses a
@@ -296,13 +292,14 @@ class LoadSharingPolicy:
         self._monitor.fired(keep=bool(self.cluster.thrashing_nodes)
                             and not self._retired)
 
-    def _migratable(self, job: Job) -> bool:
+    def _migratable(self, job: Job, demand_mb: float) -> bool:
         """A migration must plausibly pay for itself: the job keeps
-        running, its remaining work covers the transfer cost a few
-        times over, and it has not just been moved."""
+        running, its remaining work covers the transfer cost of its
+        current demand ``demand_mb`` a few times over, and it has not
+        just been moved."""
         if job.state is not JobState.RUNNING:
             return False
-        cost = self.cluster.network.migration_cost_s(job.current_demand_mb)
+        cost = self.cluster.network.migration_cost_s(demand_mb)
         needed = max(self.min_remaining_for_migration_s,
                      self.migration_payoff_factor * cost)
         if job.remaining_work_s < needed:
@@ -516,19 +513,13 @@ class LoadSharingPolicy:
 
         Reads the directory's maintained accepting order (O(1)
         amortized; the returned list is cached per directory version
-        and must not be mutated).
+        and must not be mutated).  The domain of ``exclude`` comes
+        first, then remote domains as the stale summaries rank (or
+        skip) them; the cache key holds, as ``exclude`` fixes both.
         """
         directory = self.cluster.directory
-        if self._num_domains > 1:
-            # Two-level selection: the submitting node's domain first,
-            # then remote domains as ranked (and possibly skipped) by
-            # the stale summaries.  The cache key below stays valid:
-            # the local domain is a function of ``exclude``.
-            local = (directory.domain_of(exclude)
-                     if exclude is not None else None)
-            ordered = directory.accepting_ids(local_domain=local)
-        else:
-            ordered = directory.accepting_ids()
+        local = directory.domain_of(exclude) if exclude is not None else None
+        ordered = directory.accepting_ids(local_domain=local)
         key = (directory.order_version, exclude)
         if key != self._candidates_key:
             nodes = self.cluster.nodes

@@ -22,27 +22,12 @@ class CpuBasedPolicy(LoadSharingPolicy):
     name = "CPU-Loadsharing"
 
     def select_node(self, job: Job) -> Optional[Workstation]:
+        """Two-level least-loaded placement: the home node if no node
+        of its domain runs fewer jobs, else the home domain's load
+        order, then remote domains ranked by summary least-loaded
+        key."""
         home = self._live_node(job.home_node)
         directory = self.cluster.directory
-        if self._num_domains > 1:
-            return self._select_domained(home, directory)
-        ordered = directory.load_order_ids()
-        # prefer the home node among equally loaded candidates
-        if home.alive and home.has_free_slot and not home.reserved:
-            if home.num_running <= directory.least_num_jobs():
-                return home
-        for node_id in ordered:
-            node = self._live_node(node_id)
-            if node.alive and node.has_free_slot and not node.reserved:
-                return node
-        return None
-
-    def _select_domained(self, home: Workstation,
-                         directory) -> Optional[Workstation]:
-        """Two-level least-loaded placement (domains > 1): home-node
-        preference judged against the *home domain's* least count,
-        then the home domain's load order, then remote domains ranked
-        by summary least-loaded key."""
         home_domain = directory.domain_of(home.node_id)
         if home.alive and home.has_free_slot and not home.reserved:
             if home.num_running <= directory.least_num_jobs(home_domain):

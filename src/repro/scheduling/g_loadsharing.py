@@ -61,7 +61,7 @@ class GLoadSharing(LoadSharingPolicy):
         if destination is None:
             self.on_blocking(node, job, demand)
             return
-        if not self._migratable(job):
+        if not self._migratable(job, demand):
             return
         self.stats.migration_attempts += 1
         self.migrate(job, node, destination)

@@ -33,7 +33,7 @@ class MemoryBasedPolicy(LoadSharingPolicy):
 
     def handle_overload(self, node: Workstation) -> None:
         job, demand = node.most_memory_intensive(faulting_only=True)
-        if job is None or not self._migratable(job):
+        if job is None or not self._migratable(job, demand):
             return
         self.stats.migration_attempts += 1
         destination = self.find_migration_destination(

@@ -52,9 +52,11 @@ from __future__ import annotations
 
 import copy
 import gzip
+import io
 import itertools
 import math
 import pickle
+import types
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
@@ -69,13 +71,14 @@ MAGIC = "repro-checkpoint"
 #: exchange, monitor and collector ticks while they have no work
 #: (:mod:`repro.sim.daemon`) and counts reserving reservations.
 #: Schema 4 keeps per-job advance lanes on each workstation and
-#: versions the columnar state and the reservation manager.
-SCHEMA_VERSION = 4
+#: versions the columnar state and the reservation manager.  Schema 5
+#: builds every load directory as a ``DomainDirectory`` that owns the
+#: one exchange tick.
+SCHEMA_VERSION = 5
 
 #: Schemas this build restores; older ones are upgraded after
-#: unpickling (:func:`_upgrade_schema_1`, :func:`_upgrade_schema_2`,
-#: :func:`_upgrade_schema_3`).
-READABLE_SCHEMAS = (1, 2, 3, SCHEMA_VERSION)
+#: unpickling (:func:`_upgrade_schema_1` ... :func:`_upgrade_schema_4`).
+READABLE_SCHEMAS = (1, 2, 3, 4, SCHEMA_VERSION)
 
 
 class CheckpointError(RuntimeError):
@@ -212,19 +215,38 @@ def restore_bytes(data: bytes,
     the run still executing in this process.
     """
     envelope = _decode_envelope(data)
-    world = pickle.loads(envelope["world"])
+    world = _WorldUnpickler(io.BytesIO(envelope["world"])).load()
     if envelope["schema"] == 1:
         _upgrade_schema_1(world)
     if envelope["schema"] < 3:
         _upgrade_schema_2(world)
     if envelope["schema"] < 4:
         _upgrade_schema_3(world)
+    if envelope["schema"] < 5:
+        _upgrade_schema_4(world)
     if advance_counters:
         _advance_global_counters(world)
     return RestoredRun(cluster=world["cluster"], policy=world["policy"],
                        collector=world["collector"], jobs=world["jobs"],
                        trace_name=world["trace_name"],
                        meta=dict(envelope["meta"]))
+
+
+def _getattr(obj: object, name: str):
+    """``getattr`` as pickle calls it to rebuild a bound method.  The
+    pre-5 flat directory's ``_tick`` is gone: a stand-in carrying the
+    method's owner and name stays on its event handle until
+    :func:`_upgrade_schema_4` replaces it."""
+    if name == "_tick" and type(obj).__name__ == "LoadInfoDirectory":
+        return types.SimpleNamespace(__self__=obj, __name__=name)
+    return getattr(obj, name)
+
+
+class _WorldUnpickler(pickle.Unpickler):
+    def find_class(self, module: str, name: str):
+        if (module, name) == ("builtins", "getattr"):
+            return _getattr
+        return super().find_class(module, name)
 
 
 def _upgrade_schema_1(world: Dict[str, Any]) -> None:
@@ -332,6 +354,51 @@ def _upgrade_schema_3(world: Dict[str, Any]) -> None:
             manager._version = 0
             manager._reuse_key = None
             manager._reuse_best = None
+
+
+def _upgrade_schema_4(world: Dict[str, Any]) -> None:
+    """Bring an unpickled schema-1..4 world to schema 5.
+
+    A flat directory becomes the single shard of a new one-domain
+    :class:`~repro.cluster.domains.DomainDirectory`, which takes over
+    its exchange tick and that tick's pending handle (a retired
+    ``_tick``).  A sharded directory's exchange and summary ticks
+    rescheduled themselves: their pending handles are adopted.
+    """
+    from repro.cluster.domains import DomainDirectory
+
+    cluster = world["cluster"]
+    sim = cluster.sim
+    directory = cluster.directory
+    if isinstance(directory, DomainDirectory):
+        pending = {handle.callback.__name__: handle
+                   for _, _, _, handle in sim._heap
+                   if getattr(handle.callback, "__self__", None)
+                   is directory}
+        directory._summary_handle = pending.get("_summary_tick")
+        tick = handle = pending.get("_exchange_tick")
+        if handle is not None:
+            tick = DaemonTick(sim, directory, "_exchange_tick",
+                              directory.exchange_interval_s, 2, armed=False)
+            tick.handle, tick.next_time = handle, handle.time
+    else:
+        flat = directory
+        directory = cluster.directory = DomainDirectory.__new__(
+            DomainDirectory)
+        directory._setup(sim, flat._nodes, 1, flat.exchange_interval_s,
+                         cluster.config.domain_exchange_interval_s,
+                         flat.obs, cluster.obs.channel("loadinfo.domain"))
+        directory._shards = [flat]
+        directory._fault_hook = flat.fault_hook
+        tick = flat._exchange
+        if tick is not None:
+            tick.owner, tick.method = directory, "_exchange_tick"
+            if tick.handle is not None:
+                tick.handle.callback = directory._exchange_tick
+    directory._exchange = tick
+    for shard in directory._shards:
+        del shard._exchange
+        shard._on_dirty = directory._arm_exchange
 
 
 def load_checkpoint(path: str,

@@ -83,10 +83,10 @@ class TestMigrationGuards:
                               min_remaining_for_migration_s=1.0)
         a = job(work=500.0, demand=1.0)
         cluster.nodes[0].add_job(a)
-        assert policy._migratable(a)
+        assert policy._migratable(a, a.current_demand_mb)
         policy.migrate(a, cluster.nodes[0], cluster.nodes[1])
         cluster.sim.run(until=5.0)
-        assert not policy._migratable(a)
+        assert not policy._migratable(a, a.current_demand_mb)
 
     def test_payoff_bound_blocks_expensive_migration(self):
         # 190MB image at 10Mbps ~ 160s; job with 100s remaining fails
@@ -96,7 +96,7 @@ class TestMigrationGuards:
         policy = GLoadSharing(cluster)
         short = job(work=100.0, demand=190.0)
         cluster.nodes[0].add_job(short)
-        assert not policy._migratable(short)
+        assert not policy._migratable(short, short.current_demand_mb)
 
     def test_migration_preserves_accounting_identity(self):
         cluster = tiny_cluster(num_nodes=2,

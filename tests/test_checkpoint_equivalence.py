@@ -13,15 +13,17 @@ executed-event count.  Three layers of pins:
 * **fuzz property** — hypothesis drives (seed, fault_seed, checkpoint
   time); identity must hold at any cut point, not just the curated
   one;
-* **golden fixture** — ``tests/golden/checkpoint_v1.ckpt`` is a
-  committed schema-1 snapshot; through the schema-1 upgrade it must
-  keep restoring to the pinned summary in
-  ``tests/golden/checkpoint_v1_summary.json``, and unknown/newer
-  schemas must fail with a clear error *before* any world bytes are
-  unpickled.  A fixture for the current schema is written (only after
-  a deliberate schema bump) with::
+* **golden fixtures** — ``tests/golden/checkpoint_v1.ckpt`` is a
+  committed schema-1 snapshot with the flat directory, and
+  ``checkpoint_v4_d2.ckpt`` a schema-4 one with two domains; through
+  the upgrades each must keep restoring to the pinned summary next to
+  it, and unknown/newer schemas must fail with a clear error *before*
+  any world bytes are unpickled.  A fixture for the current schema is
+  written (only after a deliberate schema bump) with::
 
       PYTHONPATH=src python tests/golden/make_checkpoint_fixture.py
+
+  and a two-domain one with ``make_sharded_checkpoint_fixture.py``.
 """
 
 import dataclasses
@@ -34,6 +36,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.cluster.domains import DomainDirectory
 from repro.cluster.job import Job, MemoryProfile
 from repro.experiments.runner import run_trace
 from repro.experiments.scenario import (SCENARIO_CLUSTER,
@@ -47,6 +50,8 @@ from repro.sim.checkpoint import (MAGIC, SCHEMA_VERSION, CheckpointError,
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 GOLDEN_CKPT = os.path.join(GOLDEN_DIR, "checkpoint_v1.ckpt")
 GOLDEN_SUMMARY = os.path.join(GOLDEN_DIR, "checkpoint_v1_summary.json")
+SHARDED_CKPT = os.path.join(GOLDEN_DIR, "checkpoint_v4_d2.ckpt")
+SHARDED_SUMMARY = os.path.join(GOLDEN_DIR, "checkpoint_v4_d2_summary.json")
 
 #: Same all-fault-classes model as tests/test_determinism.py.
 FULL_FAULTS = FaultConfig(mtbf_s=300.0, mttr_s=30.0,
@@ -248,23 +253,53 @@ def test_golden_checkpoint_restores_to_pinned_summary():
     assert result.cluster.sim.event_count == pinned["event_count"]
 
 
+def pending_handles(sim, owner, method):
+    return [entry[3] for entry in sim._heap
+            if entry[3].pending
+            and getattr(entry[3].callback, "__self__", None) is owner
+            and entry[3].callback.__name__ == method]
+
+
 def test_upgraded_fixture_adopts_each_daemon_tick_once():
     """A schema-1/2 world kept every daemon armed: each one adopts its
-    pending heap handle instead of scheduling a second tick."""
+    pending heap handle instead of scheduling a second tick.  The flat
+    directory's handle (a retired ``_tick``) now calls the one-domain
+    directory that wraps it."""
     restored = load_checkpoint(GOLDEN_CKPT)
     sim = restored.cluster.sim
-    daemons = [(restored.cluster.directory, "_tick",
-                restored.cluster.directory._exchange),
+    directory = restored.cluster.directory
+    assert isinstance(directory, DomainDirectory)
+    assert directory.num_domains == 1
+    assert directory.domain_bounds(0) == (0, restored.cluster.num_nodes)
+    assert directory._summary_handle is None
+    daemons = [(directory, "_exchange_tick", directory._exchange),
                (restored.policy, "_monitor_tick", restored.policy._monitor),
                (restored.collector, "_tick",
                 restored.collector._sample_tick)]
     for owner, method, tick in daemons:
-        handles = [entry[3] for entry in sim._heap
-                   if entry[3].pending
-                   and getattr(entry[3].callback, "__self__", None) is owner
-                   and entry[3].callback.__name__ == method]
-        assert handles == [tick.handle]
+        assert tick.owner is owner and tick.method == method
+        assert pending_handles(sim, owner, method) == [tick.handle]
         assert tick.next_time == tick.handle.time
+
+
+def test_sharded_schema_4_fixture_restores_to_pinned_summary():
+    """A schema-4 two-domain world rescheduled its exchange every
+    round.  Restored, it adopts that handle as its exchange tick, which
+    then parks while no shard is dirty: the same summary from fewer
+    events than the build that wrote the fixture ran."""
+    with open(SHARDED_SUMMARY) as stream:
+        pinned = json.load(stream)
+    restored = load_checkpoint(SHARDED_CKPT)
+    assert restored.meta["domains"] == 2
+    directory = restored.cluster.directory
+    sim = restored.cluster.sim
+    assert pending_handles(sim, directory, "_exchange_tick") == [
+        directory._exchange.handle]
+    assert pending_handles(sim, directory, "_summary_tick") == [
+        directory._summary_handle]
+    result = resume(restored)
+    assert canonical(result.summary) == pinned["summary"]
+    assert result.cluster.sim.event_count < pinned["event_count"]
 
 
 def test_upgraded_fixture_lanes_match_a_fresh_recompute():

@@ -13,7 +13,11 @@ sequence of ``handle_overload`` calls.
 
 The run is App trace 5 on 8 nodes: enough memory pressure for
 thrashing, blocking, pending jobs, suspensions and reservations, with
-quiet stretches in between.
+quiet stretches in between.  Each regime also runs on two domains,
+where the one exchange tick drives two shards.  There the summary
+period equals the exchange period in two regimes, so every exchange
+round shares its instant with a summary round and must keep its place
+before it.
 """
 
 import pytest
@@ -26,12 +30,18 @@ from repro.scheduling.suspension import SuspensionPolicy
 from repro.sim.daemon import DaemonTick
 from repro.workload.programs import WorkloadGroup
 
-#: (exchange, monitor, sample) intervals per regime.
+#: (exchange, monitor, sample, domain summary) intervals per regime;
+#: one domain has no summaries.
 REGIMES = {
-    "periodic": (1.0, 1.0, 1.0),
-    "live": (0.0, 1.0, 1.0),
-    "interval-0.3": (0.3, 0.3, 0.3),
+    "periodic": (1.0, 1.0, 1.0, 1.0),
+    "live": (0.0, 1.0, 1.0, 1.0),
+    "interval-0.3": (0.3, 0.3, 0.3, 5.0),
 }
+
+#: (regime, domains) cells; one-domain cells are named by the regime.
+CELLS = [pytest.param(regime, domains,
+                      id=regime if domains == 1 else f"{regime}-d{domains}")
+         for domains in (1, 2) for regime in sorted(REGIMES)]
 
 
 def never_park(monkeypatch) -> None:
@@ -48,12 +58,13 @@ def never_park(monkeypatch) -> None:
                         lambda self, keep: fired(self, keep=True))
 
 
-def run_case(monkeypatch, policy: str, regime: str, faulted: bool,
-             park: bool) -> dict:
-    exchange, monitor, sample = REGIMES[regime]
+def run_case(monkeypatch, policy: str, regime: str, domains: int,
+             faulted: bool, park: bool) -> dict:
+    exchange, monitor, sample, summary = REGIMES[regime]
     cfg = default_config(WorkloadGroup.APP).replace(
         load_exchange_interval_s=exchange, monitor_interval_s=monitor,
-        sample_interval_s=sample)
+        sample_interval_s=sample, domains=domains,
+        domain_exchange_interval_s=summary)
     overloads = []
     cls = POLICIES[policy]
     handle_overload = cls.handle_overload
@@ -82,11 +93,14 @@ def run_case(monkeypatch, policy: str, regime: str, faulted: bool,
 
 @pytest.mark.parametrize("faulted", [False, True],
                          ids=["nofaults", "faults"])
-@pytest.mark.parametrize("regime", sorted(REGIMES))
+@pytest.mark.parametrize("regime, domains", CELLS)
 @pytest.mark.parametrize("policy", sorted(POLICIES))
-def test_parked_ticks_change_nothing(monkeypatch, policy, regime, faulted):
-    parked = run_case(monkeypatch, policy, regime, faulted, park=True)
-    armed = run_case(monkeypatch, policy, regime, faulted, park=False)
+def test_parked_ticks_change_nothing(monkeypatch, policy, regime, domains,
+                                     faulted):
+    parked = run_case(monkeypatch, policy, regime, domains, faulted,
+                      park=True)
+    armed = run_case(monkeypatch, policy, regime, domains, faulted,
+                     park=False)
     assert parked["summary"] == armed["summary"]
     assert len(parked["samples"]) == len(armed["samples"])
     assert parked["samples"] == armed["samples"]

@@ -4,9 +4,10 @@
 per-domain shards with compact cross-domain summaries
 (:mod:`repro.cluster.domains`).  Two things must stay true forever:
 
-* ``domains=1`` is *byte-identical* to the flat directory for every
-  policy — the cluster builds the flat :class:`LoadInfoDirectory`
-  unchanged, so the default path cannot drift;
+* ``domains=1`` is one shard spanning the cluster, with no summaries:
+  nothing computes, schedules or reads one, and each candidate order
+  activates on its first reader (the committed goldens pin what such
+  a run produces, event counts included);
 * ``domains>1`` is a deterministic *model change*: same config twice
   gives the same summary, and the two-level orderings respect the
   partition, summary ranking, and staleness semantics pinned below.
@@ -16,8 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.cluster import Cluster, ClusterConfig, WorkstationSpec
-from repro.cluster.domains import DomainDirectory
-from repro.cluster.loadinfo import LoadInfoDirectory
+from repro.cluster.job import Job, MemoryProfile
 from repro.experiments.runner import default_config, run_experiment
 from repro.workload.programs import WorkloadGroup
 
@@ -51,23 +51,43 @@ def small_cluster(domains=4, nodes=8, **kwargs):
 
 
 # ----------------------------------------------------------------------
-# domains=1 is the flat directory, byte-identical
+# domains=1 is one shard and no summaries
 # ----------------------------------------------------------------------
+def test_domains_one_is_one_lazy_shard():
+    """One domain has no remote reader of summaries: the directory
+    computes none, schedules no summary tick, and leaves both candidate
+    orders inactive until a reader asks for one."""
+    cluster = small_cluster(domains=1, nodes=8,
+                            domain_exchange_interval_s=1.0)
+    directory = cluster.directory
+    assert directory.num_domains == 1
+    assert directory.domain_bounds(0) == (0, 8)
+    assert len(directory._shards) == 1
+    shard = directory.shard(0)
+    assert [snap.node_id for snap in shard.snapshots()] == list(range(8))
+    assert directory._summary_handle is None
+    assert not [entry for entry in cluster.sim._heap
+                if getattr(entry[3].callback, "__name__", "")
+                == "_summary_tick"]
+    assert shard._accepting_order is None
+    assert shard._load_order is None
+    assert directory.summaries() == []
+    assert directory.accepting_ids() == shard.accepting_ids()
+    assert shard._load_order is None  # each order on its own reader
+    assert directory.ranked_remote_domains(0) == []
+
+
 @pytest.mark.parametrize("policy", POLICIES)
-def test_domains_one_matches_flat(policy):
-    flat, flat_events = summary_for(policy)
-    one, one_events = summary_for(policy, domains=1)
-    assert one == flat
-    assert one_events == flat_events
-
-
-def test_domains_one_builds_flat_directory():
-    """``domains=1`` must not even construct the sharded facade — the
-    identity holds by construction, not by equivalence-of-code-paths."""
-    cluster = small_cluster(domains=1)
-    assert isinstance(cluster.directory, LoadInfoDirectory)
-    sharded = small_cluster(domains=4)
-    assert isinstance(sharded.directory, DomainDirectory)
+def test_domains_one_runs_no_summary_round(policy):
+    """A one-domain run completes no summary round, even with the
+    summary period set to recompute on every read."""
+    result = run_experiment(
+        WorkloadGroup.SPEC, 3, policy=policy, seed=0, scale=0.1,
+        config=default_config(WorkloadGroup.SPEC).replace(
+            domain_exchange_interval_s=0.0))
+    assert result.summary.num_jobs > 0
+    assert result.cluster.directory.summary_rounds == 0
+    assert result.cluster.directory.summaries() == []
 
 
 @settings(max_examples=8, deadline=None,
@@ -80,7 +100,8 @@ def test_domains_one_builds_flat_directory():
 def test_domained_runs_deterministic_random(seed, nodes, policy, domains,
                                             staleness):
     """Fuzz over (seed, nodes, policy, domains, staleness): the run is
-    reproducible, and K=1 cells additionally match the flat path."""
+    reproducible, and K=1 cells do not depend on the summary period
+    (one domain has no summaries)."""
     first, first_events = summary_for(policy, domains=domains,
                                       staleness=staleness, seed=seed,
                                       nodes=nodes, scale=0.05)
@@ -90,10 +111,10 @@ def test_domained_runs_deterministic_random(seed, nodes, policy, domains,
     assert first == second
     assert first_events == second_events
     if domains == 1:
-        flat, flat_events = summary_for(policy, seed=seed, nodes=nodes,
-                                        scale=0.05)
-        assert first == flat
-        assert first_events == flat_events
+        default, default_events = summary_for(policy, seed=seed,
+                                              nodes=nodes, scale=0.05)
+        assert first == default
+        assert first_events == default_events
 
 
 # ----------------------------------------------------------------------
@@ -156,8 +177,6 @@ def test_accepting_ids_global_view_includes_everyone():
 
 
 def test_remote_domains_ranked_by_summary_idle():
-    from repro.cluster.job import Job, MemoryProfile
-
     cluster = small_cluster(domains=4, nodes=8,
                             domain_exchange_interval_s=0.0)
     # Load domain 2 (nodes 4-5) so it publishes the least idle memory.
@@ -177,8 +196,6 @@ def test_stale_empty_remote_domain_is_skipped():
     """A remote domain whose summary (staleness!) says zero accepting
     nodes is not consulted at all from a local viewpoint — but the
     global view (no local domain) always includes everything."""
-    from repro.cluster.job import Job, MemoryProfile
-
     cluster = small_cluster(domains=4, nodes=8,
                             domain_exchange_interval_s=0.0)
     for node_id in (6, 7):  # fill domain 3 completely
@@ -191,14 +208,53 @@ def test_stale_empty_remote_domain_is_skipped():
         == set(range(8))
 
 
+def test_stale_empty_domain_stays_in_the_global_view():
+    """The zero-accepting skip is a local viewpoint's cost of staleness:
+    after the full domain frees up, a summary still reporting it full
+    hides it from domain 0, never from the view without a local
+    domain."""
+    cluster = small_cluster(domains=2, nodes=4,
+                            domain_exchange_interval_s=10.0)
+    for node_id in (2, 3):  # fill domain 1 until t=15
+        cluster.nodes[node_id].add_job(
+            Job(program="t", cpu_work_s=15.0,
+                memory=MemoryProfile.constant(100.0)))
+    cluster.sim.run(until=10.5)
+    directory = cluster.directory
+    assert directory.summaries()[1].accepting_count == 0
+    cluster.sim.run(until=17.5)  # freed, published, summary still stale
+    assert directory.summaries()[1].accepting_count == 0
+    assert set(directory.shard(1).accepting_ids()) == {2, 3}
+    assert not set(directory.accepting_ids(local_domain=0)) & {2, 3}
+    assert set(directory.accepting_ids()) == {0, 1, 2, 3}
+
+
 # ----------------------------------------------------------------------
 # summary staleness semantics
 # ----------------------------------------------------------------------
+def test_sharded_exchange_parks_when_clean():
+    """One exchange tick drives every shard, and only while one of them
+    has a dirty node: a round that collects everything parks it."""
+    cluster = small_cluster(domains=2, nodes=8)
+    directory = cluster.directory
+    assert not directory._exchange.armed
+    cluster.nodes[5].add_job(
+        Job(program="t", cpu_work_s=500.0,
+            memory=MemoryProfile.constant(40.0)))
+    assert directory._exchange.armed
+    cluster.sim.run(until=1.5)
+    assert directory.shard(1).snapshot(5).num_jobs == 1
+    assert not directory._exchange.armed
+    refreshes = directory.refreshes
+    cluster.sim.run(until=9.5)  # nothing changes: no round, no event
+    assert directory.refreshes == refreshes
+    assert not directory._exchange.armed
+
+
 def test_summaries_are_stale_between_rounds():
     cluster = small_cluster(domains=2, nodes=8,
                             load_exchange_interval_s=1.0,
                             domain_exchange_interval_s=10.0)
-    from repro.cluster.job import Job, MemoryProfile
     cluster.nodes[0].add_job(
         Job(program="t", cpu_work_s=500.0,
             memory=MemoryProfile.constant(40.0)))
@@ -216,7 +272,6 @@ def test_zero_summary_interval_recomputes_on_access():
     cluster = small_cluster(domains=2, nodes=8,
                             load_exchange_interval_s=1.0,
                             domain_exchange_interval_s=0.0)
-    from repro.cluster.job import Job, MemoryProfile
     cluster.nodes[0].add_job(
         Job(program="t", cpu_work_s=500.0,
             memory=MemoryProfile.constant(40.0)))
@@ -240,7 +295,6 @@ def test_unchanged_domain_keeps_summary_object():
                             domain_exchange_interval_s=0.0)
     directory = cluster.directory
     before = directory.summaries()[1]
-    from repro.cluster.job import Job, MemoryProfile
     cluster.nodes[0].add_job(
         Job(program="t", cpu_work_s=500.0,
             memory=MemoryProfile.constant(40.0)))

@@ -92,11 +92,12 @@ BLOCKING_HOOKS = (LoadSharingPolicy, SuspensionPolicy, VReconfiguration)
 @pytest.fixture
 def full_scans(monkeypatch):
     """Re-do both full scans next to every bounded answer, recompute
-    the victim next to every visit, and count the answers compared, by
-    kind."""
+    the victim next to every visit and the demand next to every
+    migration guard, and count the answers compared, by kind."""
     checks = Counter()
     find = LoadSharingPolicy.find_migration_destination
     reuse = ReservationManager.serving_reservation_with_capacity
+    migratable = LoadSharingPolicy._migratable
 
     def checked_find(self, job, exclude, demand_mb):
         if exclude is not None:  # a visit (a suspended job has no node)
@@ -109,6 +110,11 @@ def full_scans(monkeypatch):
         checks["destination"] += 1
         checks["rejected"] += bound_rejects
         return result
+
+    def checked_migratable(self, job, demand_mb):
+        assert repr(demand_mb) == repr(job.current_demand_mb)
+        checks["migratable"] += 1
+        return migratable(self, job, demand_mb)
 
     def checked_reuse(self, demand_mb):
         result = reuse(self, demand_mb)
@@ -126,6 +132,7 @@ def full_scans(monkeypatch):
 
     monkeypatch.setattr(LoadSharingPolicy, "find_migration_destination",
                         checked_find)
+    monkeypatch.setattr(LoadSharingPolicy, "_migratable", checked_migratable)
     monkeypatch.setattr(ReservationManager,
                         "serving_reservation_with_capacity", checked_reuse)
     for cls in BLOCKING_HOOKS:
@@ -156,6 +163,8 @@ def test_bounds_match_full_scans(full_scans, policy, faulted, interval,
         # These visit thrashing nodes: each visit's victim was checked.
         assert full_scans["victim"] > 0
         assert full_scans["blocking"] > 0
+    if policy in ("g-loadsharing", "memory"):
+        assert full_scans["migratable"] > 0
     if policy == "v-reconfiguration":
         assert full_scans["reuse"] > 0
 

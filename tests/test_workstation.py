@@ -10,11 +10,6 @@ from repro.cluster.job import Job, JobState, MemoryProfile
 from repro.cluster.memory import PagingModel
 from repro.cluster.state import ClusterState
 from repro.cluster.workstation import Workstation
-from repro.core.reservation import (
-    Reservation,
-    ReservationMode,
-    ReservationState,
-)
 from repro.sim import Simulator
 
 
@@ -329,9 +324,9 @@ class TestPlacementChecks:
     """The placement checks read the node's fields directly; they must
     answer exactly what the public properties say."""
 
-    @given(node_states(), st.sampled_from(list(ReservationState)))
+    @given(node_states())
     @settings(max_examples=200, deadline=None)
-    def test_field_reads_match_the_properties(self, state, res_state):
+    def test_field_reads_match_the_properties(self, state):
         node, job = state
         if not node.alive:
             assert node.idle_memory_mb == 0.0
@@ -341,11 +336,6 @@ class TestPlacementChecks:
         assert node.has_room_for(demand) == fits
         assert node.accepts_migration(job) == (
             node.alive and not node.reserved and fits)
-        reservation = Reservation(node=node, mode=ReservationMode.FIRST_FIT,
-                                  needed_mb=demand, created_at=0.0,
-                                  state=res_state)
-        assert reservation.has_capacity_for(job) == (
-            reservation.active and fits)
 
 
 class TestRecompute:
