@@ -100,7 +100,8 @@ def _run_scenario(obs_session=None, trace_out=None, log_json=None,
             print(f"[wrote HTML report {report}]")
 
 
-def main(argv: List[str] = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """The sweep CLI's argument parser."""
     parser = argparse.ArgumentParser(
         prog="repro-experiments",
         description="Reproduce the paper's tables and figures.")
@@ -224,6 +225,11 @@ def main(argv: List[str] = None) -> int:
                         help="keep the whatif target's snapshot file "
                              "at PATH (restorable with the runner's "
                              "--restore-from)")
+    return parser
+
+
+def main(argv: List[str] = None) -> int:
+    parser = build_parser()
     args = parser.parse_args(argv)
 
     targets = list(args.targets)

@@ -9,6 +9,7 @@ full-scale runs reproduce the paper's configuration exactly.
 
 from __future__ import annotations
 
+import argparse
 import functools
 import warnings
 from contextlib import nullcontext
@@ -220,16 +221,8 @@ def run_experiment(group: WorkloadGroup, trace_index: int,
                      checkpoint_to=checkpoint_to)
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    """Single-run CLI with an optional cProfile wrapper.
-
-    ``python -m repro.experiments.runner --trace 3 --scale 0.25
-    --profile`` prints the top-25 cumulative profile entries — the
-    tool used to find the scheduling-layer hot spots, shipped with the
-    repo so future regressions can be diagnosed the same way.
-    """
-    import argparse
-
+def build_parser() -> argparse.ArgumentParser:
+    """The single-run CLI's argument parser."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments.runner",
         description="Run one trace under one policy (optionally "
@@ -361,6 +354,18 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "the live run until EOF (requires "
                              "--serve; the run stays alive while "
                              "stdin is open)")
+    return parser
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    """Single-run CLI with an optional cProfile wrapper.
+
+    ``python -m repro.experiments.runner --trace 3 --scale 0.25
+    --profile`` prints the top-25 cumulative profile entries — the
+    tool used to find the scheduling-layer hot spots, shipped with the
+    repo so future regressions can be diagnosed the same way.
+    """
+    parser = build_parser()
     args = parser.parse_args(argv)
 
     group = (WorkloadGroup.SPEC if args.group == "spec"
