@@ -31,7 +31,17 @@ from repro.experiments.ablations import ALL_ABLATIONS
 from repro.experiments.degradation import run_degradation_experiment
 from repro.experiments.figures import ALL_FIGURES
 from repro.experiments.heterogeneity import run_heterogeneity_experiment
-from repro.experiments.runner import build_fault_config
+from repro.experiments.runner import (
+    add_fault_flags,
+    add_obs_flags,
+    add_run_flags,
+    check_obs_flags,
+    config_from_args,
+    default_config,
+    obs_session_from_args,
+    usage_errors,
+    write_obs_outputs,
+)
 from repro.experiments.scenario import (
     large_job_slowdowns,
     run_blocking_scenario,
@@ -44,7 +54,6 @@ from repro.experiments.topology import (
 )
 from repro.metrics.export import figure_to_csv
 from repro.metrics.report import percentage_reduction, render_bar_chart
-from repro.obs.session import ObsSession
 from repro.workload.programs import WorkloadGroup
 
 TARGETS = (["table1", "table2"] + sorted(ALL_FIGURES)
@@ -55,8 +64,8 @@ TARGETS = (["table1", "table2"] + sorted(ALL_FIGURES)
 FAULT_TARGETS = ("scenario", "degradation", "whatif")
 
 
-def _run_scenario(obs_session=None, trace_out=None, log_json=None,
-                  obs_metrics=None, faults=None, report=None) -> None:
+def _run_scenario(args, faults) -> None:
+    obs_session = obs_session_from_args(args, "scenario v-reconfiguration")
     base = run_blocking_scenario("g-loadsharing", faults=faults)
     reco = run_blocking_scenario("v-reconfiguration", obs=obs_session,
                                  faults=faults)
@@ -84,96 +93,35 @@ def _run_scenario(obs_session=None, trace_out=None, log_json=None,
             f"{key[len('fault.'):]}={reco.summary.extra[key]:g}"
             for key in fault_keys))
     if obs_session is not None:
-        if trace_out:
-            obs_session.write_trace(trace_out)
-            print(f"[wrote Perfetto trace {trace_out}]")
-        if log_json:
-            count = obs_session.write_log(log_json)
-            print(f"[wrote {count} JSONL events to {log_json}]")
-        if obs_metrics:
-            obs_session.write_metrics(obs_metrics)
-            print(f"[wrote metrics snapshot {obs_metrics}]")
-        if report:
-            obs_session.write_report(
-                report, title="Run report — blocking scenario, "
-                              "V-Reconfiguration")
-            print(f"[wrote HTML report {report}]")
+        write_obs_outputs(obs_session, args,
+                          title="Run report — blocking scenario, "
+                                "V-Reconfiguration")
+        obs_session.close()
 
 
 def build_parser() -> argparse.ArgumentParser:
     """The sweep CLI's argument parser."""
     parser = argparse.ArgumentParser(
         prog="repro-experiments",
-        description="Reproduce the paper's tables and figures.")
+        description="Reproduce the paper's tables and figures.",
+        epilog="Target scopes: --nodes applies to figure and topology "
+               "targets; --export-csv to one figure target; fault flags "
+               "to scenario, degradation and whatif; --report to one of "
+               "scenario, degradation, topology or whatif; "
+               "--sample-period to scenario, degradation and topology; "
+               "--trace-out, --log-json, --obs-metrics and the live "
+               "flags (--serve, --window, --health-rule, --self-profile) "
+               "to the scenario target's V-Reconfiguration run.")
     parser.add_argument("targets", nargs="+",
                         help=f"targets: all, {', '.join(TARGETS)}")
-    parser.add_argument("--scale", type=float, default=1.0,
-                        help="trace subsampling factor in (0, 1]")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="workload generation seed")
+    add_run_flags(parser)
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="worker processes for sweep targets "
                              "(1 = serial, 0 = one per core); results "
                              "are identical at any N")
-    parser.add_argument("--nodes", type=int, default=None, metavar="N",
-                        help="override the cluster size for figure "
-                             "targets (traces are regenerated for the "
-                             "new topology)")
-    parser.add_argument("--export-csv", metavar="PATH", default=None,
-                        help="write figure comparison rows to CSV "
-                             "(single figure target only)")
     parser.add_argument("--chart", action="store_true",
                         help="also render ASCII bar charts for figures")
-    parser.add_argument("--obs", action="store_true",
-                        help="instrument runs: per-run obs metrics, a "
-                             "live sweep progress line, and a post-"
-                             "sweep timing table")
-    parser.add_argument("--trace-out", metavar="PATH", default=None,
-                        help="write a Chrome trace-event JSON of the "
-                             "scenario's V-Reconfiguration run (open "
-                             "in https://ui.perfetto.dev; scenario "
-                             "target only)")
-    parser.add_argument("--log-json", metavar="PATH", default=None,
-                        help="write the scenario run's structured "
-                             "JSONL event log (scenario target only)")
-    parser.add_argument("--obs-metrics", metavar="PATH", default=None,
-                        help="write the scenario run's metrics "
-                             "snapshot as JSON (scenario target only)")
-    parser.add_argument("--report", metavar="PATH", default=None,
-                        help="write a self-contained HTML report: a "
-                             "lifecycle run report for the scenario "
-                             "target, a G-vs-V comparison report for "
-                             "the degradation target")
-    parser.add_argument("--sample-period", type=float, default=None,
-                        metavar="S",
-                        help="sample per-node cluster state every S "
-                             "simulated seconds (feeds the report "
-                             "timelines; scenario and degradation "
-                             "targets)")
-    parser.add_argument("--serve", type=int, default=None, metavar="PORT",
-                        nargs="?", const=0,
-                        help="serve live telemetry over HTTP while the "
-                             "scenario's V-Reconfiguration run executes "
-                             "(omit or 0 for an ephemeral port; "
-                             "scenario target only)")
-    parser.add_argument("--serve-port-file", metavar="PATH", default=None,
-                        help="write the bound --serve port to PATH")
-    parser.add_argument("--pace", type=float, default=0.0, metavar="X",
-                        help="advance at most X simulated seconds per "
-                             "wall second while serving (0 = unpaced)")
-    parser.add_argument("--window", type=float, default=None, metavar="S",
-                        help="windowed-aggregation width in simulated "
-                             "seconds for the scenario run (default 50 "
-                             "when serving or health rules are active)")
-    parser.add_argument("--health-rule", action="append", default=None,
-                        metavar="RULE",
-                        help="declarative health rule evaluated over "
-                             "the scenario run's windowed metrics; "
-                             "repeatable (scenario target only)")
-    parser.add_argument("--self-profile", action="store_true",
-                        help="time engine phases of the scenario's "
-                             "V-Reconfiguration run and fold "
-                             "obs.profile_* into its summary")
+    add_obs_flags(parser)
     parser.add_argument("--domains", default=None, metavar="K1,K2,...",
                         help="comma-separated domain-count grid for the "
                              "topology target (default "
@@ -193,25 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "target; the memory-pressured regime where "
                              "small domains force cross-domain "
                              "reservations)")
-    parser.add_argument("--faults", action="store_true",
-                        help="enable fault injection with default "
-                             "parameters for the scenario target "
-                             "(implied by the fault options below)")
-    parser.add_argument("--mtbf", type=float, default=None, metavar="S",
-                        help="mean time between node crashes in seconds "
-                             "(scenario target; the degradation target "
-                             "sweeps its own MTBF grid)")
-    parser.add_argument("--mttr", type=float, default=None, metavar="S",
-                        help="mean time to repair a crashed node in "
-                             "seconds (default 60)")
-    parser.add_argument("--fault-seed", type=int, default=None,
-                        metavar="N",
-                        help="seed of the fault streams, independent of "
-                             "the workload seed (default 0)")
-    parser.add_argument("--crash-policy", default=None,
-                        choices=["requeue", "checkpoint"],
-                        help="fate of jobs on a crashed node "
-                             "(default requeue)")
+    add_fault_flags(parser)
     parser.add_argument("--whatif-at", type=float, default=None,
                         metavar="T",
                         help="simulated time at which the whatif "
@@ -275,13 +205,7 @@ def main(argv: List[str] = None) -> int:
         parser.error("--serve/--window/--health-rule/--self-profile "
                      "instrument the scenario target; add 'scenario' "
                      "to the targets")
-    if args.serve is None:
-        if args.pace:
-            parser.error("--pace requires --serve")
-        if args.serve_port_file:
-            parser.error("--serve-port-file requires --serve")
-    if args.pace < 0:
-        parser.error("--pace must be >= 0")
+    check_obs_flags(parser, args)
     report_targets = [t for t in targets if t in ("scenario",
                                                   "degradation",
                                                   "topology",
@@ -301,7 +225,9 @@ def main(argv: List[str] = None) -> int:
         parser.error("--whatif-at/--whatif-base/--whatif-checkpoint "
                      "apply to the whatif target; add 'whatif' to the "
                      "targets")
-    faults = build_fault_config(args)
+    with usage_errors(parser):
+        faults = config_from_args(args,
+                                  default_config(WorkloadGroup.SPEC)).faults
     if faults is not None and not any(t in FAULT_TARGETS for t in targets):
         parser.error("fault flags apply to the scenario and degradation "
                      f"targets only; add one of {list(FAULT_TARGETS)}")
@@ -332,33 +258,7 @@ def main(argv: List[str] = None) -> int:
                 figure_to_csv(result, target=args.export_csv)
                 print(f"[wrote {args.export_csv}]")
         elif target == "scenario":
-            obs_session = None
-            if args.obs or args.trace_out or args.log_json \
-                    or args.obs_metrics or args.report \
-                    or args.sample_period is not None \
-                    or args.serve is not None \
-                    or args.window is not None \
-                    or args.health_rule is not None \
-                    or args.self_profile:
-                obs_session = ObsSession(
-                    record_events=bool(args.trace_out or args.log_json),
-                    run_label="scenario v-reconfiguration",
-                    lifecycle=bool(args.report),
-                    sample_period=args.sample_period,
-                    window_s=args.window,
-                    health_rules=args.health_rule,
-                    serve=args.serve,
-                    serve_port_file=args.serve_port_file,
-                    pace=args.pace,
-                    profile=args.self_profile)
-            _run_scenario(obs_session=obs_session,
-                          trace_out=args.trace_out,
-                          log_json=args.log_json,
-                          obs_metrics=args.obs_metrics,
-                          faults=faults,
-                          report=args.report)
-            if obs_session is not None:
-                obs_session.close()
+            _run_scenario(args, faults)
         elif target == "degradation":
             report = run_degradation_experiment(
                 seed=args.seed, scale=args.scale, jobs=args.jobs,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import warnings
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Type
 
@@ -22,6 +22,7 @@ from repro.core.reconfiguration import VReconfiguration
 from repro.faults.config import FaultConfig
 from repro.metrics.collector import MetricsCollector, PolicyPendingProbe
 from repro.metrics.summary import RunSummary, summarize_run
+from repro.obs.health import parse_rule
 from repro.obs.session import ObsSession
 from repro.scheduling import (
     CpuBasedPolicy,
@@ -32,6 +33,7 @@ from repro.scheduling import (
     SrptOracle,
     SuspensionPolicy,
 )
+from repro.workload.arrivals import trace_spec
 from repro.workload.generator import build_trace
 from repro.workload.programs import WorkloadGroup
 from repro.workload.trace import Trace
@@ -54,24 +56,6 @@ def default_config(group: WorkloadGroup) -> ClusterConfig:
     return base.replace()
 
 
-def build_fault_config(args) -> Optional[FaultConfig]:
-    """Fold the shared ``--faults``/``--mtbf``/``--mttr``/
-    ``--fault-seed``/``--crash-policy`` CLI flags into a
-    :class:`FaultConfig` (None when none of them was given)."""
-    given = {}
-    if getattr(args, "mtbf", None) is not None:
-        given["mtbf_s"] = args.mtbf
-    if getattr(args, "mttr", None) is not None:
-        given["mttr_s"] = args.mttr
-    if getattr(args, "fault_seed", None) is not None:
-        given["fault_seed"] = args.fault_seed
-    if getattr(args, "crash_policy", None) is not None:
-        given["crash_policy"] = args.crash_policy
-    if not given and not getattr(args, "faults", False):
-        return None
-    return FaultConfig(**given)
-
-
 @dataclass
 class ExperimentResult:
     """A run summary plus the artifacts needed for deeper inspection."""
@@ -81,6 +65,23 @@ class ExperimentResult:
     policy: LoadSharingPolicy
     collector: MetricsCollector
     trace: Trace
+
+
+def subsample_stride(scale: float) -> int:
+    """The stride that keeps every k-th job for ``scale`` (1 for the
+    full trace); raises ValueError for a scale stride thinning cannot
+    realize."""
+    if not 0 < scale <= 1:
+        raise ValueError("scale must be in (0, 1]")
+    if scale == 1.0:
+        return 1
+    stride = round(1.0 / scale)
+    if stride < 2:
+        raise ValueError(
+            f"scale={scale} cannot be realized by stride subsampling "
+            f"(stride would be {max(1, stride)}, i.e. the full trace); "
+            f"use scale <= 0.5 or scale == 1.0")
+    return stride
 
 
 def subsample_trace(trace: Trace, scale: float) -> Trace:
@@ -99,16 +100,9 @@ def subsample_trace(trace: Trace, scale: float) -> Trace:
     Realizable-but-coarse scales (e.g. 0.51 -> stride 2, an actual 0.5)
     warn when the realized fraction is off by more than 25%.
     """
-    if not 0 < scale <= 1:
-        raise ValueError("scale must be in (0, 1]")
-    if scale == 1.0:
+    stride = subsample_stride(scale)
+    if stride == 1:
         return trace
-    stride = round(1.0 / scale)
-    if stride < 2:
-        raise ValueError(
-            f"scale={scale} cannot be realized by stride subsampling "
-            f"(stride would be {max(1, stride)}, i.e. the full trace); "
-            f"use scale <= 0.5 or scale == 1.0")
     jobs = [job for i, job in enumerate(trace.jobs) if i % stride == 0]
     actual = len(jobs) / max(1, len(trace.jobs))
     if abs(actual - scale) > 0.25 * scale:
@@ -221,34 +215,29 @@ def run_experiment(group: WorkloadGroup, trace_index: int,
                      checkpoint_to=checkpoint_to)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The single-run CLI's argument parser."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments.runner",
-        description="Run one trace under one policy (optionally "
-                    "profiled).")
-    parser.add_argument("--group", choices=["spec", "app"], default="spec",
-                        help="workload group (default spec)")
-    parser.add_argument("--trace", type=int, default=3,
-                        help="trace index 1..5 (default 3)")
-    parser.add_argument("--policy", default="g-loadsharing",
-                        choices=sorted(POLICIES),
-                        help="scheduling policy (default g-loadsharing)")
-    parser.add_argument("--seed", type=int, default=0)
+# ----------------------------------------------------------------------
+# The command-line surface shared by this single-run CLI and the sweep
+# CLI (``python -m repro.experiments``): one definition of every flag
+# both take, one check of the obs flags, one way to build the obs
+# session and write its files.
+# ----------------------------------------------------------------------
+def add_run_flags(parser: argparse.ArgumentParser) -> None:
+    """Define ``--seed``, ``--scale``, ``--nodes`` and ``--export-csv``."""
+    parser.add_argument("--seed", type=int, default=0,
+                        help="workload generation seed")
     parser.add_argument("--scale", type=float, default=1.0,
                         help="trace subsampling factor in (0, 1]")
     parser.add_argument("--nodes", type=int, default=None, metavar="N",
-                        help="override the cluster size")
-    parser.add_argument("--domains", type=int, default=None, metavar="K",
-                        help="partition the cluster into K load-info "
-                             "domains (per-domain directory shards + "
-                             "slower inter-domain summaries; default 1 "
-                             "= one shard, no summaries)")
-    parser.add_argument("--domain-exchange-interval", type=float,
-                        default=None, metavar="S",
-                        help="inter-domain summary exchange period in "
-                             "seconds (staleness knob; default 5, "
-                             "0 = always fresh)")
+                        help="override the cluster size (traces are "
+                             "regenerated for the new topology)")
+    parser.add_argument("--export-csv", metavar="PATH", default=None,
+                        help="write the results as CSV (a run summary, "
+                             "or a figure's comparison rows)")
+
+
+def add_fault_flags(parser: argparse.ArgumentParser) -> None:
+    """Define the fault-injection flags folded by
+    :func:`build_fault_config`."""
     parser.add_argument("--faults", action="store_true",
                         help="enable fault injection with default "
                              "parameters (implied by the fault "
@@ -268,12 +257,28 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=["requeue", "checkpoint"],
                         help="fate of jobs on a crashed node "
                              "(default requeue)")
-    parser.add_argument("--profile", action="store_true",
-                        help="wrap the run in cProfile and print the "
-                             "top-25 cumulative entries")
+
+
+def build_fault_config(args) -> Optional[FaultConfig]:
+    """Fold the fault flags into a :class:`FaultConfig` (None when none
+    of them was given)."""
+    given = {key: value for key, value in (
+        ("mtbf_s", args.mtbf), ("mttr_s", args.mttr),
+        ("fault_seed", args.fault_seed),
+        ("crash_policy", args.crash_policy)) if value is not None}
+    if not given and not args.faults:
+        return None
+    return FaultConfig(**given)
+
+
+def add_obs_flags(parser: argparse.ArgumentParser) -> None:
+    """Define the observability flags read by
+    :func:`obs_session_from_args` and :func:`write_obs_outputs`."""
     parser.add_argument("--obs", action="store_true",
                         help="instrument the run (event bus + metrics; "
-                             "implied by the --*-out paths below)")
+                             "implied by the obs options below); the "
+                             "sweep CLI adds a live progress line and a "
+                             "post-sweep timing table")
     parser.add_argument("--trace-out", metavar="PATH", default=None,
                         help="write a Chrome trace-event JSON of the "
                              "run (open in https://ui.perfetto.dev)")
@@ -281,11 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write the structured JSONL run log")
     parser.add_argument("--obs-metrics", metavar="PATH", default=None,
                         help="write the metrics snapshot as JSON")
-    parser.add_argument("--prom", metavar="PATH", default=None,
-                        help="write the metrics in Prometheus text "
-                             "exposition format")
     parser.add_argument("--report", metavar="PATH", default=None,
-                        help="write a self-contained HTML run report "
+                        help="write a self-contained HTML report "
                              "(lifecycle tracing + slowdown "
                              "attribution; implies --obs)")
     parser.add_argument("--sample-period", type=float, default=None,
@@ -293,14 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="sample per-node cluster state every S "
                              "simulated seconds (feeds the report "
                              "timelines; implies --obs)")
-    parser.add_argument("--sampler-csv", metavar="PATH", default=None,
-                        help="write the sampled cluster time series "
-                             "as wide-row CSV (requires "
-                             "--sample-period)")
-    parser.add_argument("--stream-log", metavar="PATH", default=None,
-                        help="stream every observed event to a "
-                             "line-buffered JSONL file as it happens "
-                             "(tail -f friendly; implies --obs)")
     parser.add_argument("--serve", type=int, default=None, metavar="PORT",
                         nargs="?", const=0,
                         help="serve live telemetry over HTTP on PORT "
@@ -330,8 +324,136 @@ def build_parser() -> argparse.ArgumentParser:
                              "obs.profile_* into the summary; adds a "
                              "self-profile track to --trace-out; "
                              "implies --obs")
-    parser.add_argument("--export-csv", metavar="PATH", default=None,
-                        help="write the run summary as CSV")
+
+
+def check_obs_flags(parser: argparse.ArgumentParser, args) -> None:
+    """Reject obs flag values no session can honour, before any run
+    starts."""
+    if args.serve is None:
+        if args.pace:
+            parser.error("--pace requires --serve")
+        if args.serve_port_file:
+            parser.error("--serve-port-file requires --serve")
+    if args.pace < 0:
+        parser.error("--pace must be >= 0")
+    if args.sample_period is not None and args.sample_period <= 0:
+        parser.error("--sample-period must be > 0")
+    if args.window is not None and args.window <= 0:
+        parser.error("--window must be > 0")
+    with usage_errors(parser):
+        for rule in args.health_rule or ():
+            parse_rule(rule)
+
+
+def obs_session_from_args(args, run_label: str, stream_log=None,
+                          ingest_stdin: bool = False
+                          ) -> Optional[ObsSession]:
+    """The :class:`ObsSession` the obs flags ask for (None when no obs
+    flag is set); ``stream_log`` also implies one."""
+    if not (args.obs or args.trace_out or args.log_json
+            or args.obs_metrics or args.report
+            or args.sample_period is not None
+            or args.serve is not None or args.window is not None
+            or args.health_rule is not None or args.self_profile
+            or stream_log is not None):
+        return None
+    return ObsSession(record_events=bool(args.trace_out or args.log_json),
+                      run_label=run_label,
+                      lifecycle=bool(args.report),
+                      sample_period=args.sample_period,
+                      stream_log=stream_log,
+                      window_s=args.window,
+                      health_rules=args.health_rule,
+                      serve=args.serve,
+                      serve_port_file=args.serve_port_file,
+                      pace=args.pace,
+                      profile=args.self_profile,
+                      ingest_stdin=ingest_stdin)
+
+
+def write_obs_outputs(session: ObsSession, args,
+                      title: Optional[str] = None) -> None:
+    """Write the ``--trace-out``, ``--log-json``, ``--obs-metrics`` and
+    ``--report`` files of a finished, finalized run."""
+    if args.trace_out:
+        session.write_trace(args.trace_out)
+        print(f"[wrote Perfetto trace {args.trace_out}]")
+    if args.log_json:
+        count = session.write_log(args.log_json)
+        print(f"[wrote {count} JSONL events to {args.log_json}]")
+    if args.obs_metrics:
+        session.write_metrics(args.obs_metrics)
+        print(f"[wrote metrics snapshot {args.obs_metrics}]")
+    if args.report:
+        session.write_report(args.report, title=title)
+        print(f"[wrote HTML report {args.report}]")
+
+
+@contextmanager
+def usage_errors(parser: argparse.ArgumentParser):
+    """Turn a validator's ValueError into a usage error (exit 2) that
+    carries the validator's message."""
+    try:
+        yield
+    except ValueError as exc:
+        parser.error(str(exc))
+
+
+def config_from_args(args, base: ClusterConfig,
+                     **overrides) -> ClusterConfig:
+    """``base`` with ``--nodes``, the fault flags and ``overrides``
+    applied, once ``--scale`` has passed the stride rule.  The config
+    constructors validate every value; wrap the call in
+    :func:`usage_errors`."""
+    subsample_stride(args.scale)
+    if args.nodes is not None:
+        overrides["num_nodes"] = args.nodes
+    faults = build_fault_config(args)
+    if faults is not None:
+        overrides["faults"] = faults
+    return base.replace(**overrides)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The single-run CLI's argument parser."""
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.experiments.runner",
+        description="Run one trace under one policy (optionally "
+                    "profiled).")
+    parser.add_argument("--group", choices=["spec", "app"], default="spec",
+                        help="workload group (default spec)")
+    parser.add_argument("--trace", type=int, default=3,
+                        help="trace index 1..5 (default 3)")
+    parser.add_argument("--policy", default="g-loadsharing",
+                        choices=sorted(POLICIES),
+                        help="scheduling policy (default g-loadsharing)")
+    add_run_flags(parser)
+    parser.add_argument("--domains", type=int, default=None, metavar="K",
+                        help="partition the cluster into K load-info "
+                             "domains (per-domain directory shards + "
+                             "slower inter-domain summaries; default 1 "
+                             "= one shard, no summaries)")
+    parser.add_argument("--domain-exchange-interval", type=float,
+                        default=None, metavar="S",
+                        help="inter-domain summary exchange period in "
+                             "seconds (staleness knob; default 5, "
+                             "0 = always fresh)")
+    add_fault_flags(parser)
+    parser.add_argument("--profile", action="store_true",
+                        help="wrap the run in cProfile and print the "
+                             "top-25 cumulative entries")
+    add_obs_flags(parser)
+    parser.add_argument("--prom", metavar="PATH", default=None,
+                        help="write the metrics in Prometheus text "
+                             "exposition format (implies --obs)")
+    parser.add_argument("--sampler-csv", metavar="PATH", default=None,
+                        help="write the sampled cluster time series "
+                             "as wide-row CSV (requires "
+                             "--sample-period)")
+    parser.add_argument("--stream-log", metavar="PATH", default=None,
+                        help="stream every observed event to a "
+                             "line-buffered JSONL file as it happens "
+                             "(tail -f friendly; implies --obs)")
     parser.add_argument("--export-json", metavar="PATH", default=None,
                         help="write the run summary as JSON")
     parser.add_argument("--checkpoint-at", type=float, default=None,
@@ -370,58 +492,32 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     group = (WorkloadGroup.SPEC if args.group == "spec"
              else WorkloadGroup.APP)
-    config = default_config(group)
-    if args.nodes is not None:
-        config = config.replace(num_nodes=args.nodes)
+    overrides = {}
     if args.domains is not None:
-        config = config.replace(domains=args.domains)
+        overrides["domains"] = args.domains
     if args.domain_exchange_interval is not None:
-        config = config.replace(
-            domain_exchange_interval_s=args.domain_exchange_interval)
-    faults = build_fault_config(args)
-    if faults is not None:
-        config = config.replace(faults=faults)
+        overrides["domain_exchange_interval_s"] = \
+            args.domain_exchange_interval
+    with usage_errors(parser):
+        trace_spec(args.trace)
+        config = config_from_args(args, default_config(group), **overrides)
 
     if args.sampler_csv and args.sample_period is None:
         parser.error("--sampler-csv requires --sample-period")
-    if args.serve is None:
-        if args.pace:
-            parser.error("--pace requires --serve")
-        if args.serve_port_file:
-            parser.error("--serve-port-file requires --serve")
-        if args.submit_stdin:
-            parser.error("--submit-stdin requires --serve")
-    if args.pace < 0:
-        parser.error("--pace must be >= 0")
+    check_obs_flags(parser, args)
+    if args.submit_stdin and args.serve is None:
+        parser.error("--submit-stdin requires --serve")
     if (args.checkpoint_at is None) != (args.checkpoint_to is None):
         parser.error("--checkpoint-at and --checkpoint-to go together")
     if args.restore_from is not None and args.checkpoint_at is not None:
         parser.error("--restore-from cannot be combined with "
                      "--checkpoint-at")
-    want_obs = (args.obs or args.trace_out or args.log_json
-                or args.obs_metrics or args.prom or args.report
-                or args.sample_period is not None
-                or args.stream_log is not None
-                or args.serve is not None
-                or args.window is not None
-                or args.health_rule is not None
-                or args.self_profile)
-    obs = None
-    if want_obs:
-        label = f"{args.group}-trace-{args.trace} {args.policy}"
-        obs = ObsSession(record_events=bool(args.trace_out
-                                            or args.log_json),
-                         run_label=label,
-                         lifecycle=bool(args.report),
-                         sample_period=args.sample_period,
-                         stream_log=args.stream_log,
-                         window_s=args.window,
-                         health_rules=args.health_rule,
-                         serve=args.serve,
-                         serve_port_file=args.serve_port_file,
-                         pace=args.pace,
-                         profile=args.self_profile,
-                         ingest_stdin=args.submit_stdin)
+    # --prom, this CLI's own obs artifact, implies --obs.
+    args.obs = args.obs or bool(args.prom)
+    obs = obs_session_from_args(
+        args, f"{args.group}-trace-{args.trace} {args.policy}",
+        stream_log=args.stream_log, ingest_stdin=args.submit_stdin)
+    if obs is not None:
         # Killed service runs (systemd stop, supervisor timeouts) must
         # still unwind atexit handlers so the streaming JSONL log
         # closes at a line boundary; SIGTERM's default handler would
@@ -496,21 +592,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         if obs.live is not None:
             print(f"live: served {obs.live.requests_served} requests on "
                   f"{obs.live.url} ({obs.live.publishes} publishes)")
-        if args.trace_out:
-            obs.write_trace(args.trace_out)
-            print(f"[wrote Perfetto trace {args.trace_out}]")
-        if args.log_json:
-            count = obs.write_log(args.log_json)
-            print(f"[wrote {count} JSONL events to {args.log_json}]")
-        if args.obs_metrics:
-            obs.write_metrics(args.obs_metrics)
-            print(f"[wrote metrics snapshot {args.obs_metrics}]")
+        write_obs_outputs(obs, args)
         if args.prom:
             samples = obs.write_prom(args.prom)
             print(f"[wrote {samples} Prometheus samples to {args.prom}]")
-        if args.report:
-            obs.write_report(args.report)
-            print(f"[wrote HTML report {args.report}]")
         if args.sampler_csv:
             rows = obs.write_sampler_csv(args.sampler_csv)
             print(f"[wrote {rows} sample rows to {args.sampler_csv}]")

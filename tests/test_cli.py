@@ -227,3 +227,84 @@ class TestCrossFlagErrors:
                              ids=[" ".join(a) for a, _ in SWEEP_USAGE_ERRORS])
     def test_sweep(self, argv, message, capsys):
         assert_usage_error(main, argv, message, capsys)
+
+
+# An out-of-range value is a usage error carrying its validator's
+# message, raised before any run starts (nothing reaches stdout).
+RUNNER_VALUE_ERRORS = [
+    (["--sample-period", "0"], "--sample-period must be > 0"),
+    (["--window", "0"], "--window must be > 0"),
+    (["--mtbf", "-1"], "mtbf_s must be positive (or None)"),
+    (["--mttr", "0"], "mttr_s must be positive"),
+    (["--nodes", "0"], "num_nodes must be positive"),
+    (["--domains", "0"], "domains must be >= 1"),
+    (["--health-rule", "bogus"],
+     "unparseable health rule 'bogus'; expected '[severity:] metric <op> "
+     "value [for N windows]' or '[severity:] absent(metric) [for N "
+     "windows]'"),
+    (["--trace", "9"], "trace index must be 1..5"),
+    (["--scale", "0.7"],
+     "scale=0.7 cannot be realized by stride subsampling (stride would "
+     "be 1, i.e. the full trace); use scale <= 0.5 or scale == 1.0"),
+]
+
+SWEEP_VALUE_ERRORS = [
+    (["scenario", "--sample-period", "0"], "--sample-period must be > 0"),
+    (["figure1", "--scale", "0.7"],
+     "scale=0.7 cannot be realized by stride subsampling (stride would "
+     "be 1, i.e. the full trace); use scale <= 0.5 or scale == 1.0"),
+]
+
+
+def assert_rejected_before_run(cli_main, argv, message, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main(argv)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert f"error: {message}\n" in captured.err
+    assert captured.out == ""
+
+
+class TestValueErrors:
+    @pytest.mark.parametrize("argv,message", RUNNER_VALUE_ERRORS,
+                             ids=[" ".join(a) for a, _ in
+                                  RUNNER_VALUE_ERRORS])
+    def test_runner(self, argv, message, capsys):
+        from repro.experiments.runner import main as runner_main
+
+        assert_rejected_before_run(runner_main, argv, message, capsys)
+
+    @pytest.mark.parametrize("argv,message", SWEEP_VALUE_ERRORS,
+                             ids=[" ".join(a) for a, _ in
+                                  SWEEP_VALUE_ERRORS])
+    def test_sweep(self, argv, message, capsys):
+        assert_rejected_before_run(main, argv, message, capsys)
+
+
+class TestObsSessionFromArgs:
+    def parse(self, *argv):
+        from repro.experiments.runner import build_parser
+
+        return build_parser().parse_args(list(argv))
+
+    def test_no_obs_flag_no_session(self):
+        from repro.experiments.runner import obs_session_from_args
+
+        assert obs_session_from_args(self.parse(), "run") is None
+
+    def test_window_alone_instruments_the_run(self):
+        from repro.experiments.runner import obs_session_from_args
+
+        session = obs_session_from_args(self.parse("--window", "30"), "run")
+        assert session is not None
+        assert session.window_s == 30.0
+        assert session.run_label == "run"
+
+    def test_stream_log_alone_instruments_the_run(self, tmp_path):
+        from repro.experiments.runner import obs_session_from_args
+
+        path = str(tmp_path / "events.jsonl")
+        session = obs_session_from_args(self.parse(), "run",
+                                        stream_log=path)
+        assert session is not None
+        assert not session.record_events
