@@ -240,7 +240,6 @@ class WindowAggregator:
         self._submitted: Dict[int, Tuple[float, float]] = {}
         self._last_exchange_t: Optional[float] = None
         self._last_domain_t: Optional[float] = None
-        self._last_snapshot: Optional[dict] = None
 
     # ------------------------------------------------------------------
     # wiring
@@ -335,7 +334,6 @@ class WindowAggregator:
         snapshot = self._build_snapshot(now, closed=True)
         self.sim_lag.roll()
         self.history.append(snapshot)
-        self._last_snapshot = snapshot
         return snapshot
 
     def _build_snapshot(self, now: float, closed: bool) -> dict:
@@ -409,11 +407,6 @@ class WindowAggregator:
         if now is None:
             now = self.cluster.sim.now if self.cluster is not None else 0.0
         return self._build_snapshot(now, closed=False)
-
-    def last_snapshot(self) -> Optional[dict]:
-        """The most recent closed-window snapshot (None before the
-        first tick)."""
-        return self._last_snapshot
 
     def aggregate(self) -> Dict[str, float]:
         """Flat aggregate view folded into ``RunSummary.extra`` by the
