@@ -9,6 +9,7 @@ from repro.metrics.collector import ClusterSample, MetricsCollector, _skew_of
 from repro.metrics.report import (
     comparison_table,
     percentage_reduction,
+    render_bar_chart,
     render_table,
 )
 from repro.metrics.summary import summarize_run
@@ -172,6 +173,23 @@ class TestReport:
         assert "demo" in text
         assert "T-1" in text
         assert "1,234.5" in text
+
+
+class TestBarChart:
+    def test_renders_bars(self):
+        rows = [{"trace": "T-1", "G": 100.0, "V": 70.0},
+                {"trace": "T-2", "G": 200.0, "V": 150.0}]
+        chart = render_bar_chart(rows, "trace", ["G", "V"],
+                                 width=20, title="demo")
+        assert "demo" in chart
+        assert chart.count("|") == 4
+        # the largest value gets the full width
+        assert "#" * 20 in chart
+
+    def test_zero_values_safe(self):
+        rows = [{"trace": "T", "G": 0.0, "V": 0.0}]
+        chart = render_bar_chart(rows, "trace", ["G", "V"])
+        assert "T" in chart
 
 
 class TestReservedNodeSeconds:
