@@ -2,9 +2,11 @@ PYTHON ?= python
 PYTHONPATH := src
 export PYTHONPATH
 
-.PHONY: test bench bench-full
+.PHONY: test bench
 
-# Tier-1 verification: the full unit/integration test suite.
+# Tier-1 verification: the full unit/integration test suite, including
+# quick-scale sanity checks of every table, figure and ablation
+# (regenerate those artifacts with python -m repro.experiments).
 test:
 	$(PYTHON) -m pytest -x -q
 
@@ -14,7 +16,3 @@ test:
 bench:
 	$(PYTHON) benchmarks/e2e/run.py --seed 0
 
-# The full experiment benchmark suite (figures, tables, ablations,
-# scenario) in quick mode, plus the end-to-end benchmark's checks.
-bench-full:
-	$(PYTHON) -m pytest benchmarks -q

@@ -123,3 +123,19 @@ class TestUnsuccessfulConditions:
     def test_heavy_paging_not_flagged(self):
         summary = make_summary(slowdown=5.0, page=500.0)
         assert unsuccessful_conditions(summary) == []
+
+
+class TestRealRun:
+    def test_section5_model_holds_on_app_trace_3(self):
+        """§5 on a measured pair (App-Trace-3 at scale 0.25): CPU time
+        is invariant across policies, and the measured gain dominates
+        the model's lower bound."""
+        from repro.experiments.runner import run_experiment
+        from repro.workload.programs import WorkloadGroup
+
+        base, reco = (run_experiment(WorkloadGroup.APP, 3, policy=policy,
+                                     scale=0.25).summary
+                      for policy in ("g-loadsharing", "v-reconfiguration"))
+        check = verify_against_run(base, reco, cpu_tolerance=0.02)
+        assert check.cpu_invariant_error < 0.02
+        assert check.measured_gain_s >= check.predicted_gain_s - 1e-6

@@ -1,7 +1,11 @@
 """Integration tests for the experiment harness (small scales)."""
 
+import functools
+
 import pytest
 
+from repro.experiments.ablations import ALL_ABLATIONS
+from repro.experiments.figures import ALL_FIGURES
 from repro.experiments.runner import (
     POLICIES,
     default_config,
@@ -193,3 +197,78 @@ class TestTraceCache:
         b = run_experiment(WorkloadGroup.APP, 1, policy="g-loadsharing",
                            scale=SCALE).summary
         assert a == b
+
+
+# The sanity checks below run at the quick settings scale 0.25 and
+# traces 1, 3 and 5: at smaller scales every paging and queue total is
+# 0 and the checks prove nothing.
+QUICK_SCALE = 0.25
+QUICK_TRACES = [1, 3, 5]
+
+
+@functools.lru_cache(maxsize=None)
+def quick_ablation(name):
+    return ALL_ABLATIONS[name](group=WorkloadGroup.APP, trace_index=3,
+                               scale=QUICK_SCALE)
+
+
+class TestAblations:
+    #: Each ablation's variant labels, or its row count where the
+    #: labels name swept values.
+    EXPECTED_ROWS = {
+        "reservation_mode": {"drain-all", "first-fit"},
+        "residency_alpha": 4,
+        "fault_cost": 3,
+        "network_speed": 3,
+        "load_info_staleness": 4,
+        "cpu_threshold": 4,
+        "max_reserved": 4,
+        "baselines": {"local", "cpu", "memory", "g-loadsharing",
+                      "suspension", "srpt-oracle", "v-reconfiguration"},
+        "network_ram": {"network_ram=False", "network_ram=True"},
+        "victim_ranking": {"demand-only", "demand-x-age"},
+    }
+
+    @pytest.mark.parametrize("name", sorted(ALL_ABLATIONS))
+    def test_rows(self, name):
+        rows = quick_ablation(name).rows
+        expected = self.EXPECTED_ROWS[name]
+        if isinstance(expected, set):
+            assert {row["variant"] for row in rows} == expected
+            expected = len(expected)
+        assert len(rows) == expected
+
+    def test_fault_cost_loose_ordering(self):
+        # A stronger fault model broadly raises paging, but scheduling
+        # feedback makes the relation non-monotone at small magnitudes.
+        pages = [row["page (s)"] for row in quick_ablation("fault_cost").rows]
+        assert all(page >= 0 for page in pages)
+        assert pages[0] <= pages[-1] * 3.0 + 60.0
+
+    def test_network_ram_never_adds_paging(self):
+        off, on = quick_ablation("network_ram").rows
+        assert on["page (s)"] <= off["page (s)"] + 1e-6
+
+    def test_baseline_premises(self):
+        by_policy = {row["variant"]: row
+                     for row in quick_ablation("baselines").rows}
+        # Load sharing does not lose to no sharing on queuing time.
+        assert (by_policy["g-loadsharing"]["queue (s)"]
+                <= by_policy["local"]["queue (s)"])
+        # CPU+memory sharing does not lose meaningfully to count-only
+        # balancing on paging.
+        assert (by_policy["g-loadsharing"]["page (s)"]
+                <= by_policy["cpu"]["page (s)"] * 1.5 + 60.0)
+
+
+@pytest.mark.parametrize("name", sorted(ALL_FIGURES))
+def test_figure_sanity(name):
+    result = ALL_FIGURES[name](scale=QUICK_SCALE,
+                               trace_indices=QUICK_TRACES)
+    assert len(result.baseline) == len(result.improved) == len(QUICK_TRACES)
+    for base, improved in zip(result.baseline, result.improved):
+        assert base.num_jobs == improved.num_jobs > 0
+        assert base.total_execution_time_s > 0
+        assert improved.total_execution_time_s > 0
+        assert base.average_slowdown >= 1.0
+        assert improved.average_slowdown >= 1.0

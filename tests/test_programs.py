@@ -2,6 +2,9 @@
 
 import pytest
 
+from repro.cluster import Cluster
+from repro.cluster.config import APP_CLUSTER, SPEC_CLUSTER
+from repro.cluster.job import Job
 from repro.workload.programs import (
     APP_PROGRAMS,
     DEFAULT_SHAPE,
@@ -110,3 +113,47 @@ class TestMemoryProfiles:
     def test_default_shape_monotone_starts(self):
         starts = [s for s, _ in DEFAULT_SHAPE]
         assert starts == sorted(starts)
+
+
+def run_dedicated(program, cluster_config):
+    """Run ``program`` alone on one workstation of its cluster (§3.2's
+    dedicated-environment profiling, the source of Tables 1-2)."""
+    cluster = Cluster(cluster_config.replace(num_nodes=1))
+    profile = program.memory_profile(program.lifetime_s,
+                                     program.working_set_mb)
+    job = Job(program=program.name, cpu_work_s=program.lifetime_s,
+              memory=profile,
+              io_stall_per_cpu_s=program.io_stall_per_cpu_s)
+    cluster.nodes[0].add_job(job)
+    cluster.sim.run()
+    return job
+
+
+class TestDedicatedProfiles:
+    @pytest.mark.parametrize("program", SPEC_PROGRAMS,
+                             ids=[p.name for p in SPEC_PROGRAMS])
+    def test_table1_lifetime_and_working_set(self, program):
+        """Dedicated execution reproduces the catalog lifetime with no
+        paging and peaks at the catalog working set."""
+        job = run_dedicated(program, SPEC_CLUSTER)
+        assert job.finished
+        assert job.finish_time == pytest.approx(program.lifetime_s,
+                                                rel=1e-6)
+        assert job.acct.page_s == pytest.approx(0.0)
+        assert job.peak_demand_mb == pytest.approx(program.working_set_mb)
+
+    @pytest.mark.parametrize("program", APP_PROGRAMS,
+                             ids=[p.name for p in APP_PROGRAMS])
+    def test_table2_lifetime_io_and_working_set_range(self, program):
+        """Wall time is the CPU lifetime plus the program's I/O stalls,
+        with no paging; ranged working sets stay within the range."""
+        job = run_dedicated(program, APP_CLUSTER)
+        assert job.finished
+        io_s = program.lifetime_s * program.io_stall_per_cpu_s
+        assert job.finish_time == pytest.approx(program.lifetime_s + io_s,
+                                                rel=1e-6)
+        assert job.acct.page_s == pytest.approx(0.0)
+        assert job.acct.io_s == pytest.approx(io_s, rel=1e-6)
+        if program.working_set_min_mb > 0:
+            demands = [phase.demand_mb for phase in job.memory.phases]
+            assert min(demands) >= program.working_set_min_mb
