@@ -9,28 +9,29 @@
 * ``python -m repro.experiments`` — CLI to run everything.
 """
 
-from repro.experiments.heterogeneity import run_heterogeneity_experiment
-from repro.experiments.runner import (
-    POLICIES,
-    ExperimentResult,
-    default_config,
-    run_experiment,
-    run_group,
-    run_trace,
-)
-from repro.experiments.scenario import (
-    build_blocking_trace,
-    run_blocking_scenario,
-)
+import importlib
 
-__all__ = [
-    "POLICIES",
-    "ExperimentResult",
-    "build_blocking_trace",
-    "default_config",
-    "run_blocking_scenario",
-    "run_experiment",
-    "run_group",
-    "run_heterogeneity_experiment",
-    "run_trace",
-]
+#: Public name -> the submodule defining it, imported on first access.
+#: Importing the package eagerly would load the runner before
+#: ``python -m repro.experiments.runner`` executes it as ``__main__``.
+_EXPORTS = {
+    "POLICIES": "runner",
+    "ExperimentResult": "runner",
+    "build_blocking_trace": "scenario",
+    "default_config": "runner",
+    "run_blocking_scenario": "scenario",
+    "run_experiment": "runner",
+    "run_group": "runner",
+    "run_heterogeneity_experiment": "heterogeneity",
+    "run_trace": "runner",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)

@@ -512,6 +512,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.restore_from is not None and args.checkpoint_at is not None:
         parser.error("--restore-from cannot be combined with "
                      "--checkpoint-at")
+    restored = None
+    if args.restore_from is not None:
+        from repro.sim.checkpoint import CheckpointError, load_checkpoint
+
+        try:
+            restored = load_checkpoint(args.restore_from)
+        except (CheckpointError, OSError) as exc:
+            reason = getattr(exc, "strerror", None) or exc
+            parser.error(f"cannot restore {args.restore_from}: {reason}")
     # --prom, this CLI's own obs artifact, implies --obs.
     args.obs = args.obs or bool(args.prom)
     obs = obs_session_from_args(
@@ -531,10 +540,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             pass
 
     def run() -> ExperimentResult:
-        if args.restore_from is not None:
-            from repro.sim.checkpoint import load_checkpoint, resume
+        if restored is not None:
+            from repro.sim.checkpoint import resume
 
-            restored = load_checkpoint(args.restore_from)
             return resume(restored, obs=obs)
         return run_experiment(group, args.trace, policy=args.policy,
                               seed=args.seed, scale=args.scale,

@@ -204,13 +204,13 @@ class _LiveHandler(BaseHTTPRequestHandler):
             self.wfile.write(body)
             return
         body, content_type, status = payload
+        monitor.count_request()
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         self.send_header("Cache-Control", "no-store")
         self.end_headers()
         self.wfile.write(body)
-        monitor.requests_served += 1
 
     # ------------------------------------------------------------------
     # write endpoints (validate + enqueue only; engine does the work)
@@ -233,12 +233,12 @@ class _LiveHandler(BaseHTTPRequestHandler):
             body = (b"not found; POST endpoints: /submit /checkpoint "
                     b"/fork\n")
             content_type, status = "text/plain; charset=utf-8", 404
+        monitor.count_request()
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
         self.wfile.write(body)
-        monitor.requests_served += 1
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         pass  # scrapes must not spam the run's stdout
@@ -541,6 +541,12 @@ class LiveMonitor:
     def payload(self, path: str) -> Optional[Payload]:
         with self._lock:
             return self._payloads.get(path)
+
+    def count_request(self) -> None:
+        """Count a reply; handler threads call this before sending it,
+        so a client that has read its reply sees the count."""
+        with self._lock:
+            self.requests_served += 1
 
     def publish(self) -> None:
         """Render every endpoint's payload from current state and swap

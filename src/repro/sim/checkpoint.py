@@ -23,14 +23,20 @@ current values are stored alongside and merged (``max``) back on
 restore so jobs created *after* a restore (streamed ingest) cannot
 collide with checkpointed ids.
 
-File format: gzip over a pickled *envelope* dict holding only
-primitives — ``format`` magic, ``schema`` version, a ``meta`` summary,
-and the inner world pickle as opaque bytes.  The envelope is decoded
-and validated *before* the world bytes are unpickled, so an unknown or
-newer schema fails with a clear :class:`CheckpointError` instead of an
-arbitrary unpickling error.
+File format: one gzip stream (level 1, ``mtime`` 0, so a world gives
+the same bytes every time) holding two pickles back to back.  The
+first is a *header* dict of primitives only — ``format`` magic,
+``schema`` version and a ``meta`` summary; the second is the world.
+The header is decoded and validated *before* any world byte is
+unpickled, so an unknown or newer schema fails with a clear
+:class:`CheckpointError` instead of an arbitrary unpickling error, and
+:func:`peek_meta` reads the header alone.  A truncated or corrupt
+stream is a :class:`CheckpointError` too.  Writing and reading stream
+through the compressor, so no uncompressed copy of the world is held
+in memory.  Schemas 1-5 nested the world pickle as opaque bytes under
+the header's ``world`` key; they still restore.
 
-Checkpoints are trusted input only.  The envelope is itself a pickle,
+Checkpoints are trusted input only.  The header is itself a pickle,
 so reading one (``peek_meta``, ``restore_bytes``, ``load_checkpoint``
 and the runner's ``--restore-from``) unpickles it before any
 validation, and unpickling can execute arbitrary code: restore only
@@ -55,8 +61,10 @@ import gzip
 import io
 import itertools
 import math
+import os
 import pickle
 import types
+import zlib
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
@@ -73,12 +81,13 @@ MAGIC = "repro-checkpoint"
 #: Schema 4 keeps per-job advance lanes on each workstation and
 #: versions the columnar state and the reservation manager.  Schema 5
 #: builds every load directory as a ``DomainDirectory`` that owns the
-#: one exchange tick.
-SCHEMA_VERSION = 5
+#: one exchange tick.  Schema 6 streams the header and the world as
+#: two pickles in one gzip stream; its world layout is schema 5's.
+SCHEMA_VERSION = 6
 
 #: Schemas this build restores; older ones are upgraded after
 #: unpickling (:func:`_upgrade_schema_1` ... :func:`_upgrade_schema_4`).
-READABLE_SCHEMAS = (1, 2, 3, 4, SCHEMA_VERSION)
+READABLE_SCHEMAS = (1, 2, 3, 4, 5, SCHEMA_VERSION)
 
 
 class CheckpointError(RuntimeError):
@@ -120,9 +129,10 @@ def _build_meta(cluster, policy, jobs, trace_name) -> Dict[str, Any]:
 # ----------------------------------------------------------------------
 # save
 # ----------------------------------------------------------------------
-def snapshot_bytes(*, cluster, policy, collector, jobs,
-                   trace_name: str) -> bytes:
-    """Serialize a paused run to checkpoint bytes (see module doc)."""
+def _write_checkpoint(stream, *, cluster, policy, collector, jobs,
+                      trace_name: str) -> Dict[str, Any]:
+    """Write a paused run to ``stream`` as one gzip stream (see module
+    doc); returns the header's ``meta`` dict."""
     import repro.cluster.job as job_mod
     import repro.core.reservation as reservation_mod
 
@@ -139,45 +149,73 @@ def snapshot_bytes(*, cluster, policy, collector, jobs,
         "job_counter": _counter_value(job_mod._job_counter),
         "reservation_counter": _counter_value(reservation_mod._res_counter),
     }
-    try:
-        world_bytes = pickle.dumps(world, protocol=4)
-    except Exception as exc:
-        raise CheckpointError(
-            f"simulation state is not picklable: {exc!r}; a scheduled "
-            f"callback is probably a closure (see repro.sim.checkpoint)"
-        ) from exc
-    envelope = {
-        "format": MAGIC,
-        "schema": SCHEMA_VERSION,
-        "meta": _build_meta(cluster, policy, jobs, trace_name),
-        "world": world_bytes,
-    }
-    return gzip.compress(pickle.dumps(envelope, protocol=4), compresslevel=6)
+    meta = _build_meta(cluster, policy, jobs, trace_name)
+    header = {"format": MAGIC, "schema": SCHEMA_VERSION, "meta": meta}
+    with gzip.GzipFile(filename="", mode="wb", compresslevel=1,
+                       fileobj=stream, mtime=0) as compressed:
+        pickle.dump(header, compressed, protocol=4)
+        try:
+            pickle.dump(world, compressed, protocol=4)
+        except Exception as exc:
+            raise CheckpointError(
+                f"simulation state is not picklable: {exc!r}; a scheduled "
+                f"callback is probably a closure (see repro.sim.checkpoint)"
+            ) from exc
+    return meta
+
+
+def snapshot_bytes(*, cluster, policy, collector, jobs,
+                   trace_name: str) -> bytes:
+    """Serialize a paused run to checkpoint bytes (see module doc)."""
+    buffer = io.BytesIO()
+    _write_checkpoint(buffer, cluster=cluster, policy=policy,
+                      collector=collector, jobs=jobs, trace_name=trace_name)
+    return buffer.getvalue()
 
 
 def save_checkpoint(path: str, *, cluster, policy, collector, jobs,
                     trace_name: str) -> Dict[str, Any]:
-    """Write a checkpoint file; returns its ``meta`` dict."""
-    data = snapshot_bytes(cluster=cluster, policy=policy,
-                          collector=collector, jobs=jobs,
-                          trace_name=trace_name)
-    with open(path, "wb") as stream:
-        stream.write(data)
-    return _build_meta(cluster, policy, jobs, trace_name)
+    """Write a checkpoint file; returns its ``meta`` dict.
+
+    The file is written next to ``path`` under a temporary name and
+    renamed into place, so a failed snapshot leaves ``path`` as it was.
+    """
+    partial = f"{path}.{os.getpid()}.tmp"
+    stream = open(partial, "wb")
+    try:
+        with stream:
+            meta = _write_checkpoint(stream, cluster=cluster, policy=policy,
+                                     collector=collector, jobs=jobs,
+                                     trace_name=trace_name)
+        os.replace(partial, path)
+    except BaseException:
+        os.unlink(partial)
+        raise
+    return meta
 
 
 # ----------------------------------------------------------------------
 # load
 # ----------------------------------------------------------------------
-def _decode_envelope(data: bytes) -> Dict[str, Any]:
-    """Decompress and validate the outer envelope (world untouched)."""
+#: What a truncated or corrupted gzip stream raises part-way through.
+_STREAM_ERRORS = (EOFError, zlib.error)
+
+
+def _truncated(exc: BaseException) -> CheckpointError:
+    return CheckpointError(
+        f"checkpoint file is truncated or corrupt ({exc!r})")
+
+
+def _decode_envelope(compressed: gzip.GzipFile) -> Dict[str, Any]:
+    """Read and validate the header at the start of a checkpoint's
+    gzip stream; no world byte is unpickled."""
     try:
-        raw = gzip.decompress(data)
+        envelope = pickle.load(compressed)
+    except _STREAM_ERRORS as exc:
+        raise _truncated(exc) from exc
     except OSError as exc:
         raise CheckpointError(
             f"not a checkpoint file (gzip layer failed: {exc})") from exc
-    try:
-        envelope = pickle.loads(raw)
     except Exception as exc:
         raise CheckpointError(
             f"not a checkpoint file (envelope undecodable: {exc!r})"
@@ -197,10 +235,44 @@ def _decode_envelope(data: bytes) -> Dict[str, Any]:
     return envelope
 
 
+def _gunzip(stream) -> gzip.GzipFile:
+    return gzip.GzipFile(filename="", mode="rb", fileobj=stream)
+
+
 def peek_meta(path: str) -> Dict[str, Any]:
     """Read a checkpoint's ``meta`` summary without restoring it."""
     with open(path, "rb") as stream:
-        return _decode_envelope(stream.read())["meta"]
+        return _decode_envelope(_gunzip(stream))["meta"]
+
+
+def _read_checkpoint(stream, advance_counters: bool) -> RestoredRun:
+    """Validate the header, then unpickle and upgrade the world."""
+    compressed = _gunzip(stream)
+    envelope = _decode_envelope(compressed)
+    schema = envelope["schema"]
+    try:
+        world = _WorldUnpickler(
+            compressed if schema >= 6
+            else io.BytesIO(envelope["world"])).load()
+        # Reading on to the end checks the stream's length and CRC.
+        compressed.read()
+    except (*_STREAM_ERRORS, gzip.BadGzipFile,
+            pickle.UnpicklingError) as exc:
+        raise _truncated(exc) from exc
+    if schema == 1:
+        _upgrade_schema_1(world)
+    if schema < 3:
+        _upgrade_schema_2(world)
+    if schema < 4:
+        _upgrade_schema_3(world)
+    if schema < 5:
+        _upgrade_schema_4(world)
+    if advance_counters:
+        _advance_global_counters(world)
+    return RestoredRun(cluster=world["cluster"], policy=world["policy"],
+                       collector=world["collector"], jobs=world["jobs"],
+                       trace_name=world["trace_name"],
+                       meta=dict(envelope["meta"]))
 
 
 def restore_bytes(data: bytes,
@@ -214,22 +286,7 @@ def restore_bytes(data: bytes,
     server's ``/fork`` endpoint) that must not disturb the id space of
     the run still executing in this process.
     """
-    envelope = _decode_envelope(data)
-    world = _WorldUnpickler(io.BytesIO(envelope["world"])).load()
-    if envelope["schema"] == 1:
-        _upgrade_schema_1(world)
-    if envelope["schema"] < 3:
-        _upgrade_schema_2(world)
-    if envelope["schema"] < 4:
-        _upgrade_schema_3(world)
-    if envelope["schema"] < 5:
-        _upgrade_schema_4(world)
-    if advance_counters:
-        _advance_global_counters(world)
-    return RestoredRun(cluster=world["cluster"], policy=world["policy"],
-                       collector=world["collector"], jobs=world["jobs"],
-                       trace_name=world["trace_name"],
-                       meta=dict(envelope["meta"]))
+    return _read_checkpoint(io.BytesIO(data), advance_counters)
 
 
 def _getattr(obj: object, name: str):
@@ -405,8 +462,7 @@ def load_checkpoint(path: str,
                     advance_counters: bool = True) -> RestoredRun:
     """Read and reconstruct a checkpoint file."""
     with open(path, "rb") as stream:
-        return restore_bytes(stream.read(),
-                             advance_counters=advance_counters)
+        return _read_checkpoint(stream, advance_counters)
 
 
 def _advance_global_counters(world: Dict[str, Any]) -> None:

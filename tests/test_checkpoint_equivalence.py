@@ -28,17 +28,19 @@ executed-event count.  Three layers of pins:
 
 import dataclasses
 import gzip
+import io
 import json
 import os
 import pickle
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster.domains import DomainDirectory
 from repro.cluster.job import Job, MemoryProfile
-from repro.experiments.runner import run_trace
+from repro.experiments.runner import run_experiment, run_trace
 from repro.experiments.scenario import (SCENARIO_CLUSTER,
                                         run_blocking_scenario)
 from repro.faults import FaultConfig
@@ -46,6 +48,7 @@ from repro.sim.checkpoint import (MAGIC, SCHEMA_VERSION, CheckpointError,
                                   _decode_envelope, fork, load_checkpoint,
                                   peek_meta, restore_bytes, resume,
                                   save_checkpoint, snapshot_bytes)
+from repro.workload.programs import WorkloadGroup
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 GOLDEN_CKPT = os.path.join(GOLDEN_DIR, "checkpoint_v1.ckpt")
@@ -209,16 +212,20 @@ def _envelope_bytes(**fields):
     return gzip.compress(pickle.dumps(envelope, protocol=4))
 
 
+def _decode(data):
+    return _decode_envelope(gzip.GzipFile(fileobj=io.BytesIO(data)))
+
+
 @pytest.mark.parametrize("schema", [1, 2, 3, 4])
 def test_decode_envelope_accepts_readable_schemas(schema):
-    envelope = _decode_envelope(_envelope_bytes(schema=schema))
+    envelope = _decode(_envelope_bytes(schema=schema))
     assert envelope["schema"] == schema
 
 
 @pytest.mark.parametrize("fields", [{"schema": SCHEMA_VERSION + 1}, {}])
 def test_decode_envelope_rejects_unknown_or_missing_schema(fields):
     with pytest.raises(CheckpointError, match="schema"):
-        _decode_envelope(_envelope_bytes(**fields))
+        _decode(_envelope_bytes(**fields))
 
 
 def test_peek_meta_reads_the_schema_1_fixture():
@@ -405,6 +412,153 @@ def test_forked_replay_differs_from_continuation(tmp_path):
             < continued.summary.total_paging_time_s)
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "pending submit events stay bound to the retired policy: "
+    "partial(old_policy.submit, job) on the heap (ROADMAP item 8)"))
+def test_fork_successor_handles_every_later_submission(tmp_path):
+    path = str(tmp_path / "arrivals.ckpt")
+    run_experiment(WorkloadGroup.SPEC, 3, policy="g-loadsharing",
+                   scale=0.1, checkpoint_at=500.0, checkpoint_to=path)
+    restored = load_checkpoint(path)
+    later = sum(1 for job in restored.jobs
+                if job.submit_time > restored.meta["sim_now"])
+    assert later > 0
+    retired = restored.policy
+    submitted = retired.stats.submissions
+    forked = fork(restored, policy="local")
+    resume(forked)
+    assert forked.policy.stats.submissions == later
+    assert retired.stats.submissions == submitted
+
+
+# ----------------------------------------------------------------------
+# stream layout (schema 6): header and world in one gzip stream
+# ----------------------------------------------------------------------
+def _paused(tmp_path):
+    """A V-Reconfiguration world paused mid-run at CHECKPOINT_AT."""
+    return load_checkpoint(_checkpoint_of("v-reconfiguration", tmp_path))
+
+
+def _snapshot(restored):
+    return snapshot_bytes(cluster=restored.cluster, policy=restored.policy,
+                          collector=restored.collector, jobs=restored.jobs,
+                          trace_name=restored.trace_name)
+
+
+def _nested_schema_5(restored):
+    """The same world in the layout schemas 1-5 wrote: its pickle
+    nested as bytes under the envelope's ``world`` key."""
+    world = {"cluster": restored.cluster, "policy": restored.policy,
+             "collector": restored.collector, "jobs": restored.jobs,
+             "trace_name": restored.trace_name,
+             "job_counter": 0, "reservation_counter": 0}
+    envelope = {"format": MAGIC, "schema": 5, "meta": dict(restored.meta),
+                "world": pickle.dumps(world, protocol=4)}
+    return gzip.compress(pickle.dumps(envelope, protocol=4))
+
+
+def _explode():
+    raise AssertionError("world unpickled before the header was checked")
+
+
+class _Explodes:
+    def __reduce__(self):
+        return _explode, ()
+
+
+def test_snapshots_of_one_world_are_byte_identical(tmp_path, monkeypatch):
+    """No wall-clock time enters the bytes, and a file holds exactly
+    what ``snapshot_bytes`` returns."""
+    restored = _paused(tmp_path)
+    first = _snapshot(restored)
+    an_hour_later = time.time() + 3600.0
+    monkeypatch.setattr(time, "time", lambda: an_hour_later)
+    assert _snapshot(restored) == first
+    path = tmp_path / "again.ckpt"
+    save_checkpoint(str(path), cluster=restored.cluster,
+                    policy=restored.policy, collector=restored.collector,
+                    jobs=restored.jobs, trace_name=restored.trace_name)
+    assert path.read_bytes() == first
+
+
+def test_newer_schema_header_is_rejected_before_the_world():
+    buffer = io.BytesIO()
+    with gzip.GzipFile(fileobj=buffer, mode="wb") as stream:
+        pickle.dump({"format": MAGIC, "schema": SCHEMA_VERSION + 1,
+                     "meta": {}}, stream, protocol=4)
+        pickle.dump(_Explodes(), stream, protocol=4)
+    with pytest.raises(CheckpointError,
+                       match=f"schema {SCHEMA_VERSION + 1} is not "
+                             f"supported"):
+        restore_bytes(buffer.getvalue())
+
+
+def test_peek_meta_reads_a_file_whose_world_is_corrupt(tmp_path):
+    path = _checkpoint_of("g-loadsharing", tmp_path)
+    meta = peek_meta(path)
+    with open(path, "rb") as stream:
+        corrupt = bytearray(stream.read())
+    for at in range(len(corrupt) // 2, len(corrupt), 97):
+        corrupt[at] ^= 0xFF
+    with open(path, "wb") as stream:
+        stream.write(corrupt)
+    assert peek_meta(path) == meta
+
+
+@pytest.mark.parametrize("cut", ["half", "tail", "trailer"])
+@pytest.mark.parametrize("layout", ["stream", "nested"])
+def test_truncated_checkpoint_raises_checkpoint_error(layout, cut,
+                                                      tmp_path):
+    restored = _paused(tmp_path)
+    data = (_snapshot(restored) if layout == "stream"
+            else _nested_schema_5(restored))
+    # "trailer" keeps every compressed byte and cuts the gzip trailer.
+    end = {"half": len(data) // 2, "tail": len(data) - 10,
+           "trailer": len(data) - 4}[cut]
+    with pytest.raises(CheckpointError, match="truncated or corrupt"):
+        restore_bytes(data[:end])
+
+
+def test_corrupt_world_raises_checkpoint_error(tmp_path):
+    data = bytearray(_snapshot(_paused(tmp_path)))
+    data[-8] ^= 0xFF  # the gzip trailer's CRC
+    garbage = gzip.compress(
+        pickle.dumps({"format": MAGIC, "schema": SCHEMA_VERSION,
+                      "meta": {}}, protocol=4) + b"\x80\x04\xff garbage")
+    for corrupt in (bytes(data), garbage):
+        with pytest.raises(CheckpointError, match="truncated or corrupt"):
+            restore_bytes(corrupt)
+
+
+def test_nested_schema_5_layout_restores_like_the_stream(tmp_path):
+    restored = _paused(tmp_path)
+    nested = resume(restore_bytes(_nested_schema_5(restored)))
+    streamed = resume(restore_bytes(_snapshot(restored)))
+    assert canonical(nested.summary) == canonical(streamed.summary)
+    assert (nested.cluster.sim.event_count
+            == streamed.cluster.sim.event_count)
+
+
+def test_failed_save_leaves_no_file(tmp_path):
+    result = run_blocking_scenario("g-loadsharing", seed=0,
+                                   config=cell_config(1, False))
+    world = dict(cluster=result.cluster, policy=result.policy,
+                 collector=result.collector, jobs=[], trace_name="broken")
+    path = str(tmp_path / "broken.ckpt")
+    meta = save_checkpoint(path, **world)
+    result.cluster.sim.schedule(1.0, lambda: None)  # closure on the heap
+    # A failed save over an existing checkpoint keeps the old file ...
+    with pytest.raises(CheckpointError, match="not picklable"):
+        save_checkpoint(path, **world)
+    assert os.listdir(tmp_path) == ["broken.ckpt"]
+    assert peek_meta(path) == meta
+    # ... and without one leaves no file at all.
+    os.unlink(path)
+    with pytest.raises(CheckpointError, match="not picklable"):
+        save_checkpoint(path, **world)
+    assert os.listdir(tmp_path) == []
+
+
 # ----------------------------------------------------------------------
 # CLI round trip
 # ----------------------------------------------------------------------
@@ -426,6 +580,29 @@ def test_runner_cli_checkpoint_then_restore_matches(tmp_path, capsys):
     with open(resumed) as stream:
         restored = json.load(stream)
     assert uninterrupted == restored
+
+
+@pytest.mark.parametrize("damage", ["truncated", "missing"])
+def test_runner_cli_rejects_an_unreadable_checkpoint(damage, tmp_path,
+                                                     capsys):
+    from repro.experiments.runner import main
+
+    path = str(tmp_path / "bad.ckpt")
+    if damage == "truncated":
+        with open(_checkpoint_of("g-loadsharing", tmp_path), "rb") as stream:
+            data = stream.read()
+        with open(path, "wb") as stream:
+            stream.write(data[:len(data) // 2])
+        reason = "checkpoint file is truncated or corrupt"
+    else:
+        reason = "No such file or directory"
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--restore-from", path])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert f"error: cannot restore {path}: {reason}" in captured.err
+    assert captured.out == ""
 
 
 def test_runner_cli_flag_validation(tmp_path):

@@ -3,6 +3,8 @@ paced driving, and agreement between ``/snapshot.json`` and the run
 summary."""
 
 import json
+import socketserver
+import sys
 import threading
 import time
 import urllib.error
@@ -94,6 +96,48 @@ class TestEndpoints:
         before = obs.live.requests_served
         fetch(f"{obs.live.url}/healthz")
         assert obs.live.requests_served == before + 1
+
+    def test_count_moves_before_the_reply_is_sent(self, served_run,
+                                                  monkeypatch):
+        """Every socket write stalls after sending, so a count taken
+        after the body would still be missing when the client reads
+        the reply."""
+        obs, _ = served_run
+        send = socketserver._SocketWriter.write
+
+        def stalled_write(writer, data):
+            sent = send(writer, data)
+            time.sleep(0.2)
+            return sent
+
+        monkeypatch.setattr(socketserver._SocketWriter, "write",
+                            stalled_write)
+        before = obs.live.requests_served
+        fetch(f"{obs.live.url}/healthz")
+        assert obs.live.requests_served == before + 1
+
+    def test_concurrent_requests_are_all_counted(self, served_run):
+        obs, _ = served_run
+        before = obs.live.requests_served
+        clients, each = 8, 10
+
+        def scrape():
+            for _ in range(each):
+                fetch(f"{obs.live.url}/healthz")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=scrape)
+                       for _ in range(clients)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert obs.live.requests_served == before + clients * each
 
     def test_live_aggregates_reach_summary(self, served_run):
         obs, result = served_run
