@@ -99,9 +99,6 @@ class Cluster:
         #: Called when :attr:`thrashing_nodes` goes from empty to
         #: non-empty (re-arms a parked overload monitor).
         self._thrashing_listeners: List[Callable[[], None]] = []
-        #: Called when a policy's pending queue grows (re-arms a parked
-        #: metrics collector: queueing a job changes no node).
-        self._pending_listeners: List[Callable[[], None]] = []
         #: Fault injector (None on fault-free runs — the common case;
         #: every fault-aware code path guards on this being set).
         self.faults: Optional[FaultInjector] = None
@@ -141,16 +138,6 @@ class Cluster:
             self._thrashing_listeners.remove(listener)
         except ValueError:
             pass
-
-    def on_pending_changed(self, listener: Callable[[], None]) -> None:
-        """Subscribe to pending-queue growth."""
-        self._pending_listeners.append(listener)
-
-    def notify_pending_changed(self) -> None:
-        """Fan a pending-queue change out to subscribers (called by
-        policies when they queue a job)."""
-        for listener in self._pending_listeners:
-            listener()
 
     def _job_finished(self, job: Job, node: Workstation) -> None:
         self.finished_jobs.append(job)

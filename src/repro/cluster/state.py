@@ -19,6 +19,9 @@ Ownership contract:
   property would return;
 * batch readers (collector, sampler, load directory, cluster-wide
   queries) read columns directly and never touch node objects;
+* every writer calls :meth:`ClusterState.pre_change` first, so a
+  reader that must see the state as it stood before a change (the
+  metrics collector's owed samples) reads it there;
 * per-object reads (``node.idle_memory_mb`` and friends) keep their
   existing row-local caches, so the object API costs exactly what it
   did before.
@@ -33,7 +36,7 @@ changes no scheduling decision.
 from __future__ import annotations
 
 from array import array
-from typing import List
+from typing import Callable, List
 
 #: Flag bits of one node's ``flags`` byte.  The low three bits are
 #: the obs sampler's packing (see module docstring).
@@ -60,7 +63,7 @@ class ClusterState:
 
     __slots__ = ("num_nodes", "user_memory_mb", "total_demand_mb",
                  "idle_memory_mb", "fault_rate_per_s", "num_running",
-                 "inbound_jobs", "flags", "version")
+                 "inbound_jobs", "flags", "version", "pre_change_hooks")
 
     def __init__(self, num_nodes: int):
         if num_nodes <= 0:
@@ -85,6 +88,16 @@ class ClusterState:
         #: only column writer): a value derived from the columns stays
         #: exact while the version it was computed at is current.
         self.version = 0
+        #: Called by :meth:`pre_change`, before every row write and
+        #: every change to a policy's pending queue, while both are
+        #: still as they were (the metrics collector's ``flush``).
+        self.pre_change_hooks: List[Callable[[], None]] = []
+
+    def pre_change(self) -> None:
+        """Run the pre-change hooks: a row or a pending queue is about
+        to change."""
+        for hook in self.pre_change_hooks:
+            hook()
 
     # ------------------------------------------------------------------
     # batch views

@@ -535,11 +535,13 @@ class Workstation:
         ``_recompute`` and the reserved/inbound setters), immediately
         before listeners are notified, so a batch consumer reading the
         columns sees exactly what the object properties return at the
-        same instant.  Float columns hold the property values bit-for-
+        same instant.  The pre-change hooks run first, on the row as
+        it was.  Float columns hold the property values bit-for-
         bit; the flag bits mirror ``alive``/``reserved``/``thrashing``/
         ``accepting``/``has_starving_job``.
         """
         state = self._state
+        state.pre_change()
         state.version += 1
         i = self.node_id
         alive = self._alive

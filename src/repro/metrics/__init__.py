@@ -13,7 +13,7 @@ Implements the paper's §4 measurements:
   lifetime.
 """
 
-from repro.metrics.collector import ClusterSample, MetricsCollector
+from repro.metrics.collector import MetricsCollector
 from repro.metrics.export import (
     figure_to_csv,
     summaries_to_csv,
@@ -28,7 +28,6 @@ from repro.metrics.report import (
 )
 
 __all__ = [
-    "ClusterSample",
     "MetricsCollector",
     "RunSummary",
     "comparison_table",

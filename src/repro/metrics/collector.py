@@ -1,79 +1,72 @@
-"""Periodic cluster sampling.
+"""Cluster sampling on a fixed grid, kept as one columnar series.
 
 The paper collects the total idle memory volume and the number of
 active jobs in each workstation every second (§4.1-4.2), and verifies
 that the averages are insensitive to the sampling interval (we expose
 the interval so the benchmark suite can repeat that check).
 
-The 1 Hz sample is the dominant scaling cost of large-cluster runs:
-most simulated seconds see *no* node change (job events are sparse
-compared to the tick).  The collector therefore subscribes to node
-change and pending-queue notifications:
+No event takes the samples.  The sample owed at a grid time is the
+cluster as it stood then, and that is exactly the state just before
+the first change after it.  So every writer of what a sample reads
+runs :meth:`ClusterState.pre_change
+<repro.cluster.state.ClusterState.pre_change>` before it writes:
+``Workstation._sync_row``, the one writer of the state columns, and
+the policies' pending-queue mutators.  The collector's hook,
+:meth:`MetricsCollector.flush`, emits every grid time that has passed
+by then from the still-unchanged state.  Which times have passed is
+:meth:`repro.sim.daemon.TickGrid.catch_up`'s rule, the one the daemon
+ticks follow: a sample at grid time ``t`` sees every change at ``t``
+that a priority-4 tick would have seen.  The averages and a checkpoint
+flush before they read.
 
-* The tick parks after every sample (:mod:`repro.sim.daemon`); the
-  next change re-arms it on the same grid.  Every grid tick skipped
-  meanwhile would have repeated the last sample, so the collector
-  appends those copies, each with its own ``time``, before the change
-  applies.  Copies still due at the engine's position are appended
-  before :attr:`MetricsCollector.samples` is read and before a
-  checkpoint is written (:meth:`MetricsCollector.flush`).
-* A tick recomputes the sample components only if a node changed
-  since the last sample; otherwise it reuses the previous components,
-  which are identical by construction (same inputs, same arithmetic).
-  Changed ticks read the columns of the cluster's
-  :class:`~repro.cluster.state.ClusterState` rather than node
-  properties.
+The series is struct-of-arrays, one entry per grid time:
 
-Balance skew is computed once per sample into a parallel series
-instead of per access, so summarize-time averaging is O(samples)
-instead of O(samples x N).
+* ``times``, ``idle_memory_mb`` (cluster total) and ``skews`` are
+  ``array('d')`` columns; ``reserved`` and ``pending`` (node and job
+  counts) are ``array('l')`` columns;
+* ``vectors`` holds, per sample, a reference to the job-count vector:
+  ``bytes`` with one byte per node, its running-job count, or
+  :data:`EXCLUDED` for a reserved or dead node (the paper's skew is
+  taken "among all non-reserved workstations").  Samples share one
+  vector object until the counts change.
+
+One :meth:`MetricsCollector.sample` call reads the state once for all
+the grid times a flush emits, and recomputes the components only if
+some row was written since the last call (``ClusterState.version``).
+The vector is built from the state columns in C; the balance skew is
+computed once per new vector, so summarize-time averaging is
+O(samples) instead of O(samples x N).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from array import array
+from typing import List, Optional
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.state import FLAG_ALIVE, FLAG_RESERVED
-from repro.sim.daemon import DaemonTick
+from repro.sim.daemon import TickGrid
 
-
-@dataclass(frozen=True)
-class ClusterSample:
-    """One sampling instant."""
-
-    time: float
-    total_idle_memory_mb: float
-    #: Active job counts per node; reserved (and crashed) nodes hold
-    #: None so that the balance skew is computed "among all
-    #: non-reserved workstations".
-    jobs_per_node: Tuple[Optional[int], ...]
-    num_reserved: int
-    pending_jobs: int
-
-    @property
-    def job_balance_skew(self) -> float:
-        """Standard deviation of active jobs among non-reserved nodes."""
-        return _skew_of(self.jobs_per_node)
-
+#: Vector byte of a node left out of the balance skew (reserved or
+#: dead); running-job counts must stay below it.
+EXCLUDED = 0xFF
+_EXCLUDED_BYTE = bytes([EXCLUDED])
 
 #: Byte-translate tables over the packed flags column: C-speed
-#: classification of all N nodes at once.  ``_EXCLUDED_TABLE`` marks
-#: nodes whose job count is None in the skew vector (reserved or
-#: dead); ``_RESERVED_TABLE`` marks reserved nodes.
+#: classification of all N nodes at once.  ``_EXCLUDED_TABLE`` gives
+#: EXCLUDED for a reserved or dead node and 0 otherwise (the mask
+#: OR-ed over the counts); ``_RESERVED_TABLE`` marks reserved nodes.
 _EXCLUDED_TABLE = bytes(
-    1 if (b & FLAG_RESERVED or not b & FLAG_ALIVE) else 0
+    EXCLUDED if (b & FLAG_RESERVED or not b & FLAG_ALIVE) else 0
     for b in range(256))
 _RESERVED_TABLE = bytes(1 if b & FLAG_RESERVED else 0 for b in range(256))
 
 
-def _skew_of(jobs_per_node: Tuple[Optional[int], ...]) -> float:
-    """Balance skew of one counts vector (shared by the per-sample
-    property and the collector's per-tick cache so both produce the
-    same floats)."""
-    counts = [c for c in jobs_per_node if c is not None]
+def _skew_of(vector: bytes) -> float:
+    """Balance skew of one job-count vector: the population standard
+    deviation of the counts of the nodes it does not exclude."""
+    counts = vector.replace(_EXCLUDED_BYTE, b"")
     if not counts:
         return 0.0
     mean = sum(counts) / len(counts)
@@ -99,7 +92,11 @@ class PolicyPendingProbe:
 
 
 class MetricsCollector:
-    """Samples cluster state every ``sample_interval_s`` seconds."""
+    """Samples cluster state every ``sample_interval_s`` seconds.
+
+    Read the columns after :meth:`flush`, which appends the samples
+    owed up to the engine's current position.
+    """
 
     def __init__(self, cluster: Cluster,
                  sample_interval_s: Optional[float] = None,
@@ -112,159 +109,93 @@ class MetricsCollector:
             raise ValueError("sample_interval_s must be positive")
         #: Optional callable returning the current pending-queue length.
         self.pending_probe = pending_probe
-        self._samples: List[ClusterSample] = []
-        #: Per-sample balance skew, parallel to ``samples``: computed
-        #: once at sample time so summarize-time averaging does not
-        #: revisit every counts vector.
-        self._skews: List[float] = []
+        self.times = array("d")
+        self.idle_memory_mb = array("d")
+        self.skews = array("d")
+        self.reserved = array("l")
+        self.pending = array("l")
+        self.vectors: List[bytes] = []
         self._state = cluster.state
-        # Change-driven caching: any externally visible node change
-        # flags the next tick for recomputation; clean ticks reuse the
-        # previous components verbatim.  The pending-queue length is
-        # NOT cached: it is probed fresh at every sample.
-        self._dirty = True
-        self._cached_idle = 0.0
-        self._cached_jobs: Tuple[Optional[int], ...] = ()
-        self._cached_skew = 0.0
-        self._cached_reserved = 0
-        for node in cluster.nodes:
-            node.add_change_listener(self._mark_dirty)
-        cluster.on_pending_changed(self._wake)
-        self._sample_tick = DaemonTick(cluster.sim, self, "_tick",
-                                       self.sample_interval_s, priority=4)
-
-    @property
-    def samples(self) -> List[ClusterSample]:
-        """Every sample up to the engine's current position."""
-        self.flush()
-        return self._samples
-
-    @samples.setter
-    def samples(self, samples: List[ClusterSample]) -> None:
-        self._samples = samples
-
-    def _tick(self) -> None:
-        self.sample()
-        # Until a node or the pending queue changes, every grid tick
-        # would repeat this sample: park, and let flush() copy it.
-        self._sample_tick.fired(keep=False)
-
-    def _mark_dirty(self, node) -> None:
-        self._dirty = True
-        if self._sample_tick.handle is None:
-            self._wake()
-
-    def _wake(self) -> None:
-        """Something the samples read changed: append the copies the
-        parked tick owes, then arm it for the next grid time."""
-        self.flush()
-        self._sample_tick.arm()
+        # Components of the last sample and the state version they were
+        # read at; the pending count is probed fresh every sample.
+        self._version: Optional[int] = None
+        self._idle = 0.0
+        self._vector = b""
+        self._skew = 0.0
+        self._reserved = 0
+        self._grid = TickGrid(cluster.sim, self.sample_interval_s,
+                              priority=4)
+        cluster.state.pre_change_hooks.append(self.flush)
 
     def flush(self) -> None:
-        """Append the samples a parked tick skipped up to the engine's
-        current position: each a copy of the last sample at its own
-        grid time (nothing changed since, so sampling would have
-        reproduced it)."""
-        times = self._sample_tick.catch_up()
-        if times:
-            last = self._samples[-1]
-            fields = (last.total_idle_memory_mb, last.jobs_per_node,
-                      last.num_reserved, last.pending_jobs)
-            self._samples.extend(ClusterSample(time, *fields)
-                                 for time in times)
-            self._skews.extend([self._cached_skew] * len(times))
+        """Append a sample for every grid time that has passed, from
+        the state as it stands (unchanged since the earliest of them:
+        every change runs this first)."""
+        grid = self._grid
+        # Most changes come between two grid times: nothing to emit.
+        if grid.next_time <= grid.sim.now:
+            times = grid.catch_up()
+            if times:
+                self.sample(times)
 
-    def sample(self) -> ClusterSample:
-        """Take one sample immediately (also used by tests).
-
-        Components are recomputed from the state columns only when a
-        node changed since the last sample; a clean tick's reused
-        components are what recomputation would produce (no node
-        changed, so no input changed).
-        """
-        self.flush()
+    def sample(self, times: List[float]) -> None:
+        """Read the cluster once and append that sample at each of
+        ``times``."""
         state = self._state
-        if self._dirty:
-            self._dirty = False
-            num_running = state.num_running
-            excluded = bytes(state.flags).translate(_EXCLUDED_TABLE)
-            if excluded.count(1) == 0:
+        if state.version != self._version:
+            self._version = state.version
+            counts = array("B", state.num_running).tobytes()
+            if _EXCLUDED_BYTE in counts:
+                raise OverflowError(
+                    f"a node runs {EXCLUDED} or more jobs; the job-count "
+                    f"vector holds fewer")
+            mask = state.flags.translate(_EXCLUDED_TABLE)
+            if _EXCLUDED_BYTE not in mask:
                 # Common case: every node alive and unreserved, so the
-                # jobs vector is the running-count column verbatim.
-                jobs = tuple(num_running)
-                self._cached_reserved = 0
+                # vector is the count column verbatim.
+                vector = counts
+                self._reserved = 0
             else:
-                jobs = tuple(None if excl else num_running[node_id]
-                             for node_id, excl in enumerate(excluded))
-                self._cached_reserved = bytes(state.flags).translate(
+                n = len(counts)
+                vector = (int.from_bytes(counts, "big")
+                          | int.from_bytes(mask, "big")).to_bytes(n, "big")
+                self._reserved = state.flags.translate(
                     _RESERVED_TABLE).count(1)
-            self._cached_idle = sum(state.idle_memory_mb)
+            self._idle = sum(state.idle_memory_mb)
             # A change to memory alone leaves the job counts, and so
-            # the skew, as they were.
-            if jobs != self._cached_jobs:
-                self._cached_jobs = jobs
-                self._cached_skew = _skew_of(jobs)
+            # the vector object and the skew, as they were.
+            if vector != self._vector:
+                self._vector = vector
+                self._skew = _skew_of(vector)
         pending = self.pending_probe() if self.pending_probe else 0
-        sample = ClusterSample(
-            time=self.cluster.sim.now,
-            total_idle_memory_mb=self._cached_idle,
-            jobs_per_node=self._cached_jobs,
-            num_reserved=self._cached_reserved,
-            pending_jobs=pending,
-        )
-        self._samples.append(sample)
-        self._skews.append(self._cached_skew)
-        return sample
+        k = len(times)
+        self.times.extend(times)
+        self.idle_memory_mb.extend([self._idle] * k)
+        self.skews.extend([self._skew] * k)
+        self.reserved.extend([self._reserved] * k)
+        self.pending.extend([pending] * k)
+        self.vectors.extend([self._vector] * k)
 
     # ------------------------------------------------------------------
-    def average_idle_memory_mb(self, until: Optional[float] = None) -> float:
-        """Time-averaged total idle memory over the workload lifetime."""
+    def _average(self, column: array, until: Optional[float]) -> float:
+        """Mean of ``column`` over the samples up to ``until``, summed
+        left to right (``sum`` of floats is compensated from Python
+        3.12 on, which would change the result's last bits)."""
+        self.flush()
         total = 0.0
         count = 0
-        for s in self.samples:
-            if until is not None and s.time > until:
+        for time, value in zip(self.times, column):
+            if until is not None and time > until:
                 break
-            total += s.total_idle_memory_mb
+            total += value
             count += 1
         return total / count if count else 0.0
 
+    def average_idle_memory_mb(self, until: Optional[float] = None) -> float:
+        """Time-averaged total idle memory over the workload lifetime."""
+        return self._average(self.idle_memory_mb, until)
+
     def average_job_balance_skew(self, until: Optional[float] = None
                                  ) -> float:
-        """Time-averaged balance skew among non-reserved workstations.
-
-        Uses the per-tick skew series cached at sample time (same
-        floats as the per-sample property); samples injected directly
-        into ``samples`` (tests) fall back to the property.
-        """
-        total = 0.0
-        count = 0
-        samples = self.samples
-        if len(self._skews) == len(samples):
-            for s, skew in zip(samples, self._skews):
-                if until is not None and s.time > until:
-                    break
-                total += skew
-                count += 1
-        else:
-            for s in samples:
-                if until is not None and s.time > until:
-                    break
-                total += s.job_balance_skew
-                count += 1
-        return total / count if count else 0.0
-
-    def reserved_node_seconds(self) -> float:
-        """Integral of the reserved-node count (reconfiguration cost).
-
-        Integrates over the *actual* spacing between samples: each
-        sample's count is held for the interval since the previous one
-        (left-closed step function from t=0), so manual :meth:`sample`
-        calls between periodic ticks refine the integral instead of
-        each being billed a full ``sample_interval_s``.
-        """
-        total = 0.0
-        last_time = 0.0
-        for s in self.samples:
-            total += s.num_reserved * (s.time - last_time)
-            last_time = s.time
-        return total
+        """Time-averaged balance skew among non-reserved workstations."""
+        return self._average(self.skews, until)

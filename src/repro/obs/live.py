@@ -195,22 +195,12 @@ class _LiveHandler(BaseHTTPRequestHandler):
         path = self.path.split("?", 1)[0].rstrip("/") or "/dashboard"
         payload = monitor.payload(path)
         if payload is None:
-            body = b"not found; endpoints: /metrics /healthz " \
-                   b"/snapshot.json /dashboard\n"
-            self.send_response(404)
-            self.send_header("Content-Type", "text/plain; charset=utf-8")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
+            self._reply(b"not found; endpoints: /metrics /healthz "
+                        b"/snapshot.json /dashboard\n",
+                        "text/plain; charset=utf-8", 404)
             return
         body, content_type, status = payload
-        monitor.count_request()
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.send_header("Cache-Control", "no-store")
-        self.end_headers()
-        self.wfile.write(body)
+        self._reply(body, content_type, status, no_store=True)
 
     # ------------------------------------------------------------------
     # write endpoints (validate + enqueue only; engine does the work)
@@ -233,10 +223,18 @@ class _LiveHandler(BaseHTTPRequestHandler):
             body = (b"not found; POST endpoints: /submit /checkpoint "
                     b"/fork\n")
             content_type, status = "text/plain; charset=utf-8", 404
-        monitor.count_request()
+        self._reply(body, content_type, status)
+
+    def _reply(self, body: bytes, content_type: str, status: int,
+               no_store: bool = False) -> None:
+        """Send one reply, counted once before it is sent (so a client
+        that has read it sees the count), whatever its status."""
+        self.server.monitor.count_request()  # type: ignore
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if no_store:
+            self.send_header("Cache-Control", "no-store")
         self.end_headers()
         self.wfile.write(body)
 

@@ -82,8 +82,8 @@ class ClusterSampler:
     def _tick(self) -> None:
         self.sample()
         # priority 5: after every state change at the same instant
-        # (monitors run at 3, the metrics collector at 4), so a sample
-        # at time t sees the post-update state of t.
+        # (monitors run at 3; the metrics collector samples as of 4),
+        # so a sample at time t sees the post-update state of t.
         self.cluster.sim.schedule(self.period_s, self._tick,
                                   priority=5, daemon=True)
 

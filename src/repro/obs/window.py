@@ -53,7 +53,7 @@ HISTORY_LIMIT = 240
 DEFAULT_WINDOW_S = 50.0
 
 #: Daemon priority of the window tick (after monitors at 3 and the
-#: metrics collector at 4, alongside the cluster sampler).
+#: metrics collector's grid at 4, alongside the cluster sampler).
 TICK_PRIORITY = 5
 
 

@@ -162,10 +162,10 @@ class LoadSharingPolicy:
             self._enqueue_pending(job)
 
     def _enqueue_pending(self, job: Job) -> None:
+        self.cluster.state.pre_change()
         self._pending.append(job)
         self.stats.pending_peak = max(self.stats.pending_peak,
                                       len(self._pending))
-        self.cluster.notify_pending_changed()
 
     def _try_place(self, job: Job) -> bool:
         node = self.select_node(job)
@@ -234,6 +234,7 @@ class LoadSharingPolicy:
     def _drain_pending(self) -> None:
         if self._draining or not self._pending:
             return
+        self.cluster.state.pre_change()
         self._draining = True
         try:
             progressed = True
@@ -258,7 +259,7 @@ class LoadSharingPolicy:
     @property
     def pending_count(self) -> int:
         """Pending-queue length without the list copy ``pending_jobs``
-        makes — probed every collector tick, so O(1) matters."""
+        makes — probed by every collector sample, so O(1) matters."""
         return len(self._pending)
 
     # ------------------------------------------------------------------

@@ -28,6 +28,7 @@ class SrptOracle(GLoadSharing):
     def _drain_pending(self) -> None:
         if self._draining or not self._pending:
             return
+        self.cluster.state.pre_change()
         self._draining = True
         try:
             progressed = True

@@ -65,10 +65,11 @@ import os
 import pickle
 import types
 import zlib
+from array import array
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
-from repro.sim.daemon import DaemonTick
+from repro.sim.daemon import DaemonTick, TickGrid
 
 #: File-format magic; rejects arbitrary pickles early.
 MAGIC = "repro-checkpoint"
@@ -83,11 +84,13 @@ MAGIC = "repro-checkpoint"
 #: builds every load directory as a ``DomainDirectory`` that owns the
 #: one exchange tick.  Schema 6 streams the header and the world as
 #: two pickles in one gzip stream; its world layout is schema 5's.
-SCHEMA_VERSION = 6
+#: Schema 7 keeps the collector's samples as one columnar series,
+#: taken before each change instead of by a tick.
+SCHEMA_VERSION = 7
 
 #: Schemas this build restores; older ones are upgraded after
-#: unpickling (:func:`_upgrade_schema_1` ... :func:`_upgrade_schema_4`).
-READABLE_SCHEMAS = (1, 2, 3, 4, 5, SCHEMA_VERSION)
+#: unpickling (:func:`_upgrade_schema_1` ... :func:`_upgrade_schema_6`).
+READABLE_SCHEMAS = (1, 2, 3, 4, 5, 6, SCHEMA_VERSION)
 
 
 class CheckpointError(RuntimeError):
@@ -137,8 +140,8 @@ def _write_checkpoint(stream, *, cluster, policy, collector, jobs,
     import repro.core.reservation as reservation_mod
 
     if collector is not None:
-        # Samples a parked collector tick owes up to this instant are
-        # part of the state being captured.
+        # The samples owed up to this instant are part of the state
+        # being captured.
         collector.flush()
     world = {
         "cluster": cluster,
@@ -267,6 +270,8 @@ def _read_checkpoint(stream, advance_counters: bool) -> RestoredRun:
         _upgrade_schema_3(world)
     if schema < 5:
         _upgrade_schema_4(world)
+    if schema < 7:
+        _upgrade_schema_6(world)
     if advance_counters:
         _advance_global_counters(world)
     return RestoredRun(cluster=world["cluster"], policy=world["policy"],
@@ -289,20 +294,39 @@ def restore_bytes(data: bytes,
     return _read_checkpoint(io.BytesIO(data), advance_counters)
 
 
+#: Methods an old world may hold bound that this build no longer has,
+#: by (class name, method): the pre-5 flat directory's exchange tick
+#: and the pre-7 collector's tick and its two change listeners.
+_RETIRED_METHODS = {("LoadInfoDirectory", "_tick"),
+                    ("MetricsCollector", "_tick"),
+                    ("MetricsCollector", "_wake"),
+                    ("MetricsCollector", "_mark_dirty")}
+
+
 def _getattr(obj: object, name: str):
-    """``getattr`` as pickle calls it to rebuild a bound method.  The
-    pre-5 flat directory's ``_tick`` is gone: a stand-in carrying the
-    method's owner and name stays on its event handle until
-    :func:`_upgrade_schema_4` replaces it."""
-    if name == "_tick" and type(obj).__name__ == "LoadInfoDirectory":
+    """``getattr`` as pickle calls it to rebuild a bound method.  A
+    retired method unpickles as a stand-in carrying its owner and name;
+    the upgrade of its schema replaces or drops it."""
+    if (type(obj).__name__, name) in _RETIRED_METHODS:
         return types.SimpleNamespace(__self__=obj, __name__=name)
     return getattr(obj, name)
+
+
+def _retired(callback) -> bool:
+    return isinstance(callback, types.SimpleNamespace)
+
+
+class _LegacySample:
+    """A pre-7 collector sample (a ``ClusterSample``); only read by
+    :func:`_upgrade_schema_6`."""
 
 
 class _WorldUnpickler(pickle.Unpickler):
     def find_class(self, module: str, name: str):
         if (module, name) == ("builtins", "getattr"):
             return _getattr
+        if (module, name) == ("repro.metrics.collector", "ClusterSample"):
+            return _LegacySample
         return super().find_class(module, name)
 
 
@@ -329,8 +353,9 @@ def _upgrade_schema_2(world: Dict[str, Any]) -> None:
     Before schema 3 the exchange, monitor and collector ticks
     rescheduled themselves every round, so each live one has its
     handle in the heap: such a daemon is armed on that handle's grid
-    time.  A checkpoint is written between ``run(until=...)`` slices,
-    so every event at the saved instant has fired.
+    time (the collector's, by :func:`_upgrade_schema_6`).  A checkpoint
+    is written between ``run(until=...)`` slices, so every event at
+    the saved instant has fired.
     """
     from repro.cluster.loadinfo import LoadInfoDirectory
     from repro.core.reservation import (ReservationManager,
@@ -338,7 +363,6 @@ def _upgrade_schema_2(world: Dict[str, Any]) -> None:
 
     cluster = world["cluster"]
     policy = world["policy"]
-    collector = world["collector"]
     sim = cluster.sim
     sim._priority = math.inf
     handles = {}
@@ -367,12 +391,6 @@ def _upgrade_schema_2(world: Dict[str, Any]) -> None:
                             policy.config.monitor_interval_s, 3)
     cluster._thrashing_listeners = (
         [] if policy._retired else [policy._wake_monitor])
-    cluster._pending_listeners = []
-    if collector is not None:
-        collector._samples = collector.__dict__.pop("samples")
-        collector._sample_tick = adopt(collector, "_tick",
-                                       collector.sample_interval_s, 4)
-        cluster._pending_listeners.append(collector._wake)
     for listener in cluster._job_listeners:
         manager = getattr(listener, "__self__", None)
         if isinstance(manager, ReservationManager):
@@ -456,6 +474,67 @@ def _upgrade_schema_4(world: Dict[str, Any]) -> None:
     for shard in directory._shards:
         del shard._exchange
         shard._on_dirty = directory._arm_exchange
+
+
+def _upgrade_schema_6(world: Dict[str, Any]) -> None:
+    """Bring an unpickled schema-1..6 world to schema 7.
+
+    The collector's list of sample objects becomes its columnar series;
+    samples that shared a job-count tuple share one vector.  Its tick
+    is gone: a pending one is cancelled, and its time is the next time
+    of the collector's grid.  The collector's node-change and
+    pending-queue listeners (retired stand-ins) are dropped, and its
+    ``flush`` becomes the state's pre-change hook.
+    """
+    from repro.metrics.collector import EXCLUDED
+
+    cluster = world["cluster"]
+    collector = world["collector"]
+    sim = cluster.sim
+    cluster.__dict__.pop("_pending_listeners", None)
+    for node in cluster.nodes:
+        node._change_listeners = [listener
+                                  for listener in node._change_listeners
+                                  if not _retired(listener)]
+    cluster.state.pre_change_hooks = []
+    if collector is None:
+        return
+    fields = collector.__dict__
+    grid = TickGrid(sim, collector.sample_interval_s, priority=4)
+    tick = fields.pop("_sample_tick", None)
+    if tick is not None:
+        grid.next_time = tick.next_time
+    for _, _, _, handle in sim._heap:
+        if (handle.pending and _retired(handle.callback)
+                and handle.callback.__self__ is collector):
+            grid.next_time = handle.time
+            handle.cancel()
+    # Schemas 1-2 named the sample list ``samples``.
+    samples = fields.pop("_samples" if "_samples" in fields else "samples")
+    skews = fields.pop("_skews")
+    for name in ("_dirty", "_cached_idle", "_cached_jobs", "_cached_skew",
+                 "_cached_reserved"):
+        del fields[name]
+    packed: Dict[int, bytes] = {}
+    vectors = []
+    for sample in samples:
+        jobs = sample.jobs_per_node
+        vector = packed.get(id(jobs))
+        if vector is None:
+            vector = packed[id(jobs)] = bytes(
+                EXCLUDED if count is None else count for count in jobs)
+        vectors.append(vector)
+    fields.update(
+        times=array("d", [sample.time for sample in samples]),
+        idle_memory_mb=array(
+            "d", [sample.total_idle_memory_mb for sample in samples]),
+        skews=array("d", skews),
+        reserved=array("l", [sample.num_reserved for sample in samples]),
+        pending=array("l", [sample.pending_jobs for sample in samples]),
+        vectors=vectors, _version=None, _idle=0.0,
+        _vector=vectors[-1] if vectors else b"",
+        _skew=skews[-1] if skews else 0.0, _reserved=0, _grid=grid)
+    cluster.state.pre_change_hooks.append(collector.flush)
 
 
 def load_checkpoint(path: str,

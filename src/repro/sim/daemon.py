@@ -1,12 +1,12 @@
 """Periodic daemon ticks that are scheduled only while they have work.
 
-The load-information exchange, the overload monitor and the metrics
-collector each run on a fixed tick grid, but most of their ticks find
-nothing to do.  A :class:`DaemonTick` keeps such a daemon's grid while
-its owner *parks* the tick after a round that left no work and *arms*
-it again when work appears.  A parked daemon schedules no events.
+The load-information exchange and the overload monitor each run on a
+fixed tick grid, but most of their ticks find nothing to do.  A
+:class:`DaemonTick` keeps such a daemon's grid while its owner *parks*
+the tick after a round that left no work and *arms* it again when work
+appears.  A parked daemon schedules no events.
 
-One grid rule serves every daemon (:meth:`DaemonTick.catch_up`):
+One grid rule serves every daemon (:meth:`TickGrid.catch_up`):
 
 * The grid is the chain ``start + interval + interval + ...`` formed
   by float addition, exactly as a daemon that reschedules itself
@@ -24,6 +24,11 @@ One grid rule serves every daemon (:meth:`DaemonTick.catch_up`):
 * The tick callback is looked up on the owner by name each time it is
   scheduled, so a wrapper installed on the instance (the obs profiler)
   takes effect from the next tick on.
+
+The grid and that rule are a :class:`TickGrid` of their own.  The
+metrics collector keeps one with no tick at all: before each change
+it emits the samples of every grid time that has passed
+(:mod:`repro.metrics.collector`).
 """
 
 from __future__ import annotations
@@ -34,29 +39,52 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import EventHandle, Simulator
 
 
-class DaemonTick:
+class TickGrid:
+    """A periodic grid, and which of its times have passed.
+
+    The grid starts one ``interval`` after construction; ``next_time``
+    is the earliest grid time not known to have passed.
+    """
+
+    __slots__ = ("sim", "interval", "priority", "next_time")
+
+    def __init__(self, sim: "Simulator", interval: float, priority: int):
+        self.sim = sim
+        self.interval = interval
+        self.priority = priority
+        self.next_time = sim.now + interval
+
+    def catch_up(self) -> List[float]:
+        """Advance past every grid time whose tick would already have
+        fired at the engine's position, and return those times."""
+        passed = []
+        sim = self.sim
+        now = sim.now
+        t = self.next_time
+        while t < now or (t == now and self.priority < sim.priority):
+            passed.append(t)
+            t += self.interval
+        self.next_time = t
+        return passed
+
+
+class DaemonTick(TickGrid):
     """Grid and arm state of one periodic daemon.
 
     The owner's tick method must end with :meth:`fired`; work arriving
-    while the tick is parked calls :meth:`arm`.  The grid starts one
-    ``interval`` after construction; ``armed`` schedules that first
-    tick right away.
+    while the tick is parked calls :meth:`arm`.  ``armed`` schedules
+    the first grid tick right away.
     """
 
-    __slots__ = ("sim", "owner", "method", "interval", "priority",
-                 "next_time", "handle")
+    __slots__ = ("owner", "method", "handle")
 
     def __init__(self, sim: "Simulator", owner: object, method: str,
                  interval: float, priority: int, armed: bool = True):
-        self.sim = sim
+        super().__init__(sim, interval, priority)
         self.owner = owner
         self.method = method
-        self.interval = interval
-        self.priority = priority
-        #: Grid time of the next tick: the scheduled one while armed;
-        #: while parked, the earliest one not known to have passed.
-        self.next_time = sim.now + interval
-        #: The scheduled (or firing) tick; None while parked.
+        #: The scheduled (or firing) tick; None while parked.  While
+        #: armed, ``next_time`` is the scheduled tick's time.
         self.handle: "EventHandle | None" = None
         if armed:
             self._schedule()
@@ -64,21 +92,6 @@ class DaemonTick:
     @property
     def armed(self) -> bool:
         return self.handle is not None
-
-    def catch_up(self) -> List[float]:
-        """Advance a parked chain past every grid time whose tick would
-        already have fired at the engine's position, and return those
-        times (none while armed)."""
-        passed = []
-        if self.handle is None:
-            sim = self.sim
-            now = sim.now
-            t = self.next_time
-            while t < now or (t == now and self.priority < sim.priority):
-                passed.append(t)
-                t += self.interval
-            self.next_time = t
-        return passed
 
     def arm(self) -> None:
         """Schedule the next grid tick that has not fired yet; no-op

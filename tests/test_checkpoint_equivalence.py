@@ -280,13 +280,20 @@ def test_upgraded_fixture_adopts_each_daemon_tick_once():
     assert directory.domain_bounds(0) == (0, restored.cluster.num_nodes)
     assert directory._summary_handle is None
     daemons = [(directory, "_exchange_tick", directory._exchange),
-               (restored.policy, "_monitor_tick", restored.policy._monitor),
-               (restored.collector, "_tick",
-                restored.collector._sample_tick)]
+               (restored.policy, "_monitor_tick", restored.policy._monitor)]
     for owner, method, tick in daemons:
         assert tick.owner is owner and tick.method == method
         assert pending_handles(sim, owner, method) == [tick.handle]
         assert tick.next_time == tick.handle.time
+    # The collector's tick is retired: its pending handle is cancelled,
+    # and its time is the next one the collector's grid owes.
+    collector = restored.collector
+    assert not [entry for entry in sim._heap if entry[3].pending
+                and getattr(entry[3].callback, "__self__", None)
+                is collector]
+    assert collector._grid.next_time == 251.0
+    assert collector.times[-1] == restored.meta["sim_now"]
+    assert collector.flush in restored.cluster.state.pre_change_hooks
 
 
 def test_sharded_schema_4_fixture_restores_to_pinned_summary():
@@ -325,27 +332,64 @@ def test_upgraded_fixture_lanes_match_a_fresh_recompute():
     assert [repr(node._lanes) for node in cluster.nodes] == upgraded
 
 
-def test_snapshot_with_every_daemon_parked_resumes_identically(tmp_path):
+def series(collector) -> tuple:
+    """The collector's columns and vectors, as plain lists."""
+    collector.flush()
+    return (collector.times.tolist(), collector.idle_memory_mb.tolist(),
+            collector.skews.tolist(), collector.reserved.tolist(),
+            collector.pending.tolist(), list(collector.vectors))
+
+
+def _check_parked_snapshot(tmp_path, cut: float) -> None:
+    """Snapshot at ``cut``, restore, resume: the run that continued past
+    the save and the resumed one both equal the uninterrupted run,
+    columns and vectors included."""
     path = str(tmp_path / "parked.ckpt")
     cfg = cell_config(domains=1, faulted=False)
     baseline = run_blocking_scenario("v-reconfiguration", seed=0,
                                      config=cfg)
     checkpointed = run_blocking_scenario(
         "v-reconfiguration", seed=0, config=cfg,
-        checkpoint_at=CHECKPOINT_AT, checkpoint_to=path)
+        checkpoint_at=cut, checkpoint_to=path)
     restored = load_checkpoint(path)
     assert not restored.cluster.directory._exchange.armed
     assert not restored.policy._monitor.armed
-    assert not restored.collector._sample_tick.armed
-    # The samples the parked collector owed were written with it.
-    assert restored.collector._samples[-1].time == CHECKPOINT_AT
+    # The samples owed up to the cut were written with the collector.
+    assert restored.collector.times[-1] == CHECKPOINT_AT
+    assert restored.collector._grid.next_time == CHECKPOINT_AT + 1.0
     resumed = resume(restored)
     for run in (checkpointed, resumed):
         assert canonical(run.summary) == canonical(baseline.summary)
-        assert run.collector.samples == baseline.collector.samples
-        assert run.collector._skews == baseline.collector._skews
+        assert series(run.collector) == series(baseline.collector)
     assert (resumed.cluster.sim.event_count
             == baseline.cluster.sim.event_count)
+
+
+def test_snapshot_with_every_daemon_parked_resumes_identically(tmp_path):
+    _check_parked_snapshot(tmp_path, CHECKPOINT_AT)
+
+
+def test_snapshot_between_grid_times_resumes_identically(tmp_path):
+    _check_parked_snapshot(tmp_path, CHECKPOINT_AT + 0.5)
+
+
+@pytest.mark.parametrize("fixture", [GOLDEN_CKPT, SHARDED_CKPT],
+                         ids=["v1", "v4-d2"])
+def test_upgraded_fixture_series_matches_a_fresh_run(fixture):
+    """An old world's sample objects become the columnar series, and
+    it continues as the run the fixture was cut from: the same
+    scenario run with this build, start to end."""
+    restored = load_checkpoint(fixture)
+    vectors = restored.collector.vectors
+    assert len(vectors) == CHECKPOINT_AT
+    # Samples that shared a job-count tuple share one vector.
+    assert len({id(vector) for vector in vectors}) < len(vectors)
+    resumed = resume(restored)
+    cfg = SCENARIO_CLUSTER.replace(num_nodes=8,
+                                   domains=restored.meta["domains"])
+    fresh = run_blocking_scenario("v-reconfiguration", seed=0, config=cfg)
+    assert canonical(resumed.summary) == canonical(fresh.summary)
+    assert series(resumed.collector) == series(fresh.collector)
 
 
 # ----------------------------------------------------------------------
@@ -445,16 +489,12 @@ def _snapshot(restored):
                           trace_name=restored.trace_name)
 
 
-def _nested_schema_5(restored):
-    """The same world in the layout schemas 1-5 wrote: its pickle
-    nested as bytes under the envelope's ``world`` key."""
-    world = {"cluster": restored.cluster, "policy": restored.policy,
-             "collector": restored.collector, "jobs": restored.jobs,
-             "trace_name": restored.trace_name,
-             "job_counter": 0, "reservation_counter": 0}
-    envelope = {"format": MAGIC, "schema": 5, "meta": dict(restored.meta),
-                "world": pickle.dumps(world, protocol=4)}
-    return gzip.compress(pickle.dumps(envelope, protocol=4))
+def _nested_layout() -> bytes:
+    """A checkpoint in the layout schemas 1-5 wrote, the world's pickle
+    nested as bytes under the envelope's ``world`` key: the committed
+    schema-4 fixture."""
+    with open(SHARDED_CKPT, "rb") as stream:
+        return stream.read()
 
 
 def _explode():
@@ -511,7 +551,7 @@ def test_truncated_checkpoint_raises_checkpoint_error(layout, cut,
                                                       tmp_path):
     restored = _paused(tmp_path)
     data = (_snapshot(restored) if layout == "stream"
-            else _nested_schema_5(restored))
+            else _nested_layout())
     # "trailer" keeps every compressed byte and cuts the gzip trailer.
     end = {"half": len(data) // 2, "tail": len(data) - 10,
            "trailer": len(data) - 4}[cut]
@@ -530,10 +570,10 @@ def test_corrupt_world_raises_checkpoint_error(tmp_path):
             restore_bytes(corrupt)
 
 
-def test_nested_schema_5_layout_restores_like_the_stream(tmp_path):
-    restored = _paused(tmp_path)
-    nested = resume(restore_bytes(_nested_schema_5(restored)))
-    streamed = resume(restore_bytes(_snapshot(restored)))
+def test_nested_schema_5_layout_restores_like_the_stream():
+    nested = resume(restore_bytes(_nested_layout()))
+    streamed = resume(restore_bytes(_snapshot(
+        restore_bytes(_nested_layout()))))
     assert canonical(nested.summary) == canonical(streamed.summary)
     assert (nested.cluster.sim.event_count
             == streamed.cluster.sim.event_count)

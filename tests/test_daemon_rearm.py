@@ -1,15 +1,18 @@
-"""Skip oracle for the daemons that tick only while they have work.
+"""Skip oracle for the daemons that tick only while they have work,
+and for the collector that has no tick at all.
 
-The load-information exchange, the overload monitor and the metrics
-collector park their ticks when a round leaves them nothing to do and
-re-arm them on the same grid when work appears
-(:mod:`repro.sim.daemon`).  Parking must be invisible.  Each case here
-runs twice: once as shipped, and once with the park decisions patched
-to never park, so that every daemon fires on every grid point as a
-self-rescheduling daemon does.  The two runs must agree on the
-``RunSummary``, every collector sample (``time`` included) and skew,
-the directory's snapshots at the end, and the ``(time, node)``
-sequence of ``handle_overload`` calls.
+The load-information exchange and the overload monitor park their
+ticks when a round leaves them nothing to do and re-arm them on the
+same grid when work appears (:mod:`repro.sim.daemon`).  The metrics
+collector emits the samples it owes before each change.  Neither may
+show.  Each case here runs twice: once as shipped, and once with the
+park decisions patched to never park, so that every daemon fires on
+every grid point as a self-rescheduling daemon does.  That run also
+samples the cluster from a self-rescheduling priority-4 chain, as the
+collector's tick once did: the reference series.  The two runs must
+agree on the ``RunSummary``, the directory's snapshots at the end and
+the ``(time, node)`` sequence of ``handle_overload`` calls, and each
+collector's columns and vectors must equal the reference.
 
 The run is App trace 5 on 8 nodes: enough memory pressure for
 thrashing, blocking, pending jobs, suspensions and reservations, with
@@ -20,12 +23,16 @@ round shares its instant with a summary round and must keep its place
 before it.
 """
 
+import math
+
 import pytest
 
 from test_checkpoint_equivalence import FULL_FAULTS
 from test_determinism import canonical
 
+from repro.cluster.state import FLAG_ALIVE, FLAG_RESERVED
 from repro.experiments.runner import POLICIES, default_config, run_experiment
+from repro.metrics.collector import MetricsCollector
 from repro.scheduling.suspension import SuspensionPolicy
 from repro.sim.daemon import DaemonTick
 from repro.workload.programs import WorkloadGroup
@@ -58,6 +65,48 @@ def never_park(monkeypatch) -> None:
                         lambda self, keep: fired(self, keep=True))
 
 
+class ReferenceSampler:
+    """Samples the state columns and the pending count at every grid
+    point from a self-rescheduling priority-4 chain; the skew is the
+    plain generator expression over the counts."""
+
+    def __init__(self, collector: MetricsCollector):
+        self.sim = collector.cluster.sim
+        self.state = collector.cluster.state
+        self.probe = collector.pending_probe
+        self.interval = collector.sample_interval_s
+        self.rows = []
+        self.sim.schedule(self.interval, self.tick, priority=4,
+                          daemon=True)
+
+    def tick(self) -> None:
+        state = self.state
+        jobs = tuple(None if bits & FLAG_RESERVED or not bits & FLAG_ALIVE
+                     else count
+                     for bits, count in zip(state.flags, state.num_running))
+        counts = [c for c in jobs if c is not None]
+        skew = 0.0
+        if counts:
+            mean = sum(counts) / len(counts)
+            skew = math.sqrt(sum((c - mean) ** 2 for c in counts)
+                             / len(counts))
+        reserved = sum(1 for bits in state.flags if bits & FLAG_RESERVED)
+        self.rows.append((self.sim.now, sum(state.idle_memory_mb), skew,
+                          reserved, self.probe(), jobs))
+        self.sim.schedule(self.interval, self.tick, priority=4,
+                          daemon=True)
+
+
+def collector_rows(collector: MetricsCollector) -> list:
+    """The collector's series as reference rows, vectors decoded."""
+    collector.flush()
+    return list(zip(
+        collector.times, collector.idle_memory_mb, collector.skews,
+        collector.reserved, collector.pending,
+        (tuple(None if c == 0xFF else c for c in vector)
+         for vector in collector.vectors)))
+
+
 def run_case(monkeypatch, policy: str, regime: str, domains: int,
              faulted: bool, park: bool) -> dict:
     exchange, monitor, sample, summary = REGIMES[regime]
@@ -73,18 +122,25 @@ def run_case(monkeypatch, policy: str, regime: str, domains: int,
         overloads.append((self.sim.now, node.node_id))
         handle_overload(self, node)
 
+    references = []
+    init = MetricsCollector.__init__
+
+    def with_reference(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        references.append(ReferenceSampler(self))
+
     with monkeypatch.context() as patch:
         patch.setattr(cls, "handle_overload", recording)
         if not park:
             never_park(patch)
+            patch.setattr(MetricsCollector, "__init__", with_reference)
         result = run_experiment(WorkloadGroup.APP, 5, policy=policy,
                                 seed=0, scale=0.25, nodes=8, config=cfg,
                                 faults=FULL_FAULTS if faulted else None)
-    collector = result.collector
     return {
         "summary": canonical(result.summary),
-        "samples": list(collector.samples),
-        "skews": list(collector._skews),
+        "series": collector_rows(result.collector),
+        "reference": [ref.rows for ref in references],
         "snapshots": result.cluster.directory.snapshots(),
         "overloads": overloads,
         "events": result.cluster.sim.event_count,
@@ -102,9 +158,11 @@ def test_parked_ticks_change_nothing(monkeypatch, policy, regime, domains,
     armed = run_case(monkeypatch, policy, regime, domains, faulted,
                      park=False)
     assert parked["summary"] == armed["summary"]
-    assert len(parked["samples"]) == len(armed["samples"])
-    assert parked["samples"] == armed["samples"]
-    assert parked["skews"] == armed["skews"]
+    [reference] = armed["reference"]
+    assert len(reference) > 100
+    for run in (parked, armed):
+        assert len(run["series"]) == len(reference)
+        assert run["series"] == reference
     assert parked["snapshots"] == armed["snapshots"]
     assert parked["overloads"] == armed["overloads"]
     assert parked["events"] < armed["events"]

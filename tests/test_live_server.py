@@ -97,6 +97,18 @@ class TestEndpoints:
         fetch(f"{obs.live.url}/healthz")
         assert obs.live.requests_served == before + 1
 
+    @pytest.mark.parametrize("method", ["GET", "POST"])
+    def test_unknown_paths_are_counted_once(self, served_run, method):
+        obs, _ = served_run
+        before = obs.live.requests_served
+        request = urllib.request.Request(
+            f"{obs.live.url}/nope", method=method,
+            data=b"" if method == "POST" else None)
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=5)
+        assert excinfo.value.code == 404
+        assert obs.live.requests_served == before + 1
+
     def test_count_moves_before_the_reply_is_sent(self, served_run,
                                                   monkeypatch):
         """Every socket write stalls after sending, so a count taken

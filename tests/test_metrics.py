@@ -1,11 +1,13 @@
 """Unit tests for metrics collection, summaries, and reporting."""
 
+import functools
 import math
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.metrics.collector import ClusterSample, MetricsCollector, _skew_of
+from repro.metrics.collector import (EXCLUDED, MetricsCollector,
+                                     PolicyPendingProbe, _skew_of)
 from repro.metrics.report import (
     comparison_table,
     percentage_reduction,
@@ -14,32 +16,35 @@ from repro.metrics.report import (
 )
 from repro.metrics.summary import summarize_run
 from repro.scheduling import GLoadSharing
+from repro.scheduling.srpt import SrptOracle
 
 from helpers import drive, job, tiny_cluster
 
 
+def pack(jobs_per_node):
+    """A sample's job-count vector; None marks a reserved or dead node."""
+    return bytes(EXCLUDED if c is None else c for c in jobs_per_node)
+
+
 class TestClusterSample:
-    def make(self, jobs_per_node):
-        return ClusterSample(time=0.0, total_idle_memory_mb=0.0,
-                             jobs_per_node=tuple(jobs_per_node),
-                             num_reserved=0, pending_jobs=0)
+    """Balance skew of one sample's job-count vector."""
+
+    def skew(self, jobs_per_node):
+        return _skew_of(pack(jobs_per_node))
 
     def test_skew_zero_for_balanced(self):
-        assert self.make([2, 2, 2, 2]).job_balance_skew == 0.0
+        assert self.skew([2, 2, 2, 2]) == 0.0
 
     def test_skew_population_std(self):
-        sample = self.make([0, 4])
-        assert sample.job_balance_skew == pytest.approx(2.0)
+        assert self.skew([0, 4]) == pytest.approx(2.0)
 
     def test_skew_excludes_reserved_nodes(self):
         """The paper computes the skew among non-reserved workstations."""
-        with_reserved = self.make([2, 2, None, 10])
-        without = self.make([2, 2, 10])
-        assert (with_reserved.job_balance_skew
-                == pytest.approx(without.job_balance_skew))
+        assert (self.skew([2, 2, None, 10])
+                == pytest.approx(self.skew([2, 2, 10])))
 
     def test_skew_all_reserved(self):
-        assert self.make([None, None]).job_balance_skew == 0.0
+        assert self.skew([None, None]) == 0.0
 
 
 class TestCollector:
@@ -48,8 +53,8 @@ class TestCollector:
         collector = MetricsCollector(cluster, sample_interval_s=2.0)
         cluster.nodes[0].add_job(job(work=10.0))
         cluster.sim.run(until=9.0)
-        times = [sample.time for sample in collector.samples]
-        assert times == [2.0, 4.0, 6.0, 8.0]
+        collector.flush()
+        assert collector.times.tolist() == [2.0, 4.0, 6.0, 8.0]
 
     def test_idle_memory_average(self):
         cluster = tiny_cluster(num_nodes=2, memory_mb=100.0)
@@ -73,11 +78,61 @@ class TestCollector:
                                      pending_probe=lambda: 7)
         cluster.nodes[0].add_job(job(work=2.0))
         cluster.sim.run(until=1.5)
-        assert collector.samples[0].pending_jobs == 7
+        collector.flush()
+        assert collector.pending.tolist() == [7]
 
     def test_invalid_interval(self):
         with pytest.raises(ValueError):
             MetricsCollector(tiny_cluster(), sample_interval_s=0.0)
+
+    def test_average_until_filter_single_pass(self):
+        """until= filtering must agree with the list-based definition."""
+        cluster = tiny_cluster(num_nodes=2, memory_mb=100.0)
+        collector = MetricsCollector(cluster, sample_interval_s=1.0)
+        cluster.nodes[0].add_job(job(work=100.0, demand=60.0))
+        cluster.sim.run(until=6.5)
+        collector.flush()
+        expected = [idle for time, idle in zip(collector.times,
+                                               collector.idle_memory_mb)
+                    if time <= 3.5]
+        assert collector.average_idle_memory_mb(until=3.5) == pytest.approx(
+            sum(expected) / len(expected))
+
+    @pytest.mark.parametrize("policy_cls", [GLoadSharing, SrptOracle])
+    def test_pending_mutators_sample_the_queue_before_changing_it(
+            self, policy_cls):
+        """A queue change that is the first change after grid times
+        emits their samples from the queue as it stood: a drain that
+        places nothing (it pops the head and puts it back) and an
+        enqueue, each with no node write at its instant."""
+        cluster = tiny_cluster(num_nodes=1)
+        policy = policy_cls(cluster)
+        collector = MetricsCollector(cluster, sample_interval_s=1.0,
+                                     pending_probe=PolicyPendingProbe(policy))
+        cluster.nodes[0].reserved = True  # nothing accepts: jobs queue
+        sim = cluster.sim
+        sim.schedule_at(0.5, functools.partial(policy.submit, job()))
+        sim.schedule_at(2.5, policy._drain_pending)
+        sim.schedule_at(3.5, functools.partial(policy.submit, job()))
+        sim.run(until=4.5)
+        collector.flush()
+        assert collector.pending.tolist() == [1, 1, 1, 2]
+
+    def test_vectors_mark_reserved_nodes_and_share_until_counts_change(
+            self):
+        cluster = tiny_cluster(num_nodes=3)
+        collector = MetricsCollector(cluster, sample_interval_s=1.0)
+        cluster.nodes[0].add_job(job(work=100.0))
+        cluster.sim.run(until=2.5)
+        cluster.nodes[2].reserved = True
+        cluster.sim.run(until=4.5)
+        collector.flush()
+        assert collector.vectors == [pack([1, 0, 0])] * 2 + [
+            pack([1, 0, None])] * 2
+        assert collector.vectors[0] is collector.vectors[1]
+        assert collector.reserved.tolist() == [0, 0, 1, 1]
+        assert collector.skews.tolist() == [
+            _skew_of(vector) for vector in collector.vectors]
 
     def test_interval_insensitivity(self):
         """The paper verified averages are insensitive to the sampling
@@ -192,49 +247,6 @@ class TestBarChart:
         assert "T" in chart
 
 
-class TestReservedNodeSeconds:
-    def make(self, time, num_reserved):
-        return ClusterSample(time=time, total_idle_memory_mb=0.0,
-                             jobs_per_node=(0,), num_reserved=num_reserved,
-                             pending_jobs=0)
-
-    def test_uniform_ticks_match_interval_product(self):
-        """With periodic sampling only, the integral equals
-        count x interval, as before."""
-        cluster = tiny_cluster()
-        collector = MetricsCollector(cluster, sample_interval_s=2.0)
-        collector.samples = [self.make(2.0, 1), self.make(4.0, 1),
-                             self.make(6.0, 3)]
-        assert collector.reserved_node_seconds() == pytest.approx(
-            1 * 2.0 + 1 * 2.0 + 3 * 2.0)
-
-    def test_manual_samples_integrate_actual_spacing(self):
-        """A manual sample() between ticks must refine the integral,
-        not be billed a full interval."""
-        cluster = tiny_cluster()
-        collector = MetricsCollector(cluster, sample_interval_s=2.0)
-        collector.samples = [self.make(2.0, 1), self.make(2.5, 2),
-                             self.make(4.0, 2)]
-        # [0,2]: 1 node; (2,2.5]: 2 nodes; (2.5,4]: 2 nodes
-        assert collector.reserved_node_seconds() == pytest.approx(
-            1 * 2.0 + 2 * 0.5 + 2 * 1.5)
-
-    def test_empty(self):
-        collector = MetricsCollector(tiny_cluster())
-        assert collector.reserved_node_seconds() == 0.0
-
-    def test_average_until_filter_single_pass(self):
-        """until= filtering must agree with the list-based definition."""
-        cluster = tiny_cluster(num_nodes=2, memory_mb=100.0)
-        collector = MetricsCollector(cluster, sample_interval_s=1.0)
-        cluster.nodes[0].add_job(job(work=100.0, demand=60.0))
-        cluster.sim.run(until=6.5)
-        expected = [s.total_idle_memory_mb for s in collector.samples
-                    if s.time <= 3.5]
-        assert collector.average_idle_memory_mb(until=3.5) == pytest.approx(
-            sum(expected) / len(expected))
-
-
 def _skew_by_generator(jobs_per_node):
     """The per-count generator expression the lookup table replaced."""
     counts = [c for c in jobs_per_node if c is not None]
@@ -246,10 +258,10 @@ def _skew_by_generator(jobs_per_node):
 
 @given(st.lists(st.one_of(st.none(), st.integers(0, 12)), max_size=600))
 def test_skew_table_matches_the_generator_expression(jobs_per_node):
-    assert (repr(_skew_of(tuple(jobs_per_node)))
+    assert (repr(_skew_of(pack(jobs_per_node)))
             == repr(_skew_by_generator(jobs_per_node)))
 
 
 def test_skew_of_all_excluded_nodes_is_zero():
-    assert _skew_of((None, None, None)) == 0.0
-    assert _skew_of(()) == 0.0
+    assert _skew_of(pack((None, None, None))) == 0.0
+    assert _skew_of(b"") == 0.0

@@ -201,3 +201,22 @@ class TestModes:
         drain = run_with(ReservationMode.DRAIN_ALL)
         first_fit = run_with(ReservationMode.FIRST_FIT)
         assert first_fit <= drain
+
+
+def test_v_reserves_and_migrates_where_g_does_not_on_a_paper_trace():
+    """App-Trace-5 on 8 nodes at quarter scale: V-Reconfiguration
+    reserves nodes and migrates blocked jobs into them, G-Loadsharing
+    never does, and the two runs end differently.  Which one does
+    better is not asserted (here V does worse)."""
+    from repro.experiments.runner import run_experiment
+    from repro.workload.programs import WorkloadGroup
+
+    g, v = (run_experiment(WorkloadGroup.APP, 5, policy=policy, seed=0,
+                           scale=0.25, nodes=8).summary
+            for policy in ("g-loadsharing", "v-reconfiguration"))
+    assert v.extra["reservations"] > 0
+    assert v.extra["reconfiguration_migrations"] > 0
+    assert sum(v.reservation_placements.values()) > 0
+    assert "reservations" not in g.extra and not g.reservation_placements
+    assert g.average_slowdown != v.average_slowdown
+    assert g.blocking_events != v.blocking_events
