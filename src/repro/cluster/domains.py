@@ -82,28 +82,6 @@ class DomainDirectory:
             raise ValueError("num_domains cannot exceed the node count")
         if summary_interval_s < 0:
             raise ValueError("summary_interval_s must be >= 0")
-        self._setup(sim, nodes, num_domains, exchange_interval_s,
-                    summary_interval_s, obs, obs_domain)
-        self._shards = [
-            LoadInfoDirectory(sim, nodes[lo:hi], state,
-                              exchange_interval_s, self.obs,
-                              self._arm_exchange)
-            for lo, hi in self._bounds]
-        if exchange_interval_s > 0:
-            self._exchange = DaemonTick(
-                sim, self, "_exchange_tick", exchange_interval_s, priority=2,
-                armed=any(shard._dirty for shard in self._shards))
-        if num_domains > 1:
-            self._refresh_summaries(emit=False)
-            if summary_interval_s > 0:
-                self._schedule_summary(sim.now + summary_interval_s)
-
-    def _setup(self, sim: Simulator, nodes: List["Workstation"],
-               num_domains: int, exchange_interval_s: float,
-               summary_interval_s: float, obs: Optional[Channel],
-               obs_domain: Optional[Channel]) -> None:
-        """Everything but the shards and the ticks (a checkpoint upgrade
-        wraps a restored flat directory with this)."""
         self._sim = sim
         self._nodes = nodes
         self.num_domains = num_domains
@@ -134,6 +112,19 @@ class DomainDirectory:
         self._accepting_cache: Dict[Optional[int],
                                     Tuple[int, List[int]]] = {}
         self._load_cache: Dict[Optional[int], Tuple[int, List[int]]] = {}
+        self._shards = [
+            LoadInfoDirectory(sim, nodes[lo:hi], state,
+                              exchange_interval_s, self.obs,
+                              self._arm_exchange)
+            for lo, hi in self._bounds]
+        if exchange_interval_s > 0:
+            self._exchange = DaemonTick(
+                sim, self, "_exchange_tick", exchange_interval_s, priority=2,
+                armed=any(shard._dirty for shard in self._shards))
+        if num_domains > 1:
+            self._refresh_summaries(emit=False)
+            if summary_interval_s > 0:
+                self._schedule_summary(sim.now + summary_interval_s)
 
     # ------------------------------------------------------------------
     # periodic activities

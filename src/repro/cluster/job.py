@@ -20,10 +20,11 @@ placement (diagnostics only).
 from __future__ import annotations
 
 import enum
-import itertools
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple
+
+from repro.sim.portable import IdCounter
 
 
 class JobState(enum.Enum):
@@ -141,11 +142,6 @@ class MemoryProfile:
         return self._starts, self._demands
 
     def __setstate__(self, state) -> None:
-        if isinstance(state, dict):
-            # Schema-1 checkpoints hold ``{"_phases": (Phase, ...)}``.
-            phases = state["_phases"]
-            state = (tuple(p.start_progress for p in phases),
-                     tuple(p.demand_mb for p in phases))
         self._starts, self._demands = state
 
 
@@ -167,7 +163,7 @@ class JobAccounting:
                 + self.migration_s)
 
 
-_job_counter = itertools.count()
+_job_counter = IdCounter()
 
 
 @dataclass
@@ -189,7 +185,7 @@ class Job:
     #: facility monitors exactly this (§3.1: "the status of I/O buffer
     #: cache in each workstation").
     buffer_cache_mb: float = 0.0
-    job_id: int = field(default_factory=lambda: next(_job_counter))
+    job_id: int = field(default_factory=_job_counter)
 
     # --- runtime state (owned by the cluster model) --------------------
     state: JobState = JobState.PENDING

@@ -232,12 +232,6 @@ class Workstation:
                 and self.has_free_slot
                 and self.idle_memory_mb >= self.config.min_idle_mb)
 
-    def admits_demand(self, demand_mb: float) -> bool:
-        """Live memory-threshold admission check: total demand may
-        exceed user memory only up to the configured factor."""
-        limit = self.user_memory_mb * self.config.memory_threshold_factor
-        return self.total_demand_mb + demand_mb <= limit + _EPS
-
     def has_room_for(self, demand_mb: float) -> bool:
         """A free job slot and enough idle memory for ``demand_mb``
         (``has_free_slot`` and ``idle_memory_mb``, read from the

@@ -27,13 +27,13 @@ from __future__ import annotations
 
 import enum
 import functools
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.job import Job
 from repro.cluster.workstation import _EPS, Workstation
+from repro.sim.portable import IdCounter
 
 
 class ReservationMode(enum.Enum):
@@ -50,7 +50,7 @@ class ReservationState(enum.Enum):
     CANCELLED = "cancelled"
 
 
-_res_counter = itertools.count()
+_res_counter = IdCounter()
 
 
 @dataclass
@@ -61,7 +61,7 @@ class Reservation:
     mode: ReservationMode
     needed_mb: float
     created_at: float
-    reservation_id: int = field(default_factory=lambda: next(_res_counter))
+    reservation_id: int = field(default_factory=_res_counter)
     state: ReservationState = ReservationState.RESERVING
     serving_since: Optional[float] = None
     closed_at: Optional[float] = None

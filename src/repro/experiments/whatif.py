@@ -151,8 +151,8 @@ def run_whatif_experiment(seed: int = 0,
     policy in ``policies`` (see module docstring).
 
     ``checkpoint_path`` keeps the snapshot file for later inspection
-    (``--restore-from``, the golden-fixture tooling); by default it
-    lives in a temporary file deleted before returning.
+    (``--restore-from`` under the same build); by default it lives in
+    a temporary file deleted before returning.
     """
     own_path = checkpoint_path is None
     if own_path:

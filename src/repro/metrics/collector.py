@@ -47,6 +47,7 @@ from typing import List, Optional
 from repro.cluster.cluster import Cluster
 from repro.cluster.state import FLAG_ALIVE, FLAG_RESERVED
 from repro.sim.daemon import TickGrid
+from repro.sim.portable import left_sum
 
 #: Vector byte of a node left out of the balance skew (reserved or
 #: dead); running-job counts must stay below it.
@@ -73,7 +74,7 @@ def _skew_of(vector: bytes) -> float:
     # Few distinct counts among many nodes: square each deviation once
     # and sum the same floats in the same order through a C-level map.
     table = {c: (c - mean) ** 2 for c in set(counts)}
-    return math.sqrt(sum(map(table.__getitem__, counts)) / len(counts))
+    return math.sqrt(left_sum(map(table.__getitem__, counts)) / len(counts))
 
 
 class PolicyPendingProbe:
@@ -161,7 +162,7 @@ class MetricsCollector:
                           | int.from_bytes(mask, "big")).to_bytes(n, "big")
                 self._reserved = state.flags.translate(
                     _RESERVED_TABLE).count(1)
-            self._idle = sum(state.idle_memory_mb)
+            self._idle = left_sum(state.idle_memory_mb)
             # A change to memory alone leaves the job counts, and so
             # the vector object and the skew, as they were.
             if vector != self._vector:

@@ -9,6 +9,7 @@ from typing import Dict, List
 from repro.cluster.job import Job, total_accounting
 from repro.metrics.collector import MetricsCollector
 from repro.scheduling.base import LoadSharingPolicy
+from repro.sim.portable import left_sum
 
 
 @dataclass
@@ -79,7 +80,7 @@ def summarize_run(policy: LoadSharingPolicy, jobs: List[Job],
             placements[event.node_id] = placements.get(event.node_id, 0) + 1
     slowdowns = [job.slowdown() for job in jobs]
     makespan = max(job.finish_time for job in jobs) if jobs else 0.0
-    total_exec = sum(job.finish_time - job.submit_time for job in jobs)
+    total_exec = left_sum(job.finish_time - job.submit_time for job in jobs)
     return RunSummary(
         policy=policy.name,
         trace=trace_name,
@@ -87,7 +88,7 @@ def summarize_run(policy: LoadSharingPolicy, jobs: List[Job],
         makespan_s=makespan,
         total_execution_time_s=total_exec,
         total_queuing_time_s=totals.queue_s,
-        average_slowdown=(sum(slowdowns) / len(slowdowns)
+        average_slowdown=(left_sum(slowdowns) / len(slowdowns)
                           if slowdowns else 0.0),
         average_idle_memory_mb=collector.average_idle_memory_mb(
             until=makespan),

@@ -209,9 +209,3 @@ class EventBus:
         targets = sorted(self._channels) if names is None else names
         for name in targets:
             self.channel(name).subscribe(subscriber)
-
-    def unsubscribe_all(self, subscriber: Subscriber) -> None:
-        """Remove ``subscriber`` from every channel it is attached to."""
-        for channel in self._channels.values():
-            while subscriber in channel._subscribers:
-                channel.unsubscribe(subscriber)

@@ -21,7 +21,6 @@ Determinism guarantees:
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from typing import Callable, List, Optional, Tuple
 
@@ -77,14 +76,6 @@ class EventHandle:
         return ((self.time, self.priority, self.seq)
                 < (other.time, other.priority, other.seq))
 
-    def __setstate__(self, state) -> None:
-        # Slotted objects pickle as ``(None, {slot: value})``.  Schema-1
-        # checkpoints also carry the retired precomputed ``sort_key``.
-        _, slots = state
-        for name, value in slots.items():
-            if name != "sort_key":
-                setattr(self, name, value)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
         return f"<EventHandle t={self.time:.6f} prio={self.priority} {state}>"
@@ -109,7 +100,8 @@ class Simulator:
         #: Highest priority fired so far at ``_now`` (see ``priority``).
         self._priority = -math.inf
         self._heap: List[Tuple[float, int, int, EventHandle]] = []
-        self._seq = itertools.count()
+        #: Sequence number of the next scheduled event.
+        self._seq = 0
         self._running = False
         self._event_count = 0
         self._non_daemon_pending = 0
@@ -183,7 +175,8 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at t={time!r} before now={self._now!r}")
         time = float(time)
-        seq = next(self._seq)
+        seq = self._seq
+        self._seq = seq + 1
         handle = EventHandle(time, priority, seq, callback, daemon, self)
         heap = self._heap
         heapq.heappush(heap, (time, priority, seq, handle))

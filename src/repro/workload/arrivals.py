@@ -35,6 +35,8 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional
 
+from repro.sim.portable import left_sum
+
 
 def lognormal_rate(t: float, mu: float, sigma: float) -> float:
     """The paper's rate function R_ln(t) (eq. 1), as published."""
@@ -106,7 +108,7 @@ class LognormalArrivals:
                 for _ in range(spec.num_jobs)]
         cap = sorted(gaps)[int(self.winsorize_quantile * (len(gaps) - 1))]
         gaps = [min(gap, cap) for gap in gaps]
-        scale = spec.duration_s / sum(gaps)
+        scale = spec.duration_s / left_sum(gaps)
         times: List[float] = []
         t = 0.0
         for gap in gaps:

@@ -13,17 +13,15 @@ executed-event count.  Three layers of pins:
 * **fuzz property** — hypothesis drives (seed, fault_seed, checkpoint
   time); identity must hold at any cut point, not just the curated
   one;
-* **golden fixtures** — ``tests/golden/checkpoint_v1.ckpt`` is a
-  committed schema-1 snapshot with the flat directory, and
-  ``checkpoint_v4_d2.ckpt`` a schema-4 one with two domains; through
-  the upgrades each must keep restoring to the pinned summary next to
-  it, and unknown/newer schemas must fail with a clear error *before*
-  any world bytes are unpickled.  A fixture for the current schema is
-  written (only after a deliberate schema bump) with::
+* **layout pin** — a checkpoint restores only under the schema that
+  wrote it, and any other schema fails with a clear error *before* any
+  world byte is unpickled.  What a paused world pickles (every
+  ``repro`` class, its attributes and their value types) is pinned
+  with ``SCHEMA_VERSION`` in ``tests/golden/checkpoint_layout.json``,
+  so a layout change without a schema bump fails.  After a deliberate
+  bump the pin is rewritten with::
 
-      PYTHONPATH=src python tests/golden/make_checkpoint_fixture.py
-
-  and a two-domain one with ``make_sharded_checkpoint_fixture.py``.
+      PYTHONPATH=src python tests/golden/make_checkpoint_layout.py
 """
 
 import dataclasses
@@ -38,23 +36,19 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cluster.domains import DomainDirectory
 from repro.cluster.job import Job, MemoryProfile
 from repro.experiments.runner import run_experiment, run_trace
 from repro.experiments.scenario import (SCENARIO_CLUSTER,
                                         run_blocking_scenario)
 from repro.faults import FaultConfig
 from repro.sim.checkpoint import (MAGIC, SCHEMA_VERSION, CheckpointError,
-                                  _decode_envelope, fork, load_checkpoint,
-                                  peek_meta, restore_bytes, resume,
-                                  save_checkpoint, snapshot_bytes)
+                                  _decode_envelope, _world, fork,
+                                  load_checkpoint, peek_meta, restore_bytes,
+                                  resume, save_checkpoint, snapshot_bytes)
 from repro.workload.programs import WorkloadGroup
 
-GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
-GOLDEN_CKPT = os.path.join(GOLDEN_DIR, "checkpoint_v1.ckpt")
-GOLDEN_SUMMARY = os.path.join(GOLDEN_DIR, "checkpoint_v1_summary.json")
-SHARDED_CKPT = os.path.join(GOLDEN_DIR, "checkpoint_v4_d2.ckpt")
-SHARDED_SUMMARY = os.path.join(GOLDEN_DIR, "checkpoint_v4_d2_summary.json")
+LAYOUT_GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden",
+                                  "checkpoint_layout.json")
 
 #: Same all-fault-classes model as tests/test_determinism.py.
 FULL_FAULTS = FaultConfig(mtbf_s=300.0, mttr_s=30.0,
@@ -194,21 +188,21 @@ def test_unpicklable_world_raises_checkpoint_error():
 # ----------------------------------------------------------------------
 def test_newer_schema_is_rejected_with_clear_error():
     envelope = {"format": MAGIC, "schema": SCHEMA_VERSION + 1,
-                "meta": {}, "world": b"never-unpickled"}
+                "meta": {}}
     data = gzip.compress(pickle.dumps(envelope, protocol=4))
     with pytest.raises(CheckpointError, match="schema"):
         restore_bytes(data)
 
 
 def test_missing_schema_is_rejected():
-    envelope = {"format": MAGIC, "meta": {}, "world": b""}
+    envelope = {"format": MAGIC, "meta": {}}
     data = gzip.compress(pickle.dumps(envelope, protocol=4))
     with pytest.raises(CheckpointError, match="schema"):
         restore_bytes(data)
 
 
 def _envelope_bytes(**fields):
-    envelope = dict({"format": MAGIC, "meta": {}, "world": b""}, **fields)
+    envelope = dict({"format": MAGIC, "meta": {}}, **fields)
     return gzip.compress(pickle.dumps(envelope, protocol=4))
 
 
@@ -216,22 +210,17 @@ def _decode(data):
     return _decode_envelope(gzip.GzipFile(fileobj=io.BytesIO(data)))
 
 
-@pytest.mark.parametrize("schema", [1, 2, 3, 4])
-def test_decode_envelope_accepts_readable_schemas(schema):
-    envelope = _decode(_envelope_bytes(schema=schema))
-    assert envelope["schema"] == schema
+def test_decode_envelope_accepts_this_build_s_schema():
+    envelope = _decode(_envelope_bytes(schema=SCHEMA_VERSION))
+    assert envelope["schema"] == SCHEMA_VERSION
 
 
-@pytest.mark.parametrize("fields", [{"schema": SCHEMA_VERSION + 1}, {}])
+@pytest.mark.parametrize("fields", [{"schema": SCHEMA_VERSION + 1}, {},
+                                    {"schema": SCHEMA_VERSION - 1},
+                                    {"schema": 1}])
 def test_decode_envelope_rejects_unknown_or_missing_schema(fields):
     with pytest.raises(CheckpointError, match="schema"):
         _decode(_envelope_bytes(**fields))
-
-
-def test_peek_meta_reads_the_schema_1_fixture():
-    with open(GOLDEN_SUMMARY) as stream:
-        pinned = json.load(stream)
-    assert peek_meta(GOLDEN_CKPT) == pinned["meta"]
 
 
 def test_non_checkpoint_bytes_are_rejected():
@@ -244,92 +233,73 @@ def test_non_checkpoint_bytes_are_rejected():
 
 
 # ----------------------------------------------------------------------
-# golden fixture: cross-version restore pin
+# layout pin: what a world pickles is named by SCHEMA_VERSION
 # ----------------------------------------------------------------------
-def test_golden_checkpoint_restores_to_pinned_summary():
-    with open(GOLDEN_SUMMARY) as stream:
+class _LayoutRecorder(pickle.Pickler):
+    """Pickles into the void, recording for every ``repro`` object its
+    class and the type names of its pickled attributes."""
+
+    def __init__(self, layout: dict):
+        super().__init__(io.BytesIO(), protocol=4)
+        self.layout = layout
+
+    def reducer_override(self, obj):
+        cls = type(obj)
+        if cls.__module__.startswith("repro."):
+            attrs = self.layout.setdefault(
+                f"{cls.__module__}.{cls.__qualname__}", {})
+            reduced = obj.__reduce_ex__(4)
+            state = reduced[2] if len(reduced) > 2 else None
+            if (isinstance(state, tuple) and len(state) == 2
+                    and isinstance(state[1], dict)):
+                # A slotted object: (instance dict or None, slots).
+                state = dict(state[0] or {}, **state[1])
+            if not isinstance(state, (dict, type(None))):
+                state = {"<state>": state}
+            for name, value in (state or {}).items():
+                attrs.setdefault(name, set()).add(type(value).__qualname__)
+        return NotImplemented
+
+
+#: The paused worlds the layout is recorded from: G and V, faults off
+#: and on, one and two domains.
+LAYOUT_CELLS = [(policy, faulted, domains)
+                for policy in ("g-loadsharing", "v-reconfiguration")
+                for faulted in (False, True)
+                for domains in (1, 2)]
+
+
+def checkpoint_layout(directory: str) -> dict:
+    """``{"schema": SCHEMA_VERSION, "layout": {class: {attribute:
+    "type | type"}}}`` over every world of :data:`LAYOUT_CELLS`, each
+    paused at CHECKPOINT_AT (its checkpoint is written into
+    ``directory``)."""
+    layout: dict = {}
+    path = os.path.join(directory, "layout.ckpt")
+    for policy, faulted, domains in LAYOUT_CELLS:
+        run_blocking_scenario(policy, seed=0,
+                              config=cell_config(domains, faulted),
+                              checkpoint_at=CHECKPOINT_AT,
+                              checkpoint_to=path)
+        paused = load_checkpoint(path, advance_counters=False)
+        _LayoutRecorder(layout).dump(_world(
+            paused.cluster, paused.policy, paused.collector, paused.jobs,
+            paused.trace_name))
+    return {"schema": SCHEMA_VERSION,
+            "layout": {cls: {name: " | ".join(sorted(types))
+                             for name, types in sorted(attrs.items())}
+                       for cls, attrs in sorted(layout.items())}}
+
+
+def test_checkpoint_layout_matches_its_schema(tmp_path):
+    with open(LAYOUT_GOLDEN_PATH) as stream:
         pinned = json.load(stream)
-    restored = load_checkpoint(GOLDEN_CKPT)
-    assert restored.meta["sim_now"] == pinned["meta"]["sim_now"]
-    result = resume(restored)
-    assert canonical(result.summary) == pinned["summary"], \
-        "the committed schema-1 checkpoint no longer restores to its " \
-        "pinned summary; if a world-layout change was intentional, " \
-        "bump SCHEMA_VERSION and regenerate the fixture " \
-        "(tests/golden/make_checkpoint_fixture.py)"
-    assert result.cluster.sim.event_count == pinned["event_count"]
-
-
-def pending_handles(sim, owner, method):
-    return [entry[3] for entry in sim._heap
-            if entry[3].pending
-            and getattr(entry[3].callback, "__self__", None) is owner
-            and entry[3].callback.__name__ == method]
-
-
-def test_upgraded_fixture_adopts_each_daemon_tick_once():
-    """A schema-1/2 world kept every daemon armed: each one adopts its
-    pending heap handle instead of scheduling a second tick.  The flat
-    directory's handle (a retired ``_tick``) now calls the one-domain
-    directory that wraps it."""
-    restored = load_checkpoint(GOLDEN_CKPT)
-    sim = restored.cluster.sim
-    directory = restored.cluster.directory
-    assert isinstance(directory, DomainDirectory)
-    assert directory.num_domains == 1
-    assert directory.domain_bounds(0) == (0, restored.cluster.num_nodes)
-    assert directory._summary_handle is None
-    daemons = [(directory, "_exchange_tick", directory._exchange),
-               (restored.policy, "_monitor_tick", restored.policy._monitor)]
-    for owner, method, tick in daemons:
-        assert tick.owner is owner and tick.method == method
-        assert pending_handles(sim, owner, method) == [tick.handle]
-        assert tick.next_time == tick.handle.time
-    # The collector's tick is retired: its pending handle is cancelled,
-    # and its time is the next one the collector's grid owes.
-    collector = restored.collector
-    assert not [entry for entry in sim._heap if entry[3].pending
-                and getattr(entry[3].callback, "__self__", None)
-                is collector]
-    assert collector._grid.next_time == 251.0
-    assert collector.times[-1] == restored.meta["sim_now"]
-    assert collector.flush in restored.cluster.state.pre_change_hooks
-
-
-def test_sharded_schema_4_fixture_restores_to_pinned_summary():
-    """A schema-4 two-domain world rescheduled its exchange every
-    round.  Restored, it adopts that handle as its exchange tick, which
-    then parks while no shard is dirty: the same summary from fewer
-    events than the build that wrote the fixture ran."""
-    with open(SHARDED_SUMMARY) as stream:
-        pinned = json.load(stream)
-    restored = load_checkpoint(SHARDED_CKPT)
-    assert restored.meta["domains"] == 2
-    directory = restored.cluster.directory
-    sim = restored.cluster.sim
-    assert pending_handles(sim, directory, "_exchange_tick") == [
-        directory._exchange.handle]
-    assert pending_handles(sim, directory, "_summary_tick") == [
-        directory._summary_handle]
-    result = resume(restored)
-    assert canonical(result.summary) == pinned["summary"]
-    assert result.cluster.sim.event_count < pinned["event_count"]
-
-
-def test_upgraded_fixture_lanes_match_a_fresh_recompute():
-    """The schema-4 upgrade builds each node's advance lanes from its
-    stored rate and stall lists; forcing a full recompute of the same
-    jobs must give the same lanes, bit for bit."""
-    restored = load_checkpoint(GOLDEN_CKPT)
-    cluster = restored.cluster
-    assert cluster.state.version == 0
-    assert cluster._idle_bound_version is None
-    upgraded = [repr(node._lanes) for node in cluster.nodes]
-    assert any(node._lanes for node in cluster.nodes)
-    for node in cluster.nodes:
-        node._recompute_key = None
-        node._recompute()
-    assert [repr(node._lanes) for node in cluster.nodes] == upgraded
+    recorded = checkpoint_layout(str(tmp_path))
+    assert recorded["layout"] == pinned["layout"] \
+        and recorded["schema"] == pinned["schema"], \
+        "the pickled world layout or SCHEMA_VERSION moved: bump " \
+        "SCHEMA_VERSION and regenerate " \
+        "(tests/golden/make_checkpoint_layout.py)"
 
 
 def series(collector) -> tuple:
@@ -371,25 +341,6 @@ def test_snapshot_with_every_daemon_parked_resumes_identically(tmp_path):
 
 def test_snapshot_between_grid_times_resumes_identically(tmp_path):
     _check_parked_snapshot(tmp_path, CHECKPOINT_AT + 0.5)
-
-
-@pytest.mark.parametrize("fixture", [GOLDEN_CKPT, SHARDED_CKPT],
-                         ids=["v1", "v4-d2"])
-def test_upgraded_fixture_series_matches_a_fresh_run(fixture):
-    """An old world's sample objects become the columnar series, and
-    it continues as the run the fixture was cut from: the same
-    scenario run with this build, start to end."""
-    restored = load_checkpoint(fixture)
-    vectors = restored.collector.vectors
-    assert len(vectors) == CHECKPOINT_AT
-    # Samples that shared a job-count tuple share one vector.
-    assert len({id(vector) for vector in vectors}) < len(vectors)
-    resumed = resume(restored)
-    cfg = SCENARIO_CLUSTER.replace(num_nodes=8,
-                                   domains=restored.meta["domains"])
-    fresh = run_blocking_scenario("v-reconfiguration", seed=0, config=cfg)
-    assert canonical(resumed.summary) == canonical(fresh.summary)
-    assert series(resumed.collector) == series(fresh.collector)
 
 
 # ----------------------------------------------------------------------
@@ -476,7 +427,7 @@ def test_fork_successor_handles_every_later_submission(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# stream layout (schema 6): header and world in one gzip stream
+# stream layout: header and world in one gzip stream
 # ----------------------------------------------------------------------
 def _paused(tmp_path):
     """A V-Reconfiguration world paused mid-run at CHECKPOINT_AT."""
@@ -489,14 +440,6 @@ def _snapshot(restored):
                           trace_name=restored.trace_name)
 
 
-def _nested_layout() -> bytes:
-    """A checkpoint in the layout schemas 1-5 wrote, the world's pickle
-    nested as bytes under the envelope's ``world`` key: the committed
-    schema-4 fixture."""
-    with open(SHARDED_CKPT, "rb") as stream:
-        return stream.read()
-
-
 def _explode():
     raise AssertionError("world unpickled before the header was checked")
 
@@ -504,6 +447,26 @@ def _explode():
 class _Explodes:
     def __reduce__(self):
         return _explode, ()
+
+
+def _header_then_explodes(schema) -> bytes:
+    """A checkpoint stream with a ``schema`` header whose world must
+    never be unpickled."""
+    buffer = io.BytesIO()
+    with gzip.GzipFile(fileobj=buffer, mode="wb") as stream:
+        pickle.dump({"format": MAGIC, "schema": schema, "meta": {}},
+                    stream, protocol=4)
+        pickle.dump(_Explodes(), stream, protocol=4)
+    return buffer.getvalue()
+
+
+def _restore_from(source: str, data: bytes, tmp_path):
+    """Restore ``data`` as bytes (``stream``) or from a file."""
+    if source == "stream":
+        return restore_bytes(data)
+    path = tmp_path / "restore.ckpt"
+    path.write_bytes(data)
+    return load_checkpoint(str(path))
 
 
 def test_snapshots_of_one_world_are_byte_identical(tmp_path, monkeypatch):
@@ -522,15 +485,23 @@ def test_snapshots_of_one_world_are_byte_identical(tmp_path, monkeypatch):
 
 
 def test_newer_schema_header_is_rejected_before_the_world():
-    buffer = io.BytesIO()
-    with gzip.GzipFile(fileobj=buffer, mode="wb") as stream:
-        pickle.dump({"format": MAGIC, "schema": SCHEMA_VERSION + 1,
-                     "meta": {}}, stream, protocol=4)
-        pickle.dump(_Explodes(), stream, protocol=4)
     with pytest.raises(CheckpointError,
                        match=f"schema {SCHEMA_VERSION + 1} is not "
                              f"supported"):
-        restore_bytes(buffer.getvalue())
+        restore_bytes(_header_then_explodes(SCHEMA_VERSION + 1))
+
+
+@pytest.mark.parametrize("source", ["stream", "file"])
+@pytest.mark.parametrize("schema", [SCHEMA_VERSION - 1, SCHEMA_VERSION + 1],
+                         ids=["older", "newer"])
+def test_only_this_build_s_schema_restores(schema, source, tmp_path):
+    """A file from the build before or after this one is refused from
+    its header alone: there are no upgrades."""
+    with pytest.raises(CheckpointError,
+                       match=f"schema {schema} is not supported by this "
+                             f"build \\(reads schema {SCHEMA_VERSION} "
+                             f"only\\)"):
+        _restore_from(source, _header_then_explodes(schema), tmp_path)
 
 
 def test_peek_meta_reads_a_file_whose_world_is_corrupt(tmp_path):
@@ -546,17 +517,15 @@ def test_peek_meta_reads_a_file_whose_world_is_corrupt(tmp_path):
 
 
 @pytest.mark.parametrize("cut", ["half", "tail", "trailer"])
-@pytest.mark.parametrize("layout", ["stream", "nested"])
-def test_truncated_checkpoint_raises_checkpoint_error(layout, cut,
+@pytest.mark.parametrize("source", ["stream", "file"])
+def test_truncated_checkpoint_raises_checkpoint_error(source, cut,
                                                       tmp_path):
-    restored = _paused(tmp_path)
-    data = (_snapshot(restored) if layout == "stream"
-            else _nested_layout())
+    data = _snapshot(_paused(tmp_path))
     # "trailer" keeps every compressed byte and cuts the gzip trailer.
     end = {"half": len(data) // 2, "tail": len(data) - 10,
            "trailer": len(data) - 4}[cut]
     with pytest.raises(CheckpointError, match="truncated or corrupt"):
-        restore_bytes(data[:end])
+        _restore_from(source, data[:end], tmp_path)
 
 
 def test_corrupt_world_raises_checkpoint_error(tmp_path):
@@ -568,15 +537,6 @@ def test_corrupt_world_raises_checkpoint_error(tmp_path):
     for corrupt in (bytes(data), garbage):
         with pytest.raises(CheckpointError, match="truncated or corrupt"):
             restore_bytes(corrupt)
-
-
-def test_nested_schema_5_layout_restores_like_the_stream():
-    nested = resume(restore_bytes(_nested_layout()))
-    streamed = resume(restore_bytes(_snapshot(
-        restore_bytes(_nested_layout()))))
-    assert canonical(nested.summary) == canonical(streamed.summary)
-    assert (nested.cluster.sim.event_count
-            == streamed.cluster.sim.event_count)
 
 
 def test_failed_save_leaves_no_file(tmp_path):
@@ -622,7 +582,8 @@ def test_runner_cli_checkpoint_then_restore_matches(tmp_path, capsys):
     assert uninterrupted == restored
 
 
-@pytest.mark.parametrize("damage", ["truncated", "missing"])
+@pytest.mark.parametrize("damage", ["truncated", "missing", "older-schema",
+                                    "newer-schema"])
 def test_runner_cli_rejects_an_unreadable_checkpoint(damage, tmp_path,
                                                      capsys):
     from repro.experiments.runner import main
@@ -634,8 +595,13 @@ def test_runner_cli_rejects_an_unreadable_checkpoint(damage, tmp_path,
         with open(path, "wb") as stream:
             stream.write(data[:len(data) // 2])
         reason = "checkpoint file is truncated or corrupt"
-    else:
+    elif damage == "missing":
         reason = "No such file or directory"
+    else:
+        schema = SCHEMA_VERSION + (1 if damage == "newer-schema" else -1)
+        with open(path, "wb") as stream:
+            stream.write(_header_then_explodes(schema))
+        reason = f"checkpoint schema {schema} is not supported"
     capsys.readouterr()
     with pytest.raises(SystemExit) as exit_info:
         main(["--restore-from", path])

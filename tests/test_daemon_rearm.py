@@ -35,6 +35,7 @@ from repro.experiments.runner import POLICIES, default_config, run_experiment
 from repro.metrics.collector import MetricsCollector
 from repro.scheduling.suspension import SuspensionPolicy
 from repro.sim.daemon import DaemonTick
+from repro.sim.portable import left_sum
 from repro.workload.programs import WorkloadGroup
 
 #: (exchange, monitor, sample, domain summary) intervals per regime;
@@ -88,10 +89,10 @@ class ReferenceSampler:
         skew = 0.0
         if counts:
             mean = sum(counts) / len(counts)
-            skew = math.sqrt(sum((c - mean) ** 2 for c in counts)
+            skew = math.sqrt(left_sum((c - mean) ** 2 for c in counts)
                              / len(counts))
         reserved = sum(1 for bits in state.flags if bits & FLAG_RESERVED)
-        self.rows.append((self.sim.now, sum(state.idle_memory_mb), skew,
+        self.rows.append((self.sim.now, left_sum(state.idle_memory_mb), skew,
                           reserved, self.probe(), jobs))
         self.sim.schedule(self.interval, self.tick, priority=4,
                           daemon=True)

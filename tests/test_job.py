@@ -142,12 +142,9 @@ class TestColumnarProfile:
         assert MemoryProfile.from_pairs(profile.pairs).phases == phases
 
     @given(_profile_pairs())
-    def test_pickle_round_trip_and_schema_1_state(self, pairs):
+    def test_pickle_round_trip(self, pairs):
         profile = MemoryProfile.from_pairs(pairs)
         assert pickle.loads(pickle.dumps(profile)).pairs == pairs
-        legacy = MemoryProfile.__new__(MemoryProfile)
-        legacy.__setstate__({"_phases": profile.phases})
-        assert legacy.pairs == pairs
 
     @pytest.mark.parametrize("pairs, message", [
         ([], "at least one phase"),

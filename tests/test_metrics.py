@@ -2,6 +2,7 @@
 
 import functools
 import math
+import operator
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,9 +15,11 @@ from repro.metrics.report import (
     render_bar_chart,
     render_table,
 )
+from repro.cluster.job import Job
 from repro.metrics.summary import summarize_run
 from repro.scheduling import GLoadSharing
 from repro.scheduling.srpt import SrptOracle
+from repro.sim.portable import left_sum
 
 from helpers import drive, job, tiny_cluster
 
@@ -175,6 +178,17 @@ class TestSummaries:
         expected = sum(j.finish_time - j.submit_time for j in jobs)
         assert summary.total_execution_time_s == pytest.approx(expected)
 
+    def test_average_slowdown_adds_left_to_right(self, monkeypatch):
+        """Each 1.0 added to 2**53 rounds away one at a time; a
+        compensated sum (Python 3.12's ``sum``) would keep them."""
+        policy, jobs, collector = self.run_small()
+        slowdowns = [2.0 ** 53] + [1.0] * 5
+        by_id = dict(zip((j.job_id for j in jobs), slowdowns))
+        monkeypatch.setattr(Job, "slowdown", lambda j: by_id[j.job_id])
+        summary = summarize_run(policy, jobs, collector, "t")
+        assert math.fsum(slowdowns) / 6 != 2.0 ** 53 / 6
+        assert summary.average_slowdown == 2.0 ** 53 / 6
+
     def test_unfinished_jobs_rejected(self):
         cluster = tiny_cluster()
         policy = GLoadSharing(cluster)
@@ -253,13 +267,23 @@ def _skew_by_generator(jobs_per_node):
     if not counts:
         return 0.0
     mean = sum(counts) / len(counts)
-    return math.sqrt(sum((c - mean) ** 2 for c in counts) / len(counts))
+    return math.sqrt(left_sum((c - mean) ** 2 for c in counts)
+                     / len(counts))
 
 
 @given(st.lists(st.one_of(st.none(), st.integers(0, 12)), max_size=600))
 def test_skew_table_matches_the_generator_expression(jobs_per_node):
     assert (repr(_skew_of(pack(jobs_per_node)))
             == repr(_skew_by_generator(jobs_per_node)))
+
+
+def test_skew_adds_the_squared_deviations_left_to_right():
+    """Counts whose squared deviations a compensated sum (Python 3.12's
+    ``sum``) adds to a different last bit."""
+    squares = [(c - 17 / 3) ** 2 for c in (12, 3, 2)]
+    ordered = math.sqrt(functools.reduce(operator.add, squares) / 3)
+    assert ordered != math.sqrt(math.fsum(squares) / 3)
+    assert _skew_of(pack((12, 3, 2))) == ordered == 4.4969125210773475
 
 
 def test_skew_of_all_excluded_nodes_is_zero():

@@ -61,7 +61,7 @@ class TestEventBus:
         bus = EventBus(extra_channels=("custom.stream",))
         assert not bus.channel("custom.stream").enabled
 
-    def test_subscribe_many_and_unsubscribe_all(self):
+    def test_subscribe_many(self):
         bus = EventBus()
         seen = []
         bus.subscribe_many(("cluster.placement", "cluster.migration"),
@@ -71,8 +71,6 @@ class TestEventBus:
         bus.channel("memory.fault").emit(0.0, "thrash-on")  # not subscribed
         assert [e.channel for e in seen] == ["cluster.placement",
                                              "cluster.migration"]
-        bus.unsubscribe_all(seen.append)
-        assert all(not ch.enabled for ch in bus.channels())
 
     def test_subscribe_many_none_means_all(self):
         bus = EventBus()

@@ -2,12 +2,10 @@
 
 import math
 import pickle
-from types import SimpleNamespace
 
 import pytest
 
 from repro.sim import Simulator, SimulationError
-from repro.sim.checkpoint import _upgrade_schema_1
 from repro.sim.daemon import DaemonTick
 from repro.sim.engine import EventHandle
 
@@ -354,36 +352,6 @@ class TestHeapEntries:
         assert copy._owner.pending_events() == 2
         earlier = pickle.loads(pickle.dumps(sim._heap[0][3]))
         assert earlier < copy and not copy < earlier
-
-    def test_upgraded_schema_1_heap_fires_in_the_same_order(self):
-        def build():
-            sim = Simulator()
-            fired = []
-            for i in range(40):
-                sim.schedule(float(i % 7), lambda i=i: fired.append(i),
-                             priority=i % 2)
-            return sim, fired
-
-        control, control_fired = build()
-        control.run()
-
-        legacy, legacy_fired = build()
-        # Schema 1 kept bare handles, heap-ordered by their sort key,
-        # and pickled that key with each handle.
-        handles = [entry[3] for entry in legacy._heap]
-        for handle in handles:
-            state = (None, {name: getattr(handle, name)
-                            for name in EventHandle.__slots__})
-            state[1]["sort_key"] = (handle.time, handle.priority, handle.seq)
-            handle.__setstate__(state)
-        legacy._heap = handles
-        _upgrade_schema_1({"cluster": SimpleNamespace(sim=legacy)})
-        assert all(isinstance(entry, tuple) and entry[3] is handle
-                   for entry, handle in zip(sorted(legacy._heap),
-                                            sorted(handles)))
-        legacy.run()
-        assert legacy_fired == control_fired
-        assert legacy.event_count == control.event_count == 40
 
 
 def _noop():

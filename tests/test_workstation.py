@@ -228,12 +228,6 @@ class TestAdmission:
         assert node.accepts_migration(small)
         assert not node.accepts_migration(big)
 
-    def test_admits_demand_memory_threshold(self):
-        sim = Simulator()
-        node = make_node(sim, memory_mb=100.0, memory_threshold_factor=1.5)
-        assert node.admits_demand(150.0)
-        assert not node.admits_demand(151.0)
-
     def test_most_memory_intensive_job(self):
         sim = Simulator()
         node = make_node(sim, memory_mb=100.0)
