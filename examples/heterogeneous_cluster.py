@@ -19,6 +19,7 @@ Run:  python examples/heterogeneous_cluster.py
 from repro.cluster import Cluster, ClusterConfig, Job, MemoryProfile
 from repro.cluster.config import WorkstationSpec
 from repro.core import VReconfiguration
+from repro.experiments.world import World
 
 
 def make_config(network_ram=False):
@@ -53,12 +54,11 @@ def build_workload():
 
 def run(network_ram):
     cluster = Cluster(make_config(network_ram))
-    policy = VReconfiguration(cluster)
-    jobs = build_workload()
-    for job in jobs:
-        cluster.sim.schedule_at(job.submit_time,
-                                lambda job=job: policy.submit(job))
-    cluster.sim.run()
+    world = World(cluster, VReconfiguration(cluster), jobs=[])
+    for job in build_workload():
+        world.admit(job)
+    world.run()
+    jobs, policy = world.jobs, world.policy
     huge = [job for job in jobs if job.program.startswith("huge")]
     reserved_used = {event.node_id
                      for event in policy.reservation_timeline

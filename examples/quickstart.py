@@ -12,6 +12,7 @@ Run:  python examples/quickstart.py
 from repro.cluster import Cluster, ClusterConfig, Job, MemoryProfile
 from repro.cluster.config import WorkstationSpec
 from repro.core import VReconfiguration
+from repro.experiments.world import World
 from repro.scheduling import GLoadSharing
 
 
@@ -36,12 +37,11 @@ def run(policy_class):
         cpu_threshold=4,
     )
     cluster = Cluster(config)
-    policy = policy_class(cluster)
-    jobs = build_workload()
-    for job in jobs:
-        cluster.sim.schedule_at(job.submit_time,
-                                lambda job=job: policy.submit(job))
-    cluster.sim.run()
+    world = World(cluster, policy_class(cluster), jobs=[])
+    for job in build_workload():
+        world.admit(job)
+    world.run()
+    jobs, policy = world.jobs, world.policy
     slowdowns = [job.slowdown() for job in jobs]
     hog = jobs[0]
     return {

@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.config import ClusterConfig, WorkstationSpec
 from repro.cluster.job import Job, MemoryProfile
+from repro.experiments.world import World
 from repro.scheduling.local import LocalPolicy
 
 
@@ -81,21 +82,17 @@ def run_single_node(arrival_rate: float,
         sample_interval_s=1e9,
     )
     cluster = Cluster(config)
-    policy = LocalPolicy(cluster)
-
-    jobs: List[Job] = []
+    world = World(cluster, LocalPolicy(cluster), jobs=[])
     t = 0.0
     for _ in range(num_jobs):
         t += rng.expovariate(arrival_rate)
         work = max(1e-3, service_sampler(rng))
-        jobs.append(Job(program="mg1", cpu_work_s=work,
+        world.admit(Job(program="mg1", cpu_work_s=work,
                         memory=MemoryProfile.constant(1.0),
                         submit_time=t, home_node=0))
-    for job in jobs:
-        cluster.sim.schedule_at(job.submit_time,
-                                lambda job=job: policy.submit(job))
-    cluster.sim.run()
+    world.run()
 
+    jobs = world.jobs
     warmup = int(warmup_fraction * num_jobs)
     measured = jobs[warmup:]
     slowdowns = [job.slowdown() for job in measured]

@@ -90,9 +90,6 @@ class ClusterConfig:
     #: it causes when demands grow) is intrinsic to the problem the
     #: paper studies.
     min_idle_mb: float = 4.0
-    #: Total memory demand admitted on a node, as a multiple of user
-    #: memory ("memory threshold": oversized only to a certain degree).
-    memory_threshold_factor: float = 1.5
     #: Aggregate page-fault rate (faults/s) above which a node is
     #: considered to be thrashing and migration is attempted.  Mild
     #: paging is tolerated; the threshold marks real thrashing.
@@ -168,8 +165,6 @@ class ClusterConfig:
             raise ValueError("cpu_threshold must be positive")
         if not 0 < self.residency_alpha <= 1:
             raise ValueError("residency_alpha must be in (0, 1]")
-        if self.memory_threshold_factor < 1:
-            raise ValueError("memory_threshold_factor must be >= 1")
         if self.domains < 1:
             raise ValueError("domains must be >= 1")
         if self.domains > self.num_nodes:

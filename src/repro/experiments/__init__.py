@@ -1,5 +1,6 @@
 """Experiment harness: reproduce every table and figure of the paper.
 
+* :mod:`repro.experiments.world` — one run's wiring (:class:`World`);
 * :mod:`repro.experiments.runner` — run one (trace, policy) pair;
 * :mod:`repro.experiments.tables` — Tables 1 and 2;
 * :mod:`repro.experiments.figures` — Figures 1-4;
@@ -15,8 +16,8 @@ import importlib
 #: Importing the package eagerly would load the runner before
 #: ``python -m repro.experiments.runner`` executes it as ``__main__``.
 _EXPORTS = {
-    "POLICIES": "runner",
-    "ExperimentResult": "runner",
+    "POLICIES": "world",
+    "World": "world",
     "build_blocking_trace": "scenario",
     "default_config": "runner",
     "run_blocking_scenario": "scenario",

@@ -1,8 +1,8 @@
 """Run one workload trace under one scheduling policy.
 
-``run_experiment`` wires together the whole stack: trace generation,
-cluster construction, policy, metrics collection, trace replay, and
-summary extraction.  ``scale`` subsamples the trace (every k-th job)
+``run_experiment`` generates a trace and ``run_trace`` replays it
+through a :class:`~repro.experiments.world.World`, which wires the
+cluster, policy and metrics collector and extracts the summary.  ``scale`` subsamples the trace (every k-th job)
 so the benchmark suite can exercise every figure quickly while the
 full-scale runs reproduce the paper's configuration exactly.
 """
@@ -10,61 +10,26 @@ full-scale runs reproduce the paper's configuration exactly.
 from __future__ import annotations
 
 import argparse
-import functools
 import warnings
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Type
+from typing import List, Optional
 
-from repro.cluster.cluster import Cluster
 from repro.cluster.config import APP_CLUSTER, SPEC_CLUSTER, ClusterConfig
-from repro.core.reconfiguration import VReconfiguration
+from repro.experiments.world import POLICIES, World
 from repro.faults.config import FaultConfig
-from repro.metrics.collector import MetricsCollector, PolicyPendingProbe
-from repro.metrics.summary import RunSummary, summarize_run
+from repro.metrics.summary import RunSummary
 from repro.obs.health import parse_rule
 from repro.obs.session import ObsSession
-from repro.scheduling import (
-    CpuBasedPolicy,
-    GLoadSharing,
-    LoadSharingPolicy,
-    LocalPolicy,
-    MemoryBasedPolicy,
-    SrptOracle,
-    SuspensionPolicy,
-)
 from repro.workload.arrivals import trace_spec
 from repro.workload.generator import build_trace
 from repro.workload.programs import WorkloadGroup
 from repro.workload.trace import Trace
-
-#: Registry of runnable policies, keyed by CLI-friendly names.
-POLICIES: Dict[str, Type[LoadSharingPolicy]] = {
-    "local": LocalPolicy,
-    "cpu": CpuBasedPolicy,
-    "memory": MemoryBasedPolicy,
-    "g-loadsharing": GLoadSharing,
-    "suspension": SuspensionPolicy,
-    "srpt-oracle": SrptOracle,
-    "v-reconfiguration": VReconfiguration,
-}
 
 
 def default_config(group: WorkloadGroup) -> ClusterConfig:
     """The paper's cluster for a workload group (fresh copy)."""
     base = SPEC_CLUSTER if group is WorkloadGroup.SPEC else APP_CLUSTER
     return base.replace()
-
-
-@dataclass
-class ExperimentResult:
-    """A run summary plus the artifacts needed for deeper inspection."""
-
-    summary: RunSummary
-    cluster: Cluster
-    policy: LoadSharingPolicy
-    collector: MetricsCollector
-    trace: Trace
 
 
 def subsample_stride(scale: float) -> int:
@@ -119,8 +84,9 @@ def run_trace(trace: Trace, policy_name: str,
               policy_kwargs: Optional[dict] = None,
               obs: Optional[ObsSession] = None,
               checkpoint_at: Optional[float] = None,
-              checkpoint_to: Optional[str] = None) -> ExperimentResult:
-    """Replay ``trace`` on a fresh cluster under ``policy_name``.
+              checkpoint_to: Optional[str] = None) -> World:
+    """Replay ``trace`` on a fresh cluster under ``policy_name`` and
+    return the finished :class:`World` (its ``summary`` set).
 
     ``obs`` attaches an observability session to the run: structured
     events, metrics (merged into ``summary.extra`` under ``obs.``),
@@ -133,51 +99,18 @@ def run_trace(trace: Trace, policy_name: str,
     the written snapshot resumes byte-identically to the uninterrupted
     remainder.
     """
-    if policy_name not in POLICIES:
-        raise KeyError(f"unknown policy {policy_name!r}; "
-                       f"choose from {sorted(POLICIES)}")
     if (checkpoint_at is None) != (checkpoint_to is None):
         raise ValueError("checkpoint_at and checkpoint_to go together")
-    phase = obs.phase if obs is not None else (lambda name: nullcontext())
-    cluster = Cluster(config)
-    policy = POLICIES[policy_name](cluster, **(policy_kwargs or {}))
-    collector = MetricsCollector(
-        cluster, pending_probe=PolicyPendingProbe(policy))
-    if obs is not None:
-        obs.attach(cluster, policy=policy)
-    with phase("build_jobs"):
-        jobs = trace.build_jobs()
-    for job in jobs:
-        cluster.sim.schedule_at(job.submit_time,
-                                functools.partial(policy.submit, job))
-    if obs is not None:
-        obs.bind_run(collector=collector, jobs=jobs, trace_name=trace.name)
+    world = World.build(trace, policy_name, config, policy_kwargs, obs=obs)
     if checkpoint_at is not None:
         from repro.sim.checkpoint import save_checkpoint
 
-        with phase("checkpoint"):
-            cluster.sim.run(until=checkpoint_at)
-            save_checkpoint(checkpoint_to, cluster=cluster, policy=policy,
-                            collector=collector, jobs=jobs,
-                            trace_name=trace.name)
-    with phase("simulate"):
-        if obs is not None:
-            # Routes through the session's live-telemetry wrappers
-            # (profiler span, paced HTTP serving); plain sessions
-            # degenerate to sim.run().
-            obs.run_engine(cluster.sim)
-        else:
-            cluster.sim.run()
-    with phase("summarize"):
-        summary = summarize_run(policy, jobs, collector, trace.name)
-    if cluster.faults is not None:
-        # Fault counters cross the process boundary with the summary;
-        # fault-free runs add no keys (byte-identical extras, pinned).
-        summary.extra.update(cluster.faults.extra_metrics())
-    if obs is not None:
-        obs.finalize(summary)
-    return ExperimentResult(summary=summary, cluster=cluster,
-                            policy=policy, collector=collector, trace=trace)
+        with world.phase("checkpoint"):
+            world.run(until=checkpoint_at)
+            save_checkpoint(checkpoint_to, world)
+    world.run()
+    world.finish()
+    return world
 
 
 def run_experiment(group: WorkloadGroup, trace_index: int,
@@ -190,7 +123,7 @@ def run_experiment(group: WorkloadGroup, trace_index: int,
                    faults: Optional[FaultConfig] = None,
                    checkpoint_at: Optional[float] = None,
                    checkpoint_to: Optional[str] = None
-                   ) -> ExperimentResult:
+                   ) -> World:
     """Generate the published trace and run it under ``policy``.
 
     ``nodes`` overrides the cluster size (the trace is regenerated for
@@ -539,7 +472,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         except ValueError:  # pragma: no cover - non-main thread
             pass
 
-    def run() -> ExperimentResult:
+    def run() -> World:
         if restored is not None:
             from repro.sim.checkpoint import resume
 

@@ -36,7 +36,8 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.cluster.config import ClusterConfig, WorkstationSpec
-from repro.experiments.runner import ExperimentResult, run_trace
+from repro.experiments.runner import run_trace
+from repro.experiments.world import World
 from repro.sim.rng import RandomStreams
 from repro.workload.programs import WorkloadGroup
 from repro.workload.trace import Trace, TraceJob
@@ -115,7 +116,7 @@ def run_blocking_scenario(policy: str, seed: int = 0,
                           faults=None,
                           checkpoint_at: Optional[float] = None,
                           checkpoint_to: Optional[str] = None,
-                          **trace_kwargs) -> ExperimentResult:
+                          **trace_kwargs) -> World:
     """Run the constructed scenario batch under ``policy``.
 
     ``obs`` is an optional :class:`~repro.obs.session.ObsSession`; the
@@ -139,7 +140,7 @@ def run_blocking_scenario(policy: str, seed: int = 0,
                      checkpoint_to=checkpoint_to)
 
 
-def large_job_slowdowns(result: ExperimentResult) -> List[float]:
+def large_job_slowdowns(result: World) -> List[float]:
     """Slowdowns of the scenario's large jobs (the rescued class)."""
     return [job.slowdown() for job in result.cluster.finished_jobs
             if job.peak_demand_mb > 200.0]

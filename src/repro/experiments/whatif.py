@@ -25,8 +25,8 @@ import tempfile
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.experiments.runner import ExperimentResult
 from repro.experiments.scenario import run_blocking_scenario
+from repro.experiments.world import World
 from repro.sim.checkpoint import fork, load_checkpoint, resume
 
 #: Decision instant (simulated seconds): the scenario's wedges are
@@ -44,7 +44,7 @@ class WhatifBranch:
 
     policy_key: str
     forked: bool
-    result: ExperimentResult
+    result: World
 
     @property
     def label(self) -> str:
@@ -59,7 +59,7 @@ class WhatifReport:
     base_policy: str
     branch_at: float
     seed: int
-    baseline: ExperimentResult
+    baseline: World
     branches: List[WhatifBranch] = field(default_factory=list)
 
     _METRICS = (

@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from typing import TYPE_CHECKING, List, Optional, Sequence, TextIO, Union
+from typing import TYPE_CHECKING, Optional, Sequence, TextIO, Union
 
 from repro.metrics.summary import RunSummary
 
@@ -95,11 +95,3 @@ def _write(payload: str, target: Union[str, TextIO, None]) -> None:
             stream.write(payload)
     else:
         target.write(payload)
-
-
-def load_summaries_json(source: Union[str, TextIO]) -> List[dict]:
-    """Read back a JSON export (dicts, not RunSummary objects)."""
-    if isinstance(source, str):
-        with open(source) as stream:
-            return json.load(stream)
-    return json.load(source)

@@ -70,7 +70,6 @@ metrics registry, where a health rule can watch it.
 
 from __future__ import annotations
 
-import functools
 import json
 import threading
 import time
@@ -314,12 +313,12 @@ class LiveMonitor:
     # ------------------------------------------------------------------
     @property
     def _world_bound(self) -> bool:
-        """The session knows the run's policy and job list (the
-        runner's ``bind_run``) — prerequisite of every write
-        endpoint."""
-        session = self.session
-        return (session.cluster is not None and session.policy is not None
-                and session.jobs is not None)
+        """The session's world has a policy and a job list (a
+        ``World.build`` run, or ``attach`` plus ``bind_run``) —
+        prerequisite of every write endpoint."""
+        world = self.session.world
+        return (world is not None and world.policy is not None
+                and world.jobs is not None)
 
     def enqueue_jobs(self, specs) -> Tuple[int, List[str]]:
         """Validate raw job specs and queue the valid ones for
@@ -327,7 +326,7 @@ class LiveMonitor:
         batch (a partially admitted batch is harder to reason about
         than a resubmitted one).  Returns ``(accepted, errors)``."""
         specs = list(specs)
-        num_nodes = self.session.cluster.config.num_nodes
+        num_nodes = self.session.world.cluster.config.num_nodes
         errors = []
         for index, spec in enumerate(specs):
             problem = validate_job_spec(spec, num_nodes)
@@ -396,12 +395,9 @@ class LiveMonitor:
             if not self._ingest_queue:
                 return 0
             batch, self._ingest_queue = self._ingest_queue, []
-        session = self.session
+        world = self.session.world
         for spec in batch:
-            job = _job_from_spec(spec, sim.now)
-            session.jobs.append(job)
-            sim.schedule_at(job.submit_time,
-                            functools.partial(session.policy.submit, job))
+            world.admit(_job_from_spec(spec, sim.now))
         with self._ingest_lock:
             self.jobs_admitted += len(batch)
         return len(batch)
@@ -434,13 +430,9 @@ class LiveMonitor:
                 return
             requests, self._control_queue = self._control_queue, []
         from repro.sim.checkpoint import snapshot_bytes
-        session = self.session
         for request in requests:
             try:
-                request.result = snapshot_bytes(
-                    cluster=session.cluster, policy=session.policy,
-                    collector=session.collector, jobs=session.jobs,
-                    trace_name=session.trace_name or session.run_label)
+                request.result = snapshot_bytes(self.session.world)
             except Exception as exc:  # noqa: BLE001 - report to caller
                 request.error = f"snapshot failed: {exc}"
             request.done.set()
@@ -557,8 +549,8 @@ class LiveMonitor:
         metrics = (prom.getvalue().encode("utf-8"),
                    "text/plain; version=0.0.4; charset=utf-8", 200)
 
-        now = (session.cluster.sim.now
-               if session.cluster is not None else 0.0)
+        now = (session.world.cluster.sim.now
+               if session.world is not None else 0.0)
         snapshot = {}
         if session.window is not None:
             snapshot = session.window.snapshot(now)

@@ -1,6 +1,6 @@
 """ObsSession: wires a run's event bus to a recorder and a registry.
 
-One session observes one run.  ``attach`` subscribes to the cluster's
+One session observes one run.  ``observe`` subscribes to the run's
 channels; during the run the session keeps a structured event list and
 live metrics; ``finalize`` folds engine-level gauges in and merges the
 snapshot (``obs.``-prefixed) into the run summary's ``extra`` dict so
@@ -60,6 +60,7 @@ from repro.obs.trace_export import write_chrome_trace, write_jsonl
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cluster.cluster import Cluster
+    from repro.experiments.world import World
     from repro.metrics.summary import RunSummary
     from repro.obs.health import HealthEngine
     from repro.obs.live import LiveMonitor
@@ -146,15 +147,10 @@ class ObsSession:
         self.record_events = record_events
         self.record_sim_events = record_sim_events
         self.run_label = run_label
-        self.cluster: Optional["Cluster"] = None
-        #: World components of the observed run, populated by
-        #: :meth:`attach` (policy) and :meth:`bind_run` (the rest).
-        #: The live monitor's control plane (``/checkpoint``, ``/fork``,
-        #: ``/submit``) needs them to snapshot or extend the run.
-        self.policy = None
-        self.collector = None
-        self.jobs = None
-        self.trace_name: Optional[str] = None
+        #: The observed run, set by :meth:`observe`.  The live
+        #: monitor's control plane (``/checkpoint``, ``/fork``,
+        #: ``/submit``) snapshots or extends it.
+        self.world: Optional["World"] = None
         self.lifecycle: Optional[JobLifecycleTracker] = (
             JobLifecycleTracker() if lifecycle else None)
         self.sample_period = sample_period
@@ -181,15 +177,16 @@ class ObsSession:
     # ------------------------------------------------------------------
     # wiring
     # ------------------------------------------------------------------
-    def attach(self, cluster: "Cluster", policy=None) -> "ObsSession":
-        """Subscribe to ``cluster``'s bus.  Call before the run starts
-        (after the cluster and policy are constructed).  ``policy``
-        is only needed for self-profiling (placement/reconfiguration
-        phase timers)."""
-        if self.cluster is not None:
+    def observe(self, world: "World") -> "ObsSession":
+        """Subscribe to ``world``'s bus and become its observer, so
+        ``world.run()``/``world.finish()`` go through this session.
+        Call before the run starts (:meth:`World.build
+        <repro.experiments.world.World.build>` does)."""
+        if self.world is not None:
             raise ValueError("ObsSession is single-use; already attached")
-        self.cluster = cluster
-        self.policy = policy
+        self.world = world
+        world.obs = self
+        cluster = world.cluster
         if self._stream_target is not None:
             if isinstance(self._stream_target, str):
                 # Line-buffered so `tail -f` sees each event as the
@@ -221,20 +218,28 @@ class ObsSession:
         if self.sample_period is not None:
             self.sampler = ClusterSampler(cluster,
                                           self.sample_period).start()
-        self._attach_live_plane(cluster, policy)
+        self._attach_live_plane(cluster, world.policy)
         return self
+
+    def attach(self, cluster: "Cluster", policy=None) -> "ObsSession":
+        """Observe a run wired by hand: a world of ``cluster`` and
+        ``policy`` (needed only for the placement/reconfiguration
+        self-profiling phases), the rest given by :meth:`bind_run`."""
+        from repro.experiments.world import World
+
+        return self.observe(World(cluster, policy))
 
     def bind_run(self, collector=None, jobs=None,
                  trace_name: Optional[str] = None) -> "ObsSession":
-        """Hand the session the run's world components (metrics
-        collector, job list, trace name).  The experiment runner calls
-        this once the world is built; with them bound, a serving
-        session can checkpoint the run (``/checkpoint``), replay it
-        under another policy (``/fork``), and admit streamed jobs
-        (``/submit``) — without them those endpoints answer 503."""
-        self.collector = collector
-        self.jobs = jobs
-        self.trace_name = trace_name
+        """Complete a hand-wired world (see :meth:`attach`) with its
+        metrics collector, job list and trace name.  With them bound,
+        a serving session can checkpoint the run (``/checkpoint``),
+        replay it under another policy (``/fork``), and admit streamed
+        jobs (``/submit``) — without them those endpoints answer 503."""
+        world = self.world
+        world.collector = collector
+        world.jobs = jobs
+        world.trace_name = trace_name
         return self
 
     def _atexit_flush(self) -> None:
@@ -398,15 +403,16 @@ class ObsSession:
         ``summary.extra`` under the ``obs.`` prefix.  Also closes a
         session-owned streaming log.  The live HTTP server publishes
         its final payloads but keeps serving until :meth:`close`."""
-        if self.cluster is not None and not self._finalized:
-            sim = self.cluster.sim
+        if self.world is not None and not self._finalized:
+            cluster = self.world.cluster
+            sim = cluster.sim
             self.registry.gauge("sim_events_executed").set(sim.event_count)
             self.registry.gauge("heap_compactions").set(sim.compactions)
             self.registry.gauge("recorded_events").set(len(self.events))
             self.registry.gauge("workstation_recomputes").set(
-                sum(node.recomputes for node in self.cluster.nodes))
+                sum(node.recomputes for node in cluster.nodes))
             self.registry.gauge("workstation_recompute_skips").set(
-                sum(node.recompute_skips for node in self.cluster.nodes))
+                sum(node.recompute_skips for node in cluster.nodes))
             if self._stream is not None:
                 self.registry.gauge("streamed_events").set(
                     self._streamed_events)

@@ -18,9 +18,9 @@ time-stepping: between events every rate in the system is constant, so
 completions and phase boundaries are computed exactly.
 """
 
-from repro.sim.checkpoint import (CheckpointError, RestoredRun,
-                                  load_checkpoint, restore_bytes,
-                                  save_checkpoint, snapshot_bytes)
+from repro.sim.checkpoint import (CheckpointError, load_checkpoint,
+                                  restore_bytes, save_checkpoint,
+                                  snapshot_bytes)
 from repro.sim.engine import EventHandle, Simulator, SimulationError
 from repro.sim.rng import RandomStreams
 
@@ -28,7 +28,6 @@ __all__ = [
     "CheckpointError",
     "EventHandle",
     "RandomStreams",
-    "RestoredRun",
     "SimulationError",
     "Simulator",
     "load_checkpoint",

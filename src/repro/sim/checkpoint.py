@@ -1,13 +1,15 @@
 """Checkpoint/restore of a running simulation world.
 
-A checkpoint captures the *entire* dynamic state of a run — engine
-clock, pending-event heap (with sequence counter, so same-timestamp
-tie-breaks replay identically), cluster, columnar state, load
-directory/domain shards, policy (pending queue, cooldowns, reservation
-machinery), fault-injector RNG streams, and the metrics collector —
-into one schema-versioned, compressed file.  ``restore`` reconstructs
-a world that continues **byte-identically** to an uninterrupted run:
-same ``RunSummary``, same event counts (pinned by
+A checkpoint pickles a paused :class:`~repro.experiments.world.World`
+— the *entire* dynamic state of a run: engine clock, pending-event
+heap (with sequence counter, so same-timestamp tie-breaks replay
+identically), cluster, columnar state, load directory/domain shards,
+policy (pending queue, cooldowns, reservation machinery),
+fault-injector RNG streams, the metrics collector and the job list —
+into one schema-versioned, compressed file.  Restoring hands the
+``World`` back, and it continues **byte-identically** to an
+uninterrupted run through the same ``World.run``/``World.finish`` a
+fresh run uses: same ``RunSummary``, same event counts (pinned by
 ``tests/test_checkpoint_equivalence.py`` across policies x faults x
 domains).
 
@@ -18,17 +20,17 @@ closures), so the whole object graph serializes with :mod:`pickle`,
 which preserves dict order, float bits, RNG state, shared-object
 identity and cycles.  Two process-global id counters
 (``repro.cluster.job.JOB_IDS``, ``repro.core.reservation.RESERVATION_IDS``)
-live outside the graph; their next values are stored alongside and
+live outside the graph; their next values are stored in the header and
 merged (``max``) back on restore so jobs created *after* a restore
 (streamed ingest) cannot collide with checkpointed ids.
 
 File format: one gzip stream (level 1, ``mtime`` 0, so a world gives
 the same bytes every time) holding two pickles back to back.  The
 first is a *header* dict of primitives only — ``format`` magic,
-``schema`` version and a ``meta`` summary; the second is the world.
-The header is decoded and validated *before* any world byte is
-unpickled, and :func:`peek_meta` reads the header alone.  A truncated
-or corrupt stream is a :class:`CheckpointError`.  Writing and reading
+``schema`` version, a ``meta`` summary and the id counters; the second
+is the ``World``.  The header is decoded and validated *before* any
+world byte is unpickled, and :func:`peek_meta` reads the header alone.
+A truncated or corrupt stream is a :class:`CheckpointError`.  Writing and reading
 stream through the compressor, so no uncompressed copy of the world is
 held in memory.
 
@@ -54,8 +56,8 @@ restore disabled and subscriber-free; a restored run attaches a fresh
 checkpointed policy and hand its pending queue to a freshly
 constructed one (possibly a different policy class or different
 thresholds), then :func:`resume` — replaying the identical remainder
-of the workload under an alternative regime (the ``whatif`` experiment
-target compares G vs. V this way).
+of the workload, later arrivals included, under an alternative regime
+(the ``whatif`` experiment target compares G vs. V this way).
 """
 
 from __future__ import annotations
@@ -65,8 +67,7 @@ import io
 import os
 import pickle
 import zlib
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 #: File-format magic; rejects arbitrary pickles early.
 MAGIC = "repro-checkpoint"
@@ -75,34 +76,23 @@ MAGIC = "repro-checkpoint"
 #: to the header or to the world's pickled layout, and regenerate
 #: ``tests/golden/checkpoint_layout.json``
 #: (``tests/golden/make_checkpoint_layout.py``).
-SCHEMA_VERSION = 8
+SCHEMA_VERSION = 9
 
 
 class CheckpointError(RuntimeError):
     """Raised for unwritable worlds and unreadable/incompatible files."""
 
 
-@dataclass
-class RestoredRun:
-    """A world reconstructed from a checkpoint, ready to resume."""
-
-    cluster: Any
-    policy: Any
-    collector: Any
-    jobs: List[Any]
-    trace_name: str
-    meta: Dict[str, Any]
-
-
-def _build_meta(cluster, policy, jobs, trace_name) -> Dict[str, Any]:
+def _build_meta(world) -> Dict[str, Any]:
     """Primitive-only summary readable without unpickling the world."""
+    cluster = world.cluster
     return {
         "sim_now": cluster.sim.now,
         "event_count": cluster.sim.event_count,
-        "policy": policy.name,
-        "trace": trace_name,
+        "policy": world.policy.name,
+        "trace": world.trace_name,
         "num_nodes": cluster.num_nodes,
-        "num_jobs": len(jobs),
+        "num_jobs": len(world.jobs),
         "finished_jobs": len(cluster.finished_jobs),
         "domains": cluster.config.domains,
         "faults": cluster.faults is not None,
@@ -112,34 +102,25 @@ def _build_meta(cluster, policy, jobs, trace_name) -> Dict[str, Any]:
 # ----------------------------------------------------------------------
 # save
 # ----------------------------------------------------------------------
-def _world(cluster, policy, collector, jobs,
-           trace_name: str) -> Dict[str, Any]:
-    """The object graph a checkpoint pickles for a paused run."""
+def _write_checkpoint(stream, world, parts) -> Dict[str, Any]:
+    """Write a paused world (``world``, or one wrapped around the
+    hand-wired ``parts``) to ``stream`` as one gzip stream (see module
+    doc); returns the header's ``meta`` dict."""
     import repro.cluster.job as job_mod
     import repro.core.reservation as reservation_mod
 
-    if collector is not None:
+    if world is None:
+        from repro.experiments.world import World
+
+        world = World(**parts)
+    if world.collector is not None:
         # The samples owed up to this instant are part of the state
         # being captured.
-        collector.flush()
-    return {
-        "cluster": cluster,
-        "policy": policy,
-        "collector": collector,
-        "jobs": jobs,
-        "trace_name": trace_name,
-        "job_counter": job_mod._job_counter.next_id,
-        "reservation_counter": reservation_mod._res_counter.next_id,
-    }
-
-
-def _write_checkpoint(stream, *, cluster, policy, collector, jobs,
-                      trace_name: str) -> Dict[str, Any]:
-    """Write a paused run to ``stream`` as one gzip stream (see module
-    doc); returns the header's ``meta`` dict."""
-    world = _world(cluster, policy, collector, jobs, trace_name)
-    meta = _build_meta(cluster, policy, jobs, trace_name)
-    header = {"format": MAGIC, "schema": SCHEMA_VERSION, "meta": meta}
+        world.collector.flush()
+    meta = _build_meta(world)
+    header = {"format": MAGIC, "schema": SCHEMA_VERSION, "meta": meta,
+              "job_counter": job_mod._job_counter.next_id,
+              "reservation_counter": reservation_mod._res_counter.next_id}
     with gzip.GzipFile(filename="", mode="wb", compresslevel=1,
                        fileobj=stream, mtime=0) as compressed:
         pickle.dump(header, compressed, protocol=4)
@@ -153,18 +134,19 @@ def _write_checkpoint(stream, *, cluster, policy, collector, jobs,
     return meta
 
 
-def snapshot_bytes(*, cluster, policy, collector, jobs,
-                   trace_name: str) -> bytes:
-    """Serialize a paused run to checkpoint bytes (see module doc)."""
+def snapshot_bytes(world=None, **parts) -> bytes:
+    """Serialize a paused :class:`~repro.experiments.world.World` to
+    checkpoint bytes (see module doc).  A run wired by hand passes its
+    ``cluster=``, ``policy=``, ``collector=``, ``jobs=`` and
+    ``trace_name=`` instead."""
     buffer = io.BytesIO()
-    _write_checkpoint(buffer, cluster=cluster, policy=policy,
-                      collector=collector, jobs=jobs, trace_name=trace_name)
+    _write_checkpoint(buffer, world, parts)
     return buffer.getvalue()
 
 
-def save_checkpoint(path: str, *, cluster, policy, collector, jobs,
-                    trace_name: str) -> Dict[str, Any]:
-    """Write a checkpoint file; returns its ``meta`` dict.
+def save_checkpoint(path: str, world=None, **parts) -> Dict[str, Any]:
+    """Write a checkpoint file of a paused world (given as in
+    :func:`snapshot_bytes`); returns its ``meta`` dict.
 
     The file is written next to ``path`` under a temporary name and
     renamed into place, so a failed snapshot leaves ``path`` as it was.
@@ -173,9 +155,7 @@ def save_checkpoint(path: str, *, cluster, policy, collector, jobs,
     stream = open(partial, "wb")
     try:
         with stream:
-            meta = _write_checkpoint(stream, cluster=cluster, policy=policy,
-                                     collector=collector, jobs=jobs,
-                                     trace_name=trace_name)
+            meta = _write_checkpoint(stream, world, parts)
         os.replace(partial, path)
     except BaseException:
         os.unlink(partial)
@@ -234,7 +214,7 @@ def peek_meta(path: str) -> Dict[str, Any]:
         return _decode_envelope(_gunzip(stream))["meta"]
 
 
-def _read_checkpoint(stream, advance_counters: bool) -> RestoredRun:
+def _read_checkpoint(stream, advance_counters: bool):
     """Validate the header, then unpickle the world."""
     compressed = _gunzip(stream)
     envelope = _decode_envelope(compressed)
@@ -246,16 +226,19 @@ def _read_checkpoint(stream, advance_counters: bool) -> RestoredRun:
             pickle.UnpicklingError) as exc:
         raise _truncated(exc) from exc
     if advance_counters:
-        _advance_global_counters(world)
-    return RestoredRun(cluster=world["cluster"], policy=world["policy"],
-                       collector=world["collector"], jobs=world["jobs"],
-                       trace_name=world["trace_name"],
-                       meta=dict(envelope["meta"]))
+        import repro.cluster.job as job_mod
+        import repro.core.reservation as reservation_mod
+
+        job_mod._job_counter.advance_to(envelope["job_counter"])
+        reservation_mod._res_counter.advance_to(
+            envelope["reservation_counter"])
+    world.meta = dict(envelope["meta"])
+    return world
 
 
-def restore_bytes(data: bytes,
-                  advance_counters: bool = True) -> RestoredRun:
-    """Reconstruct a world from checkpoint bytes.
+def restore_bytes(data: bytes, advance_counters: bool = True):
+    """Reconstruct a :class:`~repro.experiments.world.World` from
+    checkpoint bytes; its ``meta`` is the header's.
 
     ``advance_counters`` merges the checkpoint's global id counters
     into this process (``max`` of saved and current), so jobs and
@@ -267,35 +250,28 @@ def restore_bytes(data: bytes,
     return _read_checkpoint(io.BytesIO(data), advance_counters)
 
 
-def load_checkpoint(path: str,
-                    advance_counters: bool = True) -> RestoredRun:
-    """Read and reconstruct a checkpoint file."""
+def load_checkpoint(path: str, advance_counters: bool = True):
+    """Read and reconstruct a checkpoint file (see
+    :func:`restore_bytes`)."""
     with open(path, "rb") as stream:
         return _read_checkpoint(stream, advance_counters)
-
-
-def _advance_global_counters(world: Dict[str, Any]) -> None:
-    import repro.cluster.job as job_mod
-    import repro.core.reservation as reservation_mod
-
-    job_mod._job_counter.advance_to(world["job_counter"])
-    reservation_mod._res_counter.advance_to(world["reservation_counter"])
 
 
 # ----------------------------------------------------------------------
 # fork + resume
 # ----------------------------------------------------------------------
-def fork(restored: RestoredRun, policy: Optional[str] = None,
-         policy_kwargs: Optional[dict] = None) -> RestoredRun:
-    """Swap a restored run's policy for a what-if replay.
+def fork(world, policy: Optional[str] = None,
+         policy_kwargs: Optional[dict] = None):
+    """Swap a restored world's policy for a what-if replay.
 
     The checkpointed policy is retired (monitor cancelled, listener
     removed, reserving periods cancelled); the successor — a different
     policy name from the runner registry, or the same one under
     different ``policy_kwargs`` — adopts the pending queue *by
     reference* so the retiree's in-flight transfer callbacks still
-    land in it.  With ``policy=None`` the restored run is returned
-    unchanged.
+    land in it.  Arrivals still ahead reach the successor: each one's
+    event calls ``world.submit``, which forwards to ``world.policy``.
+    With ``policy=None`` the world is returned unchanged.
 
     Known limitations, by design: the successor's counters
     (``PolicyStats``) start at zero — job-level metrics (slowdowns,
@@ -305,62 +281,40 @@ def fork(restored: RestoredRun, policy: Optional[str] = None,
     their nodes return to the pool.
     """
     if policy is None:
-        return restored
-    from repro.experiments.runner import POLICIES
+        return world
+    from repro.experiments.world import POLICIES
     from repro.metrics.collector import PolicyPendingProbe
 
     if policy not in POLICIES:
         raise CheckpointError(f"unknown fork policy {policy!r}; "
                               f"choose from {sorted(POLICIES)}")
-    old = restored.policy
+    old = world.policy
     old.retire()
-    successor = POLICIES[policy](restored.cluster, **(policy_kwargs or {}))
+    successor = POLICIES[policy](world.cluster, **(policy_kwargs or {}))
     successor.adopt_pending_from(old)
-    collector = restored.collector
+    collector = world.collector
     if (collector is not None
             and isinstance(collector.pending_probe, PolicyPendingProbe)):
         collector.pending_probe.policy = successor
-    restored.policy = successor
-    restored.meta = dict(restored.meta, policy=successor.name,
-                         forked_from=old.name)
-    return restored
+    world.policy = successor
+    world.meta = dict(world.meta, policy=successor.name,
+                      forked_from=old.name)
+    return world
 
 
-def resume(restored: RestoredRun, obs=None):
-    """Run a restored world to completion and summarize it.
-
-    Mirrors the tail of :func:`repro.experiments.runner.run_trace`
-    exactly (that is what makes restore-equivalence a byte-identity
-    claim).  ``obs`` optionally attaches a *fresh* observability
-    session for the remainder of the run.  Returns an
-    :class:`~repro.experiments.runner.ExperimentResult` whose ``trace``
-    is None (the original trace object is not part of a checkpoint;
-    its name survives in ``summary.trace``).
-    """
-    from repro.experiments.runner import ExperimentResult
-    from repro.metrics.summary import summarize_run
-
-    cluster = restored.cluster
+def resume(world, obs=None):
+    """Run a restored world to completion and summarize it; returns
+    the world, its ``summary`` set.  ``obs`` optionally attaches a
+    *fresh* observability session for the remainder of the run."""
     if obs is not None:
-        obs.attach(cluster, policy=restored.policy)
-        obs.bind_run(collector=restored.collector, jobs=restored.jobs,
-                     trace_name=restored.trace_name)
-        obs.run_engine(cluster.sim)
-    else:
-        cluster.sim.run()
-    summary = summarize_run(restored.policy, restored.jobs,
-                            restored.collector, restored.trace_name)
-    if cluster.faults is not None:
-        summary.extra.update(cluster.faults.extra_metrics())
-    if obs is not None:
-        obs.finalize(summary)
-    return ExperimentResult(summary=summary, cluster=cluster,
-                            policy=restored.policy,
-                            collector=restored.collector, trace=None)
+        obs.observe(world)
+    world.run()
+    world.finish()
+    return world
 
 
 __all__ = [
-    "MAGIC", "SCHEMA_VERSION", "CheckpointError", "RestoredRun",
-    "snapshot_bytes", "save_checkpoint", "restore_bytes",
-    "load_checkpoint", "peek_meta", "fork", "resume",
+    "MAGIC", "SCHEMA_VERSION", "CheckpointError", "snapshot_bytes",
+    "save_checkpoint", "restore_bytes", "load_checkpoint", "peek_meta",
+    "fork", "resume",
 ]

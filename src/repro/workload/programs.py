@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Tuple
 
 from repro.cluster.job import MemoryProfile
 
@@ -183,16 +183,3 @@ def program_by_name(name: str) -> Program:
             if program.name == name:
                 return program
     raise KeyError(f"unknown program {name!r}")
-
-
-def catalog_table(group: WorkloadGroup) -> Sequence[Tuple[str, ...]]:
-    """Rows for reprinting Table 1 / Table 2."""
-    rows = []
-    for p in programs_for_group(group):
-        if p.working_set_min_mb > 0:
-            working_set = f"{p.working_set_min_mb:.0f}-{p.working_set_mb:.0f}"
-        else:
-            working_set = f"{p.working_set_mb:.0f}"
-        rows.append((p.name, p.description, p.input_name, working_set,
-                     f"{p.lifetime_s:.1f}"))
-    return rows

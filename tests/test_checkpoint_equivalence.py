@@ -37,15 +37,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster.job import Job, MemoryProfile
-from repro.experiments.runner import run_experiment, run_trace
+from repro.experiments.runner import (default_config, run_trace,
+                                      subsample_trace)
 from repro.experiments.scenario import (SCENARIO_CLUSTER,
+                                        build_blocking_trace,
                                         run_blocking_scenario)
+from repro.experiments.world import World
 from repro.faults import FaultConfig
+from repro.obs.session import ObsSession
 from repro.sim.checkpoint import (MAGIC, SCHEMA_VERSION, CheckpointError,
-                                  _decode_envelope, _world, fork,
-                                  load_checkpoint, peek_meta, restore_bytes,
-                                  resume, save_checkpoint, snapshot_bytes)
+                                  _decode_envelope, fork, load_checkpoint,
+                                  peek_meta, restore_bytes, resume,
+                                  save_checkpoint, snapshot_bytes)
+from repro.workload.generator import build_trace
 from repro.workload.programs import WorkloadGroup
+from repro.workload.trace import Trace
 
 LAYOUT_GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden",
                                   "checkpoint_layout.json")
@@ -281,10 +287,8 @@ def checkpoint_layout(directory: str) -> dict:
                               config=cell_config(domains, faulted),
                               checkpoint_at=CHECKPOINT_AT,
                               checkpoint_to=path)
-        paused = load_checkpoint(path, advance_counters=False)
-        _LayoutRecorder(layout).dump(_world(
-            paused.cluster, paused.policy, paused.collector, paused.jobs,
-            paused.trace_name))
+        _LayoutRecorder(layout).dump(
+            load_checkpoint(path, advance_counters=False))
     return {"schema": SCHEMA_VERSION,
             "layout": {cls: {name: " | ".join(sorted(types))
                              for name, types in sorted(attrs.items())}
@@ -407,23 +411,92 @@ def test_forked_replay_differs_from_continuation(tmp_path):
             < continued.summary.total_paging_time_s)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "pending submit events stay bound to the retired policy: "
-    "partial(old_policy.submit, job) on the heap (ROADMAP item 8)"))
-def test_fork_successor_handles_every_later_submission(tmp_path):
+@pytest.mark.parametrize("successor", ["local", "v-reconfiguration"])
+@pytest.mark.parametrize("faulted", [False, True],
+                         ids=["nofaults", "faults"])
+@pytest.mark.parametrize("tied", [False, True], ids=["t500", "tie"])
+def test_fork_successor_handles_every_later_submission(successor, faulted,
+                                                       tied, tmp_path):
+    """Fork a G-Loadsharing run paused at ``pause``: the retired policy
+    took every arrival up to and including ``pause``, the successor
+    every later one.  ``tied`` pauses on a submit instant two jobs
+    share; both are taken before the fork."""
+    config = default_config(WorkloadGroup.SPEC)
+    if faulted:
+        config = config.replace(faults=FULL_FAULTS)
+    trace = subsample_trace(build_trace(WorkloadGroup.SPEC, 3, seed=0,
+                                        num_nodes=32), 0.1)
+    pause = 500.0
+    if tied:
+        jobs = list(trace.jobs)
+        k = next(i for i, job in enumerate(jobs) if job.submit_time > pause)
+        pause = jobs[k].submit_time
+        jobs[k + 1] = dataclasses.replace(jobs[k + 1], submit_time=pause)
+        trace = Trace(name=trace.name, group=trace.group,
+                      trace_index=trace.trace_index,
+                      duration_s=trace.duration_s, jobs=jobs)
     path = str(tmp_path / "arrivals.ckpt")
-    run_experiment(WorkloadGroup.SPEC, 3, policy="g-loadsharing",
-                   scale=0.1, checkpoint_at=500.0, checkpoint_to=path)
+    run_trace(trace, "g-loadsharing", config, checkpoint_at=pause,
+              checkpoint_to=path)
     restored = load_checkpoint(path)
-    later = sum(1 for job in restored.jobs
-                if job.submit_time > restored.meta["sim_now"])
-    assert later > 0
+    arrived = sum(1 for job in restored.jobs if job.submit_time <= pause)
+    later = len(restored.jobs) - arrived
+    assert arrived > 0 and later > 0
     retired = restored.policy
-    submitted = retired.stats.submissions
-    forked = fork(restored, policy="local")
-    resume(forked)
+    assert retired.stats.submissions == arrived
+    forked = resume(fork(restored, policy=successor))
     assert forked.policy.stats.submissions == later
-    assert retired.stats.submissions == submitted
+    assert retired.stats.submissions == arrived
+    assert forked.summary.num_jobs == len(forked.jobs)
+
+
+# ----------------------------------------------------------------------
+# World: the one wiring of fresh, checkpointed and restored runs
+# ----------------------------------------------------------------------
+def without_obs(summary) -> dict:
+    """Canonical summary minus the ``obs.`` extras (wall times)."""
+    data = canonical(summary)
+    data["extra"] = {key: value for key, value in data["extra"].items()
+                     if not key.startswith("obs.")}
+    return data
+
+
+@pytest.mark.parametrize("policy", ["g-loadsharing", "v-reconfiguration"])
+def test_world_build_run_finish_equals_run_trace(policy):
+    cfg = cell_config(domains=1, faulted=True)
+    trace = build_blocking_trace(num_nodes=8, seed=1)
+    world = World.build(trace, policy, cfg)
+    world.run()
+    summary = world.finish()
+    assert world.summary is summary
+    reference = run_trace(trace, policy, cfg)
+    assert canonical(summary) == canonical(reference.summary)
+    assert (world.cluster.sim.event_count
+            == reference.cluster.sim.event_count)
+
+
+@pytest.mark.parametrize("observed", [False, True],
+                         ids=["plain", "observed"])
+def test_world_checkpoint_round_trip(observed):
+    """A World paused, snapshotted and restored finishes equal to the
+    uninterrupted run, and so does the World that was snapshotted."""
+    cfg = cell_config(domains=8, faulted=True)
+    trace = build_blocking_trace(num_nodes=8, seed=1)
+    baseline = run_trace(trace, "v-reconfiguration", cfg)
+    world = World.build(trace, "v-reconfiguration", cfg)
+    world.run(until=CHECKPOINT_AT)
+    restored = restore_bytes(snapshot_bytes(world))
+    assert restored.obs is None and restored.meta["sim_now"] == CHECKPOINT_AT
+    obs = ObsSession(record_events=False) if observed else None
+    assert resume(restored, obs=obs) is restored
+    assert restored.obs is obs
+    world.run()
+    world.finish()
+    for run in (restored, world):
+        assert without_obs(run.summary) == canonical(baseline.summary)
+        assert (run.cluster.sim.event_count
+                == baseline.cluster.sim.event_count)
+    assert ("obs.sim_events_executed" in restored.summary.extra) == observed
 
 
 # ----------------------------------------------------------------------

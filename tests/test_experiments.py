@@ -103,6 +103,9 @@ class TestTables:
         assert len(rows) == 7
         metis = next(r for r in rows if r["Programs"] == "metis")
         assert "1M-4M" in metis["data size"]
+        # ranged working sets render as "lo-hi"
+        t_sim = next(r for r in rows if r["Programs"] == "t-sim")
+        assert "-" in t_sim["working set (MB)"]
 
     def test_render(self):
         assert "apsi" in render_table1()

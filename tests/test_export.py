@@ -11,7 +11,6 @@ from repro.metrics.collector import MetricsCollector
 from repro.metrics.export import (
     SUMMARY_FIELDS,
     figure_to_csv,
-    load_summaries_json,
     summaries_to_csv,
     summaries_to_json,
     summary_to_dict,
@@ -66,7 +65,8 @@ class TestSummaryExport:
     def test_json_export_and_load(self, summary, tmp_path):
         path = str(tmp_path / "out.json")
         summaries_to_json([summary, summary], target=path)
-        loaded = load_summaries_json(path)
+        with open(path) as stream:
+            loaded = json.load(stream)
         assert len(loaded) == 2
         assert loaded[0]["policy"] == "G-Loadsharing"
 

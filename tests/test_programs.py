@@ -11,7 +11,6 @@ from repro.workload.programs import (
     SPEC_PROGRAMS,
     Program,
     WorkloadGroup,
-    catalog_table,
     program_by_name,
     programs_for_group,
 )
@@ -65,14 +64,6 @@ class TestCatalogs:
     def test_program_by_name_unknown(self):
         with pytest.raises(KeyError):
             program_by_name("quake")
-
-    def test_catalog_table_rows(self):
-        rows = catalog_table(WorkloadGroup.SPEC)
-        assert len(rows) == 6
-        assert rows[0][0] == "apsi"
-        # ranged working sets render as "lo-hi"
-        app_rows = {row[0]: row for row in catalog_table(WorkloadGroup.APP)}
-        assert "-" in app_rows["t-sim"][3]
 
 
 class TestMemoryProfiles:
