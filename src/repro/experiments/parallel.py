@@ -4,16 +4,21 @@ Every figure/table/ablation in the paper is a sweep of mutually
 independent trace-driven simulations (clusters x traces x policies),
 which makes the reproduction embarrassingly parallel: each run is
 described by a picklable :class:`RunSpec`, executed in a worker
-process, and reduced to its :class:`~repro.metrics.summary.RunSummary`
-before crossing the process boundary (the live ``Cluster`` /
-``Simulator`` objects are full of scheduled closures and are neither
-picklable nor needed by any report).
+process started with the ``spawn`` method, and reduced to its
+:class:`~repro.metrics.summary.RunSummary` before crossing the process
+boundary (the live ``Cluster`` / ``Simulator`` objects are full of
+scheduled closures and are neither picklable nor needed by any
+report).
 
 Determinism is the invariant: a worker runs exactly the same
 ``run_experiment`` call the serial path would, from the same seeds, so
 ``run_specs(specs, jobs=N)`` returns summaries identical to
 ``jobs=1`` for every ``N`` — a property asserted by the test suite and
-the perf harness.
+the perf harness.  Workers are spawned, not forked: a forked child
+inherits the parent's locks in whatever state its other threads (a
+live HTTP server's, say) left them, and can deadlock on one.  A
+spawned worker starts from a fresh import, so everything it needs
+travels as an argument.
 
 Sweep telemetry: every worker measures its run (wall seconds, executed
 simulator events) and reports the timing back to the parent alongside
@@ -110,8 +115,7 @@ class SpecTiming:
 
 #: When True every executed spec gets a metrics-only ObsSession even if
 #: ``spec.obs`` is False — the ``--obs`` switch of the sweep CLIs.
-#: Module state is inherited by fork-start workers, so setting it
-#: before ``run_specs`` covers the parallel path too.
+#: ``run_specs`` hands its value to every worker it starts.
 _OBS_ALL_SPECS = False
 
 #: Live progress stream (None = off); see :func:`enable_progress`.
@@ -165,8 +169,10 @@ def render_sweep_timings(timings: Sequence[SpecTiming]) -> str:
                         title="Sweep timing")
 
 
-def _execute_timed(spec: RunSpec) -> Tuple[RunSummary, SpecTiming]:
-    """Run one spec in-process; summary plus worker-side telemetry."""
+def _execute_timed(spec: RunSpec, obs_all: bool
+                   ) -> Tuple[RunSummary, SpecTiming]:
+    """Run one spec in-process; summary plus worker-side telemetry.
+    ``obs_all`` instruments the run as if ``spec.obs`` were set."""
     # Imported lazily: runner imports the policy registry (and through
     # it most of the package), while RunSpec itself stays importable
     # from anywhere without cycles.
@@ -174,7 +180,7 @@ def _execute_timed(spec: RunSpec) -> Tuple[RunSummary, SpecTiming]:
 
     obs = None
     if (spec.obs or spec.lifecycle or spec.sample_period is not None
-            or _OBS_ALL_SPECS):
+            or obs_all):
         from repro.obs.session import ObsSession
 
         obs = ObsSession(record_events=False, run_label=spec.describe(),
@@ -194,10 +200,11 @@ def _execute_timed(spec: RunSpec) -> Tuple[RunSummary, SpecTiming]:
 
 def execute_spec(spec: RunSpec) -> RunSummary:
     """Run one spec in-process and return its summary."""
-    return _execute_timed(spec)[0]
+    return _execute_timed(spec, _OBS_ALL_SPECS)[0]
 
 
-def _worker(spec: RunSpec) -> Tuple[str, object, Optional[SpecTiming]]:
+def _worker(spec: RunSpec, obs_all: bool
+            ) -> Tuple[str, object, Optional[SpecTiming]]:
     """Process-pool entry point.
 
     Failures are returned as formatted tracebacks rather than raised:
@@ -205,7 +212,7 @@ def _worker(spec: RunSpec) -> Tuple[str, object, Optional[SpecTiming]]:
     parent, a traceback string always does.
     """
     try:
-        summary, timing = _execute_timed(spec)
+        summary, timing = _execute_timed(spec, obs_all)
         return ("ok", summary, timing)
     except Exception:  # noqa: BLE001 - reported with full traceback
         return ("error", traceback.format_exc(), None)
@@ -229,10 +236,6 @@ def default_jobs() -> int:
     return os.cpu_count() or 1
 
 
-def _fork_available() -> bool:
-    return "fork" in multiprocessing.get_all_start_methods()
-
-
 def _progress_tick(done: int, total: int, label: str,
                    stream: Optional[TextIO]) -> None:
     if stream is None:
@@ -250,11 +253,8 @@ def run_specs(specs: Sequence[RunSpec], jobs: int = 1,
     """Execute ``specs`` and return their summaries in input order.
 
     ``jobs`` is the number of worker processes; ``0``/``None`` means
-    one per core.  With ``jobs=1`` — or on platforms without the
-    ``fork`` start method, where spawning workers would re-import the
-    world per process — the specs run serially in-process, so callers
-    can pass a user-supplied ``--jobs`` value straight through without
-    platform checks.  Results are byte-identical either way.
+    one per core.  With ``jobs=1``, or a single spec, the specs run
+    serially in-process.  Results are byte-identical either way.
 
     ``progress`` overrides the module-level :func:`enable_progress`
     setting for this call (True renders to stderr, False disables).
@@ -275,12 +275,12 @@ def run_specs(specs: Sequence[RunSpec], jobs: int = 1,
     else:
         stream = sys.stderr if progress else None
     total = len(specs)
-    if jobs == 1 or len(specs) <= 1 or not _fork_available():
+    if jobs == 1 or len(specs) <= 1:
         results = []
         timings = []
         for done, spec in enumerate(specs, start=1):
             try:
-                summary, timing = _execute_timed(spec)
+                summary, timing = _execute_timed(spec, _OBS_ALL_SPECS)
             except Exception:  # noqa: BLE001 - uniform error surface
                 raise SweepError(spec, traceback.format_exc()) from None
             results.append(summary)
@@ -290,11 +290,11 @@ def run_specs(specs: Sequence[RunSpec], jobs: int = 1,
         _SWEEP_TIMINGS.extend(timings)
         return results
 
-    context = multiprocessing.get_context("fork")
+    context = multiprocessing.get_context("spawn")
     workers = min(jobs, len(specs))
     with ProcessPoolExecutor(max_workers=workers,
                              mp_context=context) as pool:
-        futures = {pool.submit(_worker, spec): index
+        futures = {pool.submit(_worker, spec, _OBS_ALL_SPECS): index
                    for index, spec in enumerate(specs)}
         outcomes: List[Optional[Tuple[str, object, Optional[SpecTiming]]]] \
             = [None] * total

@@ -1,11 +1,12 @@
 """Live monitoring plane: an HTTP server over a paced engine.
 
 :class:`LiveMonitor` is the first brick of the digital-twin service
-mode (ROADMAP item 1): it runs a stdlib :class:`ThreadingHTTPServer`
-on an ephemeral (or chosen) port next to the simulation and drives
-the engine in bounded real-time slices so the run can be *watched* —
-by a human on ``/dashboard``, by a Prometheus scraper on
-``/metrics``, by an orchestrator probe on ``/healthz``.
+mode (ROADMAP item 1): it runs a stdlib :class:`HTTPServer`, served
+by a fixed pool of worker threads, on an ephemeral (or chosen) port
+next to the simulation and drives the engine in bounded real-time
+slices so the run can be *watched* — by a human on ``/dashboard``, by
+a Prometheus scraper on ``/metrics``, by an orchestrator probe on
+``/healthz``.
 
 Endpoints:
 
@@ -35,7 +36,16 @@ Endpoints:
   {...}}`` snapshots the live run, restores an independent copy on
   the handler thread, swaps in the requested policy and runs it to
   completion, answering with that universe's run summary.  The live
-  run is paused only for the snapshot.
+  run is paused only for the snapshot.  One replay runs at a time: a
+  ``/fork`` that arrives during another gets ``503``.
+
+Serving: one accept thread hands each connection to ``POOL_WORKERS``
+daemon worker threads through a queue of ``QUEUE_BOUND`` connections,
+so a flood of connections costs neither a thread nor a socket each
+beyond that bound.  When the queue is full the accept thread answers
+``503`` itself and closes the connection.  A worker drops a client
+that sends nothing for ``READ_TIMEOUT_S``.  Every ``503`` carries
+``Retry-After``.
 
 Threading model — the invariant that keeps this safe without slowing
 the engine: **HTTP handler threads never touch live state.**  The
@@ -71,9 +81,10 @@ metrics registry, where a health rule can watch it.
 from __future__ import annotations
 
 import json
+import queue
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer
 from io import StringIO
 from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Tuple)
 
@@ -94,6 +105,19 @@ PUBLISH_WALL_S = 0.25
 #: Wall seconds a control request (``/checkpoint``, ``/fork``) waits
 #: for the engine to reach a slice boundary before answering 503.
 CONTROL_TIMEOUT_S = 10.0
+
+#: Worker threads that serve accepted connections.
+POOL_WORKERS = 4
+
+#: Accepted connections that may wait for a free worker; one more is
+#: answered 503 by the accept thread.
+QUEUE_BOUND = 64
+
+#: Wall seconds a worker waits on a silent client before dropping it.
+READ_TIMEOUT_S = 5.0
+
+#: ``Retry-After`` seconds sent with every 503.
+RETRY_AFTER_S = 1
 
 #: One published payload: (body bytes, content type, HTTP status).
 Payload = Tuple[bytes, str, int]
@@ -188,6 +212,7 @@ class _LiveHandler(BaseHTTPRequestHandler):
     """Serves the monitor's published payloads (read-only)."""
 
     server_version = "repro-live/1.0"
+    timeout = READ_TIMEOUT_S
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
         monitor: "LiveMonitor" = self.server.monitor  # type: ignore
@@ -234,11 +259,89 @@ class _LiveHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         if no_store:
             self.send_header("Cache-Control", "no-store")
+        if status == 503:
+            self.send_header("Retry-After", str(RETRY_AFTER_S))
         self.end_headers()
         self.wfile.write(body)
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         pass  # scrapes must not spam the run's stdout
+
+
+class _PooledHTTPServer(HTTPServer):
+    """An :class:`HTTPServer` whose accept loop queues each connection
+    for a fixed pool of daemon worker threads, started on the first
+    connection.  A connection that finds the queue full is answered
+    503 from the accept thread and closed."""
+
+    _BUSY = b"server busy; retry later\n"
+    _REFUSAL = (b"HTTP/1.0 503 Service Unavailable\r\n"
+                b"Content-Type: text/plain; charset=utf-8\r\n"
+                b"Content-Length: %d\r\n"
+                b"Retry-After: %d\r\n"
+                b"Connection: close\r\n\r\n%s"
+                % (len(_BUSY), RETRY_AFTER_S, _BUSY))
+
+    def __init__(self, address, monitor: "LiveMonitor"):
+        super().__init__(address, _LiveHandler)
+        self.monitor = monitor
+        # Only the accept thread puts, so checking the size before a
+        # put keeps the bound.  (A ``queue.Queue`` hands a connection
+        # over about 0.1 ms slower per request.)
+        self._connections: "queue.SimpleQueue" = queue.SimpleQueue()
+        self._workers: List[threading.Thread] = []
+
+    def process_request(self, request, client_address) -> None:
+        """Accept thread: queue the connection, or refuse it."""
+        if not self._workers:
+            for index in range(POOL_WORKERS):
+                worker = threading.Thread(target=self._serve_queue,
+                                          name=f"repro-live-worker-{index}",
+                                          daemon=True)
+                worker.start()
+                self._workers.append(worker)
+        if self._connections.qsize() < QUEUE_BOUND:
+            self._connections.put((request, client_address))
+            return
+        self.monitor.count_request()
+        try:
+            request.settimeout(0.0)  # never stall the accept loop
+            request.send(self._REFUSAL)
+        except OSError:
+            pass
+        self.shutdown_request(request)
+
+    def _serve_queue(self) -> None:
+        """Worker thread: serve queued connections until a ``None``."""
+        while True:
+            item = self._connections.get()
+            if item is None:
+                return
+            request, client_address = item
+            try:
+                self.finish_request(request, client_address)
+            except Exception:  # noqa: BLE001 - keep the worker alive
+                self.handle_error(request, client_address)
+            finally:
+                self.shutdown_request(request)
+
+    def server_close(self) -> None:
+        """Close the listener, drop queued connections and stop the
+        workers, waiting up to ``READ_TIMEOUT_S`` in all for busy
+        ones to finish their request."""
+        super().server_close()
+        while True:
+            try:
+                item = self._connections.get_nowait()
+            except queue.Empty:
+                break
+            self.shutdown_request(item[0])
+        for _ in self._workers:
+            self._connections.put(None)
+        deadline = time.monotonic() + READ_TIMEOUT_S
+        for worker in self._workers:
+            worker.join(max(0.0, deadline - time.monotonic()))
+        self._workers = []
 
 
 class LiveMonitor:
@@ -260,7 +363,7 @@ class LiveMonitor:
         self.requests_served = 0
         self.sim_lag_s = 0.0
         self.sim_lag_max_s = 0.0
-        self._server: Optional[ThreadingHTTPServer] = None
+        self._server: Optional[_PooledHTTPServer] = None
         self._thread: Optional[threading.Thread] = None
         self._lock = threading.Lock()
         self._payloads: Dict[str, Payload] = {}
@@ -276,16 +379,15 @@ class LiveMonitor:
         # services between slices.
         self._control_lock = threading.Lock()
         self._control_queue: List[_ControlRequest] = []
+        # Held while a /fork replay runs; a second /fork answers 503.
+        self._fork_slot = threading.Lock()
 
     # ------------------------------------------------------------------
     # server lifecycle
     # ------------------------------------------------------------------
     def start(self) -> "LiveMonitor":
         """Bind the server, write the port file, start serving."""
-        server = ThreadingHTTPServer(("127.0.0.1", self.requested_port),
-                                     _LiveHandler)
-        server.daemon_threads = True
-        server.monitor = self  # type: ignore[attr-defined]
+        server = _PooledHTTPServer(("127.0.0.1", self.requested_port), self)
         self._server = server
         self.port = server.server_address[1]
         if self.port_file:
@@ -497,6 +599,15 @@ class LiveMonitor:
             return self._json_payload(
                 {"error": "body must be a JSON object naming a "
                           "'policy' to fork to"}, 400)
+        if not self._fork_slot.acquire(blocking=False):
+            return self._json_payload(
+                {"error": "a fork replay is already running"}, 503)
+        try:
+            return self._replay_fork(body)
+        finally:
+            self._fork_slot.release()
+
+    def _replay_fork(self, body: dict) -> Payload:
         data, error, status = self._request_snapshot()
         if data is None:
             return self._json_payload({"error": error}, status)
@@ -692,4 +803,5 @@ class LiveMonitor:
 
 
 __all__ = ["LiveMonitor", "SLICE_WALL_S", "PUBLISH_WALL_S",
-           "CONTROL_TIMEOUT_S", "validate_job_spec"]
+           "CONTROL_TIMEOUT_S", "POOL_WORKERS", "QUEUE_BOUND",
+           "READ_TIMEOUT_S", "RETRY_AFTER_S", "validate_job_spec"]

@@ -174,12 +174,3 @@ _CATALOGS: Dict[WorkloadGroup, Tuple[Program, ...]] = {
 def programs_for_group(group: WorkloadGroup) -> Tuple[Program, ...]:
     """The catalog for a workload group."""
     return _CATALOGS[group]
-
-
-def program_by_name(name: str) -> Program:
-    """Look up a program across both catalogs."""
-    for catalog in _CATALOGS.values():
-        for program in catalog:
-            if program.name == name:
-                return program
-    raise KeyError(f"unknown program {name!r}")

@@ -3,6 +3,8 @@ paced driving, and agreement between ``/snapshot.json`` and the run
 summary."""
 
 import json
+import select
+import socket
 import socketserver
 import sys
 import threading
@@ -13,7 +15,9 @@ import urllib.request
 import pytest
 
 from repro.experiments.scenario import run_blocking_scenario
-from repro.obs.live import PUBLISH_WALL_S, SLICE_WALL_S, LiveMonitor
+from repro.obs import live
+from repro.obs.live import (POOL_WORKERS, PUBLISH_WALL_S, SLICE_WALL_S,
+                            LiveMonitor)
 from repro.obs.session import ObsSession
 
 from helpers import job, tiny_cluster
@@ -194,6 +198,123 @@ class TestLiveMonitorUnit:
             assert json.loads(excinfo.value.read())["status"] == "critical"
         finally:
             obs.close()
+
+
+def served_session():
+    """A serving session on a bare cluster (no engine running)."""
+    obs = ObsSession(record_events=False, serve=0)
+    obs.attach(tiny_cluster())
+    return obs
+
+
+def connect(obs):
+    return socket.create_connection(("127.0.0.1", obs.live.port),
+                                    timeout=10)
+
+
+def read_reply(sock) -> bytes:
+    """Read until the server closes the connection."""
+    chunks = []
+    while True:
+        chunk = sock.recv(65536)
+        if not chunk:
+            return b"".join(chunks)
+        chunks.append(chunk)
+
+
+def pool_workers():
+    return [thread for thread in threading.enumerate()
+            if thread.name.startswith("repro-live-worker")]
+
+
+class TestWorkerPool:
+    def test_connections_share_a_fixed_pool_of_threads(self):
+        """32 open connections at once are all answered, by the accept
+        thread plus ``POOL_WORKERS`` workers started on the first."""
+        others = set(pool_workers())  # other tests' servers
+        baseline = threading.active_count()
+        obs = served_session()
+        sockets = []
+        try:
+            assert set(pool_workers()) == others  # none before a client
+            peak = threading.active_count()
+            for _ in range(32):
+                sockets.append(connect(obs))
+                peak = max(peak, threading.active_count())
+            time.sleep(0.2)  # a thread per connection would start now
+            peak = max(peak, threading.active_count())
+            for sock in sockets:
+                sock.sendall(b"GET /healthz HTTP/1.0\r\n\r\n")
+            replies = []
+            for sock in sockets:
+                replies.append(read_reply(sock))
+                peak = max(peak, threading.active_count())
+            assert all(reply.startswith(b"HTTP/1.0 200") for reply in replies)
+            assert peak <= baseline + POOL_WORKERS + 1
+        finally:
+            for sock in sockets:
+                sock.close()
+            obs.close()
+
+    def test_full_queue_answers_503(self, monkeypatch):
+        """Idle clients hold every worker and queue slot; the accept
+        thread refuses each further connection itself."""
+        monkeypatch.setattr(live, "QUEUE_BOUND", 1)
+        obs = served_session()
+        extra = 3
+        sockets = [connect(obs)
+                   for _ in range(POOL_WORKERS + live.QUEUE_BOUND + extra)]
+        try:
+            refused = []
+            deadline = time.monotonic() + 10.0
+            while len(refused) < extra and time.monotonic() < deadline:
+                ready, _, _ = select.select(
+                    [sock for sock in sockets if sock not in refused],
+                    [], [], 0.1)
+                refused.extend(ready)
+            assert len(refused) >= extra
+            for sock in refused:
+                reply = read_reply(sock)
+                assert reply.startswith(b"HTTP/1.0 503")
+                assert b"\r\nRetry-After: 1\r\n" in reply
+            assert obs.live.requests_served == len(refused)
+            for sock in sockets:
+                sock.close()
+            # Closed idle clients free their workers.
+            status, _, _ = fetch(f"{obs.live.url}/healthz")
+            assert status == 200
+        finally:
+            for sock in sockets:
+                sock.close()
+            obs.close()
+
+    def test_idle_connection_is_dropped_after_read_timeout(
+            self, monkeypatch):
+        """A client that connects and sends nothing holds its worker
+        only for the read timeout; the worker then serves the request
+        queued behind it."""
+        assert live._LiveHandler.timeout == live.READ_TIMEOUT_S
+        monkeypatch.setattr(live._LiveHandler, "timeout", 0.3)
+        obs = served_session()
+        idle = [connect(obs) for _ in range(POOL_WORKERS)]
+        try:
+            status, _, _ = fetch(f"{obs.live.url}/healthz")
+            assert status == 200
+            for sock in idle:
+                assert read_reply(sock) == b""  # closed without a reply
+        finally:
+            for sock in idle:
+                sock.close()
+            obs.close()
+
+    def test_stop_leaves_no_pool_worker(self):
+        others = set(pool_workers())  # other tests' servers
+        obs = served_session()
+        fetch(f"{obs.live.url}/healthz")
+        workers = set(pool_workers()) - others
+        assert len(workers) == POOL_WORKERS
+        obs.close()
+        assert not any(worker.is_alive() for worker in workers)
 
 
 class TestPacedDrive:

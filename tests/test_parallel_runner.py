@@ -5,6 +5,9 @@ processes must return exactly the summaries the serial path produces,
 in spec order, and a failing run must surface with its RunSpec.
 """
 
+import urllib.request
+import warnings
+
 import pytest
 
 from repro.experiments.parallel import (
@@ -14,7 +17,10 @@ from repro.experiments.parallel import (
     run_specs,
 )
 from repro.experiments.runner import run_group
+from repro.obs.session import ObsSession
 from repro.workload.programs import WorkloadGroup
+
+from helpers import tiny_cluster
 
 #: Small but end-to-end: a few dozen jobs per run.
 SCALE = 0.08
@@ -39,6 +45,27 @@ class TestDeterminism:
         spec = RunSpec(group=WorkloadGroup.APP, trace_index=1,
                        policy="g-loadsharing", seed=0, scale=SCALE)
         assert execute_spec(spec) == run_specs([spec], jobs=2)[0]
+
+    def test_parallel_sweep_beside_a_live_server(self):
+        """Workers start safely while the live server's threads run: the
+        results equal the serial run's, and no start-method warning
+        (3.12 warns on ``fork()`` in a multi-threaded process) fires."""
+        obs = ObsSession(record_events=False, serve=0)
+        obs.attach(tiny_cluster())
+        try:
+            with urllib.request.urlopen(f"{obs.live.url}/healthz",
+                                        timeout=5) as resp:
+                assert resp.status == 200  # the worker pool is running
+            specs = specs_for(["g-loadsharing", "v-reconfiguration"],
+                              indices=(1,))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                parallel = run_specs(specs, jobs=2)
+            assert parallel == run_specs(specs, jobs=1)
+            assert not [w for w in caught
+                        if issubclass(w.category, DeprecationWarning)]
+        finally:
+            obs.close()
 
     def test_run_group_jobs_parameter(self):
         serial = run_group(WorkloadGroup.APP, "g-loadsharing",

@@ -11,9 +11,12 @@ from repro.workload.programs import (
     SPEC_PROGRAMS,
     Program,
     WorkloadGroup,
-    program_by_name,
     programs_for_group,
 )
+
+#: Both catalogs by program name.
+PROGRAMS = {program.name: program
+            for program in SPEC_PROGRAMS + APP_PROGRAMS}
 
 
 class TestCatalogs:
@@ -27,7 +30,7 @@ class TestCatalogs:
                          "r-sphere", "r-wing"}
 
     def test_apsi_lifetime_matches_legible_table_value(self):
-        assert program_by_name("apsi").lifetime_s == 2619.0
+        assert PROGRAMS["apsi"].lifetime_s == 2619.0
 
     def test_spec_programs_fit_cluster1_memory(self):
         # Every SPEC working set fits a dedicated 384 MB node (profiling
@@ -61,31 +64,27 @@ class TestCatalogs:
         assert programs_for_group(WorkloadGroup.SPEC) == SPEC_PROGRAMS
         assert programs_for_group(WorkloadGroup.APP) == APP_PROGRAMS
 
-    def test_program_by_name_unknown(self):
-        with pytest.raises(KeyError):
-            program_by_name("quake")
-
 
 class TestMemoryProfiles:
     def test_profile_peaks_at_requested_working_set(self):
-        program = program_by_name("apsi")
+        program = PROGRAMS["apsi"]
         profile = program.memory_profile(lifetime_s=2619.0, peak_mb=191.0)
         assert profile.peak_demand_mb == pytest.approx(191.0)
 
     def test_profile_respects_minimum_working_set(self):
-        program = program_by_name("t-sim")
+        program = PROGRAMS["t-sim"]
         profile = program.memory_profile(lifetime_s=145.0, peak_mb=75.0)
         for phase in profile.phases:
             assert phase.demand_mb >= program.working_set_min_mb
 
     def test_profile_phases_span_lifetime(self):
-        program = program_by_name("gzip")
+        program = PROGRAMS["gzip"]
         profile = program.memory_profile(lifetime_s=290.0, peak_mb=180.0)
         assert profile.phases[0].start_progress == 0.0
         assert profile.phases[-1].start_progress < 290.0
 
     def test_degenerate_lifetime_still_valid(self):
-        program = program_by_name("bit-r")
+        program = PROGRAMS["bit-r"]
         profile = program.memory_profile(lifetime_s=1e-6, peak_mb=9.0)
         assert len(profile.phases) >= 1
 

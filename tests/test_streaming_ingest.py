@@ -29,6 +29,7 @@ from repro.experiments.scenario import (SCENARIO_CLUSTER,
                                         run_blocking_scenario)
 from repro.obs.live import validate_job_spec
 from repro.obs.session import ObsSession
+from repro.sim import checkpoint
 from repro.sim.checkpoint import restore_bytes, resume
 from repro.workload.trace import Trace, TraceJob
 
@@ -202,6 +203,64 @@ def test_live_checkpoint_and_fork(tmp_path):
         obs.close()
     assert not thread.is_alive()
     # The live run still finished normally after all that surgery.
+    assert box["result"].summary.num_jobs > 0
+
+
+def test_one_fork_replay_at_a_time(monkeypatch):
+    """While one ``/fork`` replay is held, ``/submit`` and ``/metrics``
+    still answer and a second ``/fork`` gets 503 with Retry-After."""
+    entered, release = threading.Event(), threading.Event()
+
+    def held_resume(world):
+        entered.set()
+        assert release.wait(30)
+        return resume(world)
+
+    monkeypatch.setattr(checkpoint, "resume", held_resume)
+    obs = ObsSession(record_events=False, window_s=100.0, serve=0,
+                     pace=400.0, run_label="fork-slot-test")
+    cfg = SCENARIO_CLUSTER.replace(num_nodes=8)
+    box = {}
+
+    def run():
+        box["result"] = run_blocking_scenario(
+            "v-reconfiguration", seed=0, config=cfg, obs=obs)
+
+    def first_fork():
+        box["first"] = post(f"{obs.live.url}/fork",
+                            {"policy": "g-loadsharing"})
+
+    thread = threading.Thread(target=run)
+    forker = threading.Thread(target=first_fork)
+    thread.start()
+    deadline = time.time() + 10.0
+    while (obs.live is None or obs.live.port is None) \
+            and time.time() < deadline:
+        time.sleep(0.01)
+    obs.live.add_ingest_hold()  # the run stays live until released
+    time.sleep(2 * 0.25)
+    forker.start()
+    try:
+        assert entered.wait(30)
+        url = obs.live.url
+        status, reply = post(f"{url}/submit", STREAM_BATCH[:1])
+        assert status == 202 and reply["accepted"] == 1
+        with urllib.request.urlopen(f"{url}/metrics", timeout=5) as resp:
+            assert resp.status == 200
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            post(f"{url}/fork", {"policy": "g-loadsharing"})
+        assert excinfo.value.code == 503
+        assert excinfo.value.headers["Retry-After"] == "1"
+        assert b"already running" in excinfo.value.read()
+    finally:
+        release.set()
+        forker.join(timeout=60)
+        obs.live.release_ingest_hold()
+        thread.join(timeout=120)
+        obs.close()
+    assert not forker.is_alive() and not thread.is_alive()
+    assert box["first"][0] == 200
+    assert box["first"][1]["policy"] == "G-Loadsharing"
     assert box["result"].summary.num_jobs > 0
 
 

@@ -141,9 +141,11 @@ class TestGenerator:
         gen = TraceGenerator(seed=1, lifetime_jitter=0.10,
                              working_set_jitter=0.05)
         trace = gen.build(WorkloadGroup.SPEC, 1)
-        from repro.workload.programs import program_by_name
+        from repro.workload.programs import programs_for_group
+        catalog = {program.name: program
+                   for program in programs_for_group(WorkloadGroup.SPEC)}
         for job in trace.jobs:
-            program = program_by_name(job.program)
+            program = catalog[job.program]
             assert (0.89 * program.lifetime_s <= job.lifetime_s
                     <= 1.11 * program.lifetime_s)
 
