@@ -1,9 +1,9 @@
 """Live monitoring plane: an HTTP server over a paced engine.
 
 :class:`LiveMonitor` is the first brick of the digital-twin service
-mode (ROADMAP item 1): it runs a stdlib :class:`HTTPServer`, served
-by a fixed pool of worker threads, on an ephemeral (or chosen) port
-next to the simulation and drives the engine in bounded real-time
+mode (ROADMAP item 1): it runs a small HTTP/1.0 server, served by a
+fixed pool of worker threads, on an ephemeral (or chosen) port next
+to the simulation and drives the engine in bounded real-time
 slices so the run can be *watched* — by a human on ``/dashboard``, by
 a Prometheus scraper on ``/metrics``, by an orchestrator probe on
 ``/healthz``.
@@ -43,9 +43,21 @@ Serving: one accept thread hands each connection to ``POOL_WORKERS``
 daemon worker threads through a queue of ``QUEUE_BOUND`` connections,
 so a flood of connections costs neither a thread nor a socket each
 beyond that bound.  When the queue is full the accept thread answers
-``503`` itself and closes the connection.  A worker drops a client
-that sends nothing for ``READ_TIMEOUT_S``.  Every ``503`` carries
-``Retry-After``.
+``503`` itself, half-closes the connection and closes it about a
+second later, so a client still sending its request reads the ``503``
+rather than a reset.  Every ``503`` carries ``Retry-After``.
+
+A worker reads one request per connection (HTTP/1.0, no keep-alive)
+and answers it with one write.  Reading the request line, the headers
+and the ``Content-Length`` body has one deadline of ``READ_TIMEOUT_S``
+in total, so a client that sends nothing, or trickles a byte at a
+time, holds its worker for at most that long and is then dropped
+without a reply.  Malformed or oversized requests are answered before
+any handler runs: ``400`` for a malformed request line, header line or
+``Content-Length``; ``413`` for a body over ``MAX_BODY_BYTES`` (before
+any of it is read); ``431`` for a head over ``MAX_HEAD_BYTES`` or
+``MAX_HEADER_LINES`` header lines; ``501`` for a method other than
+``GET``/``POST`` or a ``Transfer-Encoding`` body.
 
 Threading model — the invariant that keeps this safe without slowing
 the engine: **HTTP handler threads never touch live state.**  The
@@ -80,13 +92,19 @@ metrics registry, where a health rule can watch it.
 
 from __future__ import annotations
 
+import collections
 import json
+import math
 import queue
+import socket
+import sys
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, HTTPServer
+import traceback
+from http import HTTPStatus
 from io import StringIO
-from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Tuple)
+from typing import (TYPE_CHECKING, Callable, Dict, List, NamedTuple,
+                    Optional, Tuple, Union)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.session import ObsSession
@@ -113,11 +131,26 @@ POOL_WORKERS = 4
 #: answered 503 by the accept thread.
 QUEUE_BOUND = 64
 
-#: Wall seconds a worker waits on a silent client before dropping it.
+#: Wall seconds a worker gives a client to send its whole request (and
+#: to take its reply) before dropping it.
 READ_TIMEOUT_S = 5.0
+
+#: Largest request head (request line plus headers) answered; a larger
+#: one gets 431.
+MAX_HEAD_BYTES = 64 * 1024
+
+#: Most header lines a request may carry; more get 431.
+MAX_HEADER_LINES = 100
+
+#: Largest request body read; a larger ``Content-Length`` gets 413.
+MAX_BODY_BYTES = 8 * 1024 * 1024
 
 #: ``Retry-After`` seconds sent with every 503.
 RETRY_AFTER_S = 1
+
+#: Wall seconds a refused connection stays half-closed, so that its
+#: client can finish sending and read the 503, before it is closed.
+_REFUSED_LINGER_S = 1.0
 
 #: One published payload: (body bytes, content type, HTTP status).
 Payload = Tuple[bytes, str, int]
@@ -129,6 +162,17 @@ _SPEC_KEYS = frozenset({
     "submit_time", "io_stall_per_cpu_s", "buffer_cache_mb",
     "memory_phases",
 })
+
+
+def _finite(value) -> bool:
+    """A JSON number that converts to a finite float (``1e999`` parses
+    to infinity, and ``10**400`` overflows ``float``); not a boolean."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def validate_job_spec(spec, num_nodes: int) -> Optional[str]:
@@ -145,10 +189,10 @@ def validate_job_spec(spec, num_nodes: int) -> Optional[str]:
     if not isinstance(spec["program"], str) or not spec["program"]:
         return "program must be a non-empty string"
     lifetime = spec["lifetime_s"]
-    if not isinstance(lifetime, (int, float)) or lifetime <= 0:
+    if not _finite(lifetime) or lifetime <= 0:
         return f"lifetime_s must be a positive number: {lifetime!r}"
     peak = spec["peak_demand_mb"]
-    if not isinstance(peak, (int, float)) or peak < 0:
+    if not _finite(peak) or peak < 0:
         return f"peak_demand_mb must be a non-negative number: {peak!r}"
     home = spec["home_node"]
     if not isinstance(home, int) or isinstance(home, bool) \
@@ -158,7 +202,7 @@ def validate_job_spec(spec, num_nodes: int) -> Optional[str]:
     for key in ("submit_time", "io_stall_per_cpu_s", "buffer_cache_mb"):
         if key in spec:
             value = spec[key]
-            if not isinstance(value, (int, float)) or value < 0:
+            if not _finite(value) or value < 0:
                 return f"{key} must be a non-negative number: {value!r}"
     phases = spec.get("memory_phases")
     if phases is not None:
@@ -166,8 +210,7 @@ def validate_job_spec(spec, num_nodes: int) -> Optional[str]:
             return "memory_phases must be a non-empty array"
         for pair in phases:
             if (not isinstance(pair, (list, tuple)) or len(pair) != 2
-                    or not all(isinstance(v, (int, float)) and v >= 0
-                               for v in pair)):
+                    or not all(_finite(v) and v >= 0 for v in pair)):
                 return (f"memory_phases entries must be "
                         f"[progress_s, demand_mb] pairs: {pair!r}")
     return None
@@ -208,91 +251,166 @@ class _ControlRequest:
         self.error: Optional[str] = None
 
 
-class _LiveHandler(BaseHTTPRequestHandler):
-    """Serves the monitor's published payloads (read-only)."""
+class RequestHead(NamedTuple):
+    """A parsed request head."""
 
-    server_version = "repro-live/1.0"
-    timeout = READ_TIMEOUT_S
-
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        monitor: "LiveMonitor" = self.server.monitor  # type: ignore
-        path = self.path.split("?", 1)[0].rstrip("/") or "/dashboard"
-        payload = monitor.payload(path)
-        if payload is None:
-            self._reply(b"not found; endpoints: /metrics /healthz "
-                        b"/snapshot.json /dashboard\n",
-                        "text/plain; charset=utf-8", 404)
-            return
-        body, content_type, status = payload
-        self._reply(body, content_type, status, no_store=True)
-
-    # ------------------------------------------------------------------
-    # write endpoints (validate + enqueue only; engine does the work)
-    # ------------------------------------------------------------------
-    def do_POST(self) -> None:  # noqa: N802 - http.server API
-        monitor: "LiveMonitor" = self.server.monitor  # type: ignore
-        path = self.path.split("?", 1)[0].rstrip("/")
-        try:
-            length = int(self.headers.get("Content-Length") or 0)
-        except ValueError:
-            length = 0
-        raw = self.rfile.read(length) if length else b""
-        if path == "/submit":
-            body, content_type, status = monitor.handle_submit(raw)
-        elif path == "/checkpoint":
-            body, content_type, status = monitor.handle_checkpoint(raw)
-        elif path == "/fork":
-            body, content_type, status = monitor.handle_fork(raw)
-        else:
-            body = (b"not found; POST endpoints: /submit /checkpoint "
-                    b"/fork\n")
-            content_type, status = "text/plain; charset=utf-8", 404
-        self._reply(body, content_type, status)
-
-    def _reply(self, body: bytes, content_type: str, status: int,
-               no_store: bool = False) -> None:
-        """Send one reply, counted once before it is sent (so a client
-        that has read it sees the count), whatever its status."""
-        self.server.monitor.count_request()  # type: ignore
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        if no_store:
-            self.send_header("Cache-Control", "no-store")
-        if status == 503:
-            self.send_header("Retry-After", str(RETRY_AFTER_S))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        pass  # scrapes must not spam the run's stdout
+    method: str  # "GET" or "POST"
+    target: str  # the request target as sent, query string included
+    length: int  # body bytes (``Content-Length``, 0 without one)
 
 
-class _PooledHTTPServer(HTTPServer):
-    """An :class:`HTTPServer` whose accept loop queues each connection
-    for a fixed pool of daemon worker threads, started on the first
-    connection.  A connection that finds the queue full is answered
-    503 from the accept thread and closed."""
+def parse_request_head(head: bytes) -> Union[RequestHead, int]:
+    """Parse a request line and its header lines (CRLF or LF
+    separated, without the blank line that ends them).  Returns the
+    parsed head, or the status that refuses it: 400 for a malformed
+    request line, header line or ``Content-Length``; 413 for a
+    ``Content-Length`` over ``MAX_BODY_BYTES``; 431 for a head over
+    ``MAX_HEAD_BYTES`` or ``MAX_HEADER_LINES`` header lines; 501 for a
+    method other than GET/POST or a ``Transfer-Encoding`` body.  Never
+    raises."""
+    if len(head) > MAX_HEAD_BYTES:
+        return 431
+    lines = head.split(b"\n")
+    if len(lines) - 1 > MAX_HEADER_LINES:
+        return 431
+    words = lines[0].split()
+    if (len(words) != 3 or words[2] not in (b"HTTP/1.0", b"HTTP/1.1")
+            or not words[1].startswith(b"/")):
+        return 400
+    if words[0] not in (b"GET", b"POST"):
+        return 501
+    length = None
+    for line in lines[1:]:
+        name, colon, value = line.partition(b":")
+        name = name.strip().lower()
+        if not colon or not name:
+            return 400
+        if name == b"transfer-encoding":
+            return 501  # only Content-Length bodies are read
+        if name != b"content-length":
+            continue
+        value = value.strip()
+        # bytes.isdigit() is ASCII-only: no sign, no Unicode digits.
+        if length is not None or not value.isdigit():
+            return 400
+        digits = value.lstrip(b"0") or b"0"
+        length = int(digits) if len(digits) <= 18 else MAX_BODY_BYTES + 1
+        if length > MAX_BODY_BYTES:
+            return 413
+    return RequestHead(words[0].decode("ascii"), words[1].decode("latin-1"),
+                       length or 0)
 
-    _BUSY = b"server busy; retry later\n"
-    _REFUSAL = (b"HTTP/1.0 503 Service Unavailable\r\n"
-                b"Content-Type: text/plain; charset=utf-8\r\n"
-                b"Content-Length: %d\r\n"
-                b"Retry-After: %d\r\n"
-                b"Connection: close\r\n\r\n%s"
-                % (len(_BUSY), RETRY_AFTER_S, _BUSY))
 
-    def __init__(self, address, monitor: "LiveMonitor"):
-        super().__init__(address, _LiveHandler)
+def _end_of_head(data: bytearray, start: int) -> Tuple[int, int]:
+    """Where the head in ``data`` ends and its body begins, searching
+    for the blank line from ``start``; ``(-1, -1)`` while there is
+    none yet."""
+    crlf = data.find(b"\n\r\n", start)
+    lf = data.find(b"\n\n", start)
+    if lf >= 0 and (crlf < 0 or lf < crlf):
+        return lf, lf + 2
+    if crlf >= 0:
+        return crlf, crlf + 3
+    return -1, -1
+
+
+def _recv(conn: socket.socket, deadline: float) -> bytes:
+    """The client's next bytes; ``b""`` once it has closed or
+    ``deadline`` (``time.monotonic()``) has passed."""
+    remaining = deadline - time.monotonic()
+    if remaining <= 0:
+        return b""
+    conn.settimeout(remaining)
+    try:
+        return conn.recv(65536)
+    except socket.timeout:
+        return b""
+
+
+def _discard_and_close(conn: socket.socket) -> None:
+    """Close a non-blocking connection after discarding what its client
+    sent, so that the close ends the connection rather than resetting
+    it."""
+    try:
+        for _ in range(16):
+            if not conn.recv(65536):
+                break
+    except OSError:
+        pass
+    conn.close()
+
+
+_TEXT = "text/plain; charset=utf-8"
+
+#: Reply bodies of the statuses that refuse a request before any
+#: handler runs.
+_REFUSED_REQUESTS = {
+    400: b"malformed request line, header or Content-Length\n",
+    413: b"request body too large\n",
+    431: b"request head too large\n",
+    501: b"not implemented; send GET, or POST with Content-Length\n",
+}
+
+
+class _LiveServer:
+    """The monitor's HTTP/1.0 server: a listening socket on 127.0.0.1,
+    an accept thread blocked in ``accept()``, and ``POOL_WORKERS``
+    daemon workers, started on the first connection, that each answer
+    one request per connection.  A connection that finds the queue
+    full is answered 503 from the accept thread."""
+
+    def __init__(self, monitor: "LiveMonitor", port: int):
         self.monitor = monitor
+        self._listener = socket.create_server(("127.0.0.1", port))
+        self.port: int = self._listener.getsockname()[1]
         # Only the accept thread puts, so checking the size before a
         # put keeps the bound.  (A ``queue.Queue`` hands a connection
         # over about 0.1 ms slower per request.)
         self._connections: "queue.SimpleQueue" = queue.SimpleQueue()
         self._workers: List[threading.Thread] = []
+        self._stopping = False
+        self._acceptor = threading.Thread(target=self._accept_loop,
+                                          name="repro-live-http",
+                                          daemon=True)
+        self._acceptor.start()
 
-    def process_request(self, request, client_address) -> None:
-        """Accept thread: queue the connection, or refuse it."""
+    # ------------------------------------------------------------------
+    # accept thread
+    # ------------------------------------------------------------------
+    def _accept_loop(self) -> None:
+        """Queue or refuse each connection until :meth:`close`.  Blocks
+        in ``accept()`` while no refused connection lingers, and wakes
+        to close a refused one when its linger ends."""
+        listener = self._listener
+        # (close at, connection) of refused connections, oldest first.
+        parked: "collections.deque" = collections.deque()
+        try:
+            while True:
+                listener.settimeout(
+                    max(0.001, parked[0][0] - time.monotonic())
+                    if parked else None)
+                try:
+                    conn, _ = listener.accept()
+                except socket.timeout:
+                    conn = None
+                except OSError:  # e.g. out of descriptors: back off
+                    conn = None
+                    time.sleep(0.05)
+                if self._stopping:
+                    if conn is not None:
+                        conn.close()
+                    return
+                now = time.monotonic()
+                while parked and parked[0][0] <= now:
+                    _discard_and_close(parked.popleft()[1])
+                if conn is not None:
+                    self._queue_or_refuse(conn, parked)
+        finally:
+            for _, conn in parked:
+                _discard_and_close(conn)
+
+    def _queue_or_refuse(self, conn: socket.socket,
+                         parked: "collections.deque") -> None:
         if not self._workers:
             for index in range(POOL_WORKERS):
                 worker = threading.Thread(target=self._serve_queue,
@@ -301,44 +419,147 @@ class _PooledHTTPServer(HTTPServer):
                 worker.start()
                 self._workers.append(worker)
         if self._connections.qsize() < QUEUE_BOUND:
-            self._connections.put((request, client_address))
+            self._connections.put(conn)
             return
-        self.monitor.count_request()
         try:
-            request.settimeout(0.0)  # never stall the accept loop
-            request.send(self._REFUSAL)
+            conn.setblocking(False)  # never stall the accept loop
+            conn.send(self._reply(b"server busy; retry later\n", _TEXT, 503))
+            conn.shutdown(socket.SHUT_WR)
         except OSError:
-            pass
-        self.shutdown_request(request)
+            conn.close()
+            return
+        # Half-closed, the connection still takes the rest of the
+        # request, so the client reads the 503 instead of a reset.
+        if len(parked) >= max(QUEUE_BOUND, 1):
+            _discard_and_close(parked.popleft()[1])
+        parked.append((time.monotonic() + _REFUSED_LINGER_S, conn))
 
+    # ------------------------------------------------------------------
+    # workers
+    # ------------------------------------------------------------------
     def _serve_queue(self) -> None:
         """Worker thread: serve queued connections until a ``None``."""
         while True:
-            item = self._connections.get()
-            if item is None:
+            conn = self._connections.get()
+            if conn is None:
                 return
-            request, client_address = item
             try:
-                self.finish_request(request, client_address)
-            except Exception:  # noqa: BLE001 - keep the worker alive
-                self.handle_error(request, client_address)
+                self._serve(conn)
+            except OSError:
+                pass  # the client went away mid-request or mid-reply
             finally:
-                self.shutdown_request(request)
+                conn.close()
 
-    def server_close(self) -> None:
-        """Close the listener, drop queued connections and stop the
-        workers, waiting up to ``READ_TIMEOUT_S`` in all for busy
-        ones to finish their request."""
-        super().server_close()
+    def _serve(self, conn: socket.socket) -> None:
+        """Read one request and send its reply in one write; a client
+        that closes or runs out of time first gets no reply."""
+        request = self._read_request(conn)
+        if request is None:
+            return
+        if isinstance(request, int):
+            reply = self._reply(_REFUSED_REQUESTS[request], _TEXT, request)
+        else:
+            reply = self._respond(*request)
+        conn.settimeout(READ_TIMEOUT_S)
+        conn.sendall(reply)
+        conn.shutdown(socket.SHUT_WR)
+
+    @staticmethod
+    def _read_request(conn: socket.socket
+                      ) -> Union[Tuple[RequestHead, bytes], int, None]:
+        """Read one request, all of it within one ``READ_TIMEOUT_S``.
+        Returns the head and body, the status that refuses them, or
+        None when the client closed or ran out of time first."""
+        deadline = time.monotonic() + READ_TIMEOUT_S
+        data = bytearray()
+        scanned = 0
+        while True:
+            end, start = _end_of_head(data, scanned)
+            if end >= 0:
+                break
+            if len(data) > MAX_HEAD_BYTES:
+                return 431
+            scanned = max(0, len(data) - 2)
+            chunk = _recv(conn, deadline)
+            if not chunk:
+                return None
+            data += chunk
+        head = parse_request_head(bytes(data[:end]))
+        if isinstance(head, int):
+            return head
+        body = data[start:start + head.length]
+        while len(body) < head.length:
+            chunk = _recv(conn, deadline)
+            if not chunk:
+                return None
+            body += chunk
+        return head, bytes(body[:head.length])
+
+    def _respond(self, head: RequestHead, raw: bytes) -> bytes:
+        monitor = self.monitor
+        path = head.target.split("?", 1)[0].rstrip("/")
+        try:
+            if head.method == "GET":
+                payload = monitor.payload(path or "/dashboard")
+                if payload is None:
+                    return self._reply(
+                        b"not found; endpoints: /metrics /healthz "
+                        b"/snapshot.json /dashboard\n", _TEXT, 404)
+                return self._reply(*payload, no_store=True)
+            # Write endpoints validate and enqueue only; the engine
+            # does the work.
+            if path == "/submit":
+                return self._reply(*monitor.handle_submit(raw))
+            if path == "/checkpoint":
+                return self._reply(*monitor.handle_checkpoint(raw))
+            if path == "/fork":
+                return self._reply(*monitor.handle_fork(raw))
+            return self._reply(b"not found; POST endpoints: /submit "
+                               b"/checkpoint /fork\n", _TEXT, 404)
+        except Exception:  # noqa: BLE001 - keep the worker serving
+            traceback.print_exc(file=sys.stderr)
+            return self._reply(b"internal server error\n", _TEXT, 500)
+
+    def _reply(self, body: bytes, content_type: str, status: int,
+               no_store: bool = False) -> bytes:
+        """One reply's bytes, counted once before it is sent (so a
+        client that has read it sees the count), whatever its
+        status."""
+        self.monitor.count_request()
+        head = (f"HTTP/1.0 {status} {HTTPStatus(status).phrase}\r\n"
+                f"Server: repro-live/1.0\r\n"
+                f"Content-Type: {content_type}\r\n"
+                f"Content-Length: {len(body)}\r\n")
+        if no_store:
+            head += "Cache-Control: no-store\r\n"
+        if status == 503:
+            head += f"Retry-After: {RETRY_AFTER_S}\r\n"
+        return (head + "\r\n").encode("latin-1") + body
+
+    # ------------------------------------------------------------------
+    # shutdown
+    # ------------------------------------------------------------------
+    def close(self) -> None:
+        """Stop accepting, close queued and refused connections, and
+        stop the workers, waiting up to ``READ_TIMEOUT_S`` in all for
+        busy ones to finish their request."""
+        deadline = time.monotonic() + READ_TIMEOUT_S
+        self._stopping = True
+        try:  # wake the accept thread out of accept()
+            socket.create_connection(("127.0.0.1", self.port),
+                                     timeout=READ_TIMEOUT_S).close()
+        except OSError:
+            pass
+        self._acceptor.join(READ_TIMEOUT_S)
+        self._listener.close()
         while True:
             try:
-                item = self._connections.get_nowait()
+                conn = self._connections.get_nowait()
             except queue.Empty:
                 break
-            self.shutdown_request(item[0])
+            conn.close()
         for _ in self._workers:
             self._connections.put(None)
-        deadline = time.monotonic() + READ_TIMEOUT_S
         for worker in self._workers:
             worker.join(max(0.0, deadline - time.monotonic()))
         self._workers = []
@@ -363,8 +584,7 @@ class LiveMonitor:
         self.requests_served = 0
         self.sim_lag_s = 0.0
         self.sim_lag_max_s = 0.0
-        self._server: Optional[_PooledHTTPServer] = None
-        self._thread: Optional[threading.Thread] = None
+        self._server: Optional[_LiveServer] = None
         self._lock = threading.Lock()
         self._payloads: Dict[str, Payload] = {}
         # Streaming-ingest plane: raw validated specs queued by any
@@ -387,23 +607,18 @@ class LiveMonitor:
     # ------------------------------------------------------------------
     def start(self) -> "LiveMonitor":
         """Bind the server, write the port file, start serving."""
-        server = _PooledHTTPServer(("127.0.0.1", self.requested_port), self)
+        server = _LiveServer(self, self.requested_port)
         self._server = server
-        self.port = server.server_address[1]
+        self.port = server.port
         if self.port_file:
             with open(self.port_file, "w", encoding="utf-8") as stream:
                 stream.write(f"{self.port}\n")
-        thread = threading.Thread(target=server.serve_forever,
-                                  name="repro-live-http", daemon=True)
-        thread.start()
-        self._thread = thread
         self.publish()  # endpoints answer before the first slice
         return self
 
     def stop(self) -> None:
         if self._server is not None:
-            self._server.shutdown()
-            self._server.server_close()
+            self._server.close()
             self._server = None
 
     @property
@@ -468,7 +683,7 @@ class LiveMonitor:
                         continue
                     try:
                         parsed = json.loads(line)
-                    except ValueError:
+                    except (ValueError, RecursionError):
                         with self._ingest_lock:
                             self.jobs_received += 1
                             self.jobs_rejected += 1
@@ -560,7 +775,7 @@ class LiveMonitor:
         try:
             parsed = json.loads(text)
             specs = parsed if isinstance(parsed, list) else [parsed]
-        except ValueError:
+        except (ValueError, RecursionError):  # too deep nests raise
             # JSONL fallback: one spec per line.
             for line in text.splitlines():
                 line = line.strip()
@@ -568,7 +783,7 @@ class LiveMonitor:
                     continue
                 try:
                     specs.append(json.loads(line))
-                except ValueError:
+                except (ValueError, RecursionError):
                     return self._json_payload(
                         {"error": f"undecodable JSONL line: {line[:80]!r}"},
                         400)
@@ -593,7 +808,7 @@ class LiveMonitor:
     def handle_fork(self, raw: bytes) -> Payload:
         try:
             body = json.loads(raw.decode("utf-8")) if raw.strip() else {}
-        except (ValueError, UnicodeDecodeError):
+        except (ValueError, UnicodeDecodeError, RecursionError):
             return self._json_payload({"error": "body must be JSON"}, 400)
         if not isinstance(body, dict) or not body.get("policy"):
             return self._json_payload(
@@ -804,4 +1019,6 @@ class LiveMonitor:
 
 __all__ = ["LiveMonitor", "SLICE_WALL_S", "PUBLISH_WALL_S",
            "CONTROL_TIMEOUT_S", "POOL_WORKERS", "QUEUE_BOUND",
-           "READ_TIMEOUT_S", "RETRY_AFTER_S", "validate_job_spec"]
+           "READ_TIMEOUT_S", "MAX_HEAD_BYTES", "MAX_HEADER_LINES",
+           "MAX_BODY_BYTES", "RETRY_AFTER_S", "RequestHead",
+           "parse_request_head", "validate_job_spec"]

@@ -5,7 +5,6 @@ summary."""
 import json
 import select
 import socket
-import socketserver
 import sys
 import threading
 import time
@@ -115,19 +114,20 @@ class TestEndpoints:
 
     def test_count_moves_before_the_reply_is_sent(self, served_run,
                                                   monkeypatch):
-        """Every socket write stalls after sending, so a count taken
-        after the body would still be missing when the client reads
-        the reply."""
+        """Every server socket write stalls after sending, so a count
+        taken after the body would still be missing when the client
+        reads the reply."""
         obs, _ = served_run
-        send = socketserver._SocketWriter.write
+        send = socket.socket.sendall
 
-        def stalled_write(writer, data):
-            sent = send(writer, data)
-            time.sleep(0.2)
+        def stalled_sendall(sock, data, *flags):
+            sent = send(sock, data, *flags)
+            if threading.current_thread().name.startswith(
+                    "repro-live-worker"):
+                time.sleep(0.2)
             return sent
 
-        monkeypatch.setattr(socketserver._SocketWriter, "write",
-                            stalled_write)
+        monkeypatch.setattr(socket.socket, "sendall", stalled_sendall)
         before = obs.live.requests_served
         fetch(f"{obs.live.url}/healthz")
         assert obs.live.requests_served == before + 1
@@ -293,8 +293,7 @@ class TestWorkerPool:
         """A client that connects and sends nothing holds its worker
         only for the read timeout; the worker then serves the request
         queued behind it."""
-        assert live._LiveHandler.timeout == live.READ_TIMEOUT_S
-        monkeypatch.setattr(live._LiveHandler, "timeout", 0.3)
+        monkeypatch.setattr(live, "READ_TIMEOUT_S", 0.3)
         obs = served_session()
         idle = [connect(obs) for _ in range(POOL_WORKERS)]
         try:
@@ -431,3 +430,224 @@ class TestPacedDrive:
         obs = ObsSession(record_events=False, serve=0, pace=-1.0)
         with pytest.raises(ValueError, match="pace"):
             obs.attach(tiny_cluster())
+
+
+def bound_session():
+    """A serving session whose world takes ``/submit`` (no engine)."""
+    obs = ObsSession(record_events=False, serve=0)
+    obs.attach(tiny_cluster(), policy=object())
+    obs.bind_run(collector=None, jobs=[], trace_name="t")
+    return obs
+
+
+SPEC = {"program": "x", "lifetime_s": 1.0, "peak_demand_mb": 1.0,
+        "home_node": 0}
+
+
+def submit_request(specs) -> bytes:
+    body = json.dumps(specs).encode()
+    return (b"POST /submit HTTP/1.0\r\nContent-Type: application/json\r\n"
+            b"Content-Length: %d\r\n\r\n%s" % (len(body), body))
+
+
+def exchange(obs, *parts, pause=0.0) -> bytes:
+    """Send ``parts`` one after another, ``pause`` seconds apart, and
+    read the reply until the server closes."""
+    with connect(obs) as sock:
+        for part in parts:
+            sock.sendall(part)
+            time.sleep(pause)
+        return read_reply(sock)
+
+
+class TestRequestLimits:
+    @pytest.mark.parametrize("request_bytes,status", [
+        (b"GARBAGE\r\n\r\n", 400),
+        (b"GET /healthz\r\n\r\n", 400),
+        (b"GET /healthz HTTP/2.0\r\n\r\n", 400),
+        (b"GET healthz HTTP/1.0\r\n\r\n", 400),
+        (b"GET /healthz HTTP/1.0\r\nno colon here\r\n\r\n", 400),
+        (b"POST /submit HTTP/1.0\r\nContent-Length: abc\r\n\r\n", 400),
+        (b"POST /submit HTTP/1.0\r\nContent-Length: -2\r\n\r\n", 400),
+        (b"POST /submit HTTP/1.0\r\nContent-Length: 1\r\n"
+         b"Content-Length: 1\r\n\r\nx", 400),
+        (b"DELETE /submit HTTP/1.0\r\n\r\n", 501),
+        (b"HEAD /healthz HTTP/1.0\r\n\r\n", 501),
+        (b"POST /submit HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+         b"0\r\n\r\n", 501),
+    ])
+    def test_malformed_requests_are_refused(self, request_bytes, status):
+        obs = served_session()
+        try:
+            before = obs.live.requests_served
+            reply = exchange(obs, request_bytes)
+            assert reply.startswith(b"HTTP/1.0 %d " % status)
+            assert obs.live.requests_served == before + 1
+        finally:
+            obs.close()
+
+    def test_oversized_body_is_refused_before_it_is_read(self):
+        """The 413 arrives although no byte of the body was sent: the
+        worker did not wait for it."""
+        obs = served_session()
+        try:
+            reply = exchange(obs, b"POST /submit HTTP/1.0\r\n"
+                             b"Content-Length: %d\r\n\r\n"
+                             % (live.MAX_BODY_BYTES + 1))
+            assert reply.startswith(b"HTTP/1.0 413 ")
+            reply = exchange(obs, b"POST /submit HTTP/1.0\r\n"
+                             b"Content-Length: 1%s\r\n\r\n" % (b"0" * 5000))
+            assert reply.startswith(b"HTTP/1.0 413 ")
+        finally:
+            obs.close()
+
+    def test_oversized_head_is_refused(self):
+        obs = served_session()
+        try:
+            # One header line past the cap, never finished.
+            reply = exchange(obs, b"GET /healthz HTTP/1.0\r\nX-Big: "
+                             + b"a" * (live.MAX_HEAD_BYTES + 1))
+            assert reply.startswith(b"HTTP/1.0 431 ")
+            lines = b"".join(b"X-%d: 1\r\n" % i
+                             for i in range(live.MAX_HEADER_LINES + 1))
+            reply = exchange(obs, b"GET /healthz HTTP/1.0\r\n" + lines
+                             + b"\r\n")
+            assert reply.startswith(b"HTTP/1.0 431 ")
+            lines = b"".join(b"X-%d: 1\r\n" % i
+                             for i in range(live.MAX_HEADER_LINES))
+            reply = exchange(obs, b"GET /healthz HTTP/1.0\r\n" + lines
+                             + b"\r\n")
+            assert reply.startswith(b"HTTP/1.0 200 ")
+        finally:
+            obs.close()
+
+    def test_request_split_into_single_bytes(self):
+        obs = bound_session()
+        try:
+            request = submit_request([SPEC])
+            reply = exchange(obs, *(request[i:i + 1]
+                                    for i in range(len(request))),
+                             pause=0.001)
+            assert reply.startswith(b"HTTP/1.0 202 ")
+            assert json.loads(reply.split(b"\r\n\r\n", 1)[1]) \
+                == {"accepted": 1}
+        finally:
+            obs.close()
+
+    def test_body_sent_after_the_headers(self):
+        obs = bound_session()
+        try:
+            request = submit_request([SPEC, SPEC])
+            head, body = request.split(b"\r\n\r\n", 1)
+            reply = exchange(obs, head + b"\r\n\r\n", body, pause=0.2)
+            assert reply.startswith(b"HTTP/1.0 202 ")
+            assert obs.live.jobs_received == 2
+        finally:
+            obs.close()
+
+    def test_bare_newlines_end_the_head(self):
+        obs = served_session()
+        try:
+            reply = exchange(obs, b"GET /healthz HTTP/1.0\nHost: x\n\n")
+            assert reply.startswith(b"HTTP/1.0 200 ")
+        finally:
+            obs.close()
+
+    def test_reply_headers(self):
+        obs = served_session()
+        try:
+            reply = exchange(obs, b"GET /healthz HTTP/1.0\r\n\r\n")
+            head, body = reply.split(b"\r\n\r\n", 1)
+            lines = head.split(b"\r\n")
+            assert lines[0] == b"HTTP/1.0 200 OK"
+            headers = dict(line.split(b": ", 1) for line in lines[1:])
+            assert headers == {
+                b"Server": b"repro-live/1.0",
+                b"Content-Type": b"application/json",
+                b"Content-Length": str(len(body)).encode(),
+                b"Cache-Control": b"no-store",
+            }
+        finally:
+            obs.close()
+
+    def test_trickling_client_is_dropped_at_the_deadline(self,
+                                                         monkeypatch):
+        """One deadline covers the whole request: a byte every 50 ms
+        never lets a per-read timeout of 0.3 s expire, yet the worker
+        drops the client 0.3 s after it connected."""
+        monkeypatch.setattr(live, "READ_TIMEOUT_S", 0.3)
+        obs = served_session()
+        try:
+            with connect(obs) as sock:
+                start = time.monotonic()
+                dropped = None
+                for byte in b"GET /healthz HTTP/1.0\r\n" + b"X" * 100:
+                    try:
+                        sock.sendall(bytes([byte]))
+                    except OSError:
+                        dropped = time.monotonic() - start
+                        break
+                    ready, _, _ = select.select([sock], [], [], 0.05)
+                    if ready:
+                        assert sock.recv(65536) == b""  # no reply
+                        dropped = time.monotonic() - start
+                        break
+                assert dropped is not None and dropped < 1.5
+        finally:
+            obs.close()
+
+    def test_handler_error_answers_500_and_keeps_serving(self,
+                                                         monkeypatch):
+        obs = bound_session()
+        try:
+            def broken(raw):
+                raise RuntimeError("boom")
+
+            monkeypatch.setattr(obs.live, "handle_submit", broken)
+            reply = exchange(obs, submit_request([SPEC]))
+            assert reply.startswith(b"HTTP/1.0 500 ")
+            status, _, _ = fetch(f"{obs.live.url}/healthz")
+            assert status == 200
+        finally:
+            obs.close()
+
+    def test_refused_clients_read_their_503(self, monkeypatch):
+        """Every connection is refused; each client has sent a 2 kB
+        POST and still reads the whole 503."""
+        import http.client
+
+        monkeypatch.setattr(live, "QUEUE_BOUND", 0)
+        obs = served_session()
+        body = b"x" * 2048
+        try:
+            for _ in range(100):
+                conn = http.client.HTTPConnection("127.0.0.1", obs.live.port,
+                                                  timeout=10)
+                try:
+                    conn.request("POST", "/submit", body=body)
+                    reply = conn.getresponse()
+                    assert reply.status == 503
+                    assert reply.getheader("Retry-After") == "1"
+                    assert reply.read() == b"server busy; retry later\n"
+                finally:
+                    conn.close()
+        finally:
+            obs.close()
+
+
+class TestLifecycle:
+    def test_close_is_prompt_and_leaves_no_server_thread(self):
+        def server_threads():
+            return {thread for thread in threading.enumerate()
+                    if thread.name.startswith(("repro-live-worker",
+                                               "repro-live-http"))}
+
+        others = server_threads()  # other tests' servers
+        obs = served_session()
+        fetch(f"{obs.live.url}/healthz")
+        mine = server_threads() - others
+        assert len(mine) == POOL_WORKERS + 1
+        start = time.perf_counter()
+        obs.close()
+        assert time.perf_counter() - start < 0.25
+        assert not any(thread.is_alive() for thread in mine)
