@@ -26,7 +26,7 @@ def main():
           f"submit={job.submit_time:.2f}s program={job.program} "
           f"lifetime={job.lifetime_s:.1f}s home={job.home_node}")
     print("Memory phases (progress_s -> demand_mb):")
-    for start, demand in job.memory_phases:
+    for start, demand in job.memory.pairs:
         print(f"  {start:8.1f} -> {demand:7.1f}")
 
     records = list(job.activity_records())

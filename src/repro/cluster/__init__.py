@@ -13,7 +13,7 @@ from repro.cluster.config import (
     ClusterConfig,
     WorkstationSpec,
 )
-from repro.cluster.job import Job, JobState, MemoryProfile, Phase
+from repro.cluster.job import Job, JobState, MemoryProfile
 from repro.cluster.loadinfo import LoadInfoDirectory, NodeSnapshot
 from repro.cluster.memory import PagingModel
 from repro.cluster.network import Network
@@ -30,7 +30,6 @@ __all__ = [
     "Network",
     "NodeSnapshot",
     "PagingModel",
-    "Phase",
     "SPEC_CLUSTER",
     "Workstation",
     "WorkstationSpec",

@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from repro.sim.portable import IdCounter
 
@@ -37,54 +37,16 @@ class JobState(enum.Enum):
     FINISHED = "finished"
 
 
-def _check_point(start_progress: float, demand_mb: float) -> None:
-    """The per-segment checks of :class:`Phase`, shared by every
-    profile constructor."""
-    if start_progress < 0:
-        raise ValueError("start_progress must be non-negative")
-    if demand_mb < 0:
-        raise ValueError("demand_mb must be non-negative")
-
-
-@dataclass(frozen=True)
-class Phase:
-    """One piecewise-constant segment of a memory profile.
-
-    ``start_progress`` is the CPU progress (in seconds of work) at
-    which the segment begins; it ends where the next segment starts.
-    """
-
-    start_progress: float
-    demand_mb: float
-
-    def __post_init__(self) -> None:
-        _check_point(self.start_progress, self.demand_mb)
-
-
 class MemoryProfile:
     """Piecewise-constant memory demand as a function of CPU progress.
 
     Stored as two columns, the segment starts and their demands, so a
-    lookup is one C-level bisection over the starts; :attr:`phases`
-    builds :class:`Phase` objects only when asked.
+    lookup is one C-level bisection over the starts.  A profile is
+    immutable (slots, tuple columns), so any number of jobs may share
+    one.  Build it with :meth:`from_pairs` or :meth:`constant`.
     """
 
     __slots__ = ("_starts", "_demands")
-
-    def __init__(self, phases: Sequence[Phase]):
-        self._set_columns([p.start_progress for p in phases],
-                          [p.demand_mb for p in phases])
-
-    def _set_columns(self, starts: List[float],
-                     demands: List[float]) -> None:
-        if not starts:
-            raise ValueError("a memory profile needs at least one phase")
-        if starts != sorted(starts) or len(set(starts)) != len(starts):
-            raise ValueError("phases must have strictly increasing starts")
-        if starts[0] != 0.0:
-            raise ValueError("first phase must start at progress 0")
-        self._starts: Tuple[float, ...] = tuple(starts)
-        self._demands: Tuple[float, ...] = tuple(demands)
 
     @classmethod
     def constant(cls, demand_mb: float) -> "MemoryProfile":
@@ -94,21 +56,35 @@ class MemoryProfile:
     @classmethod
     def from_pairs(cls, pairs: Iterable[Tuple[float, float]]
                    ) -> "MemoryProfile":
-        """Build from ``(start_progress, demand_mb)`` pairs."""
+        """Build from ``(start_progress, demand_mb)`` pairs, one per
+        segment: starts begin at 0 and strictly increase, and neither
+        column holds a negative value.  The checks run in one pass;
+        a pair with a negative value is reported before an order
+        fault elsewhere."""
         starts = []
         demands = []
+        previous = -1.0
+        ordered = True
         for start, demand in pairs:
-            _check_point(start, demand)
+            if start < 0:
+                raise ValueError("start_progress must be non-negative")
+            if demand < 0:
+                raise ValueError("demand_mb must be non-negative")
+            if start <= previous:
+                ordered = False
+            previous = start
             starts.append(start)
             demands.append(demand)
+        if not starts:
+            raise ValueError("a memory profile needs at least one phase")
+        if not ordered:
+            raise ValueError("phases must have strictly increasing starts")
+        if starts[0] != 0.0:
+            raise ValueError("first phase must start at progress 0")
         profile = cls.__new__(cls)
-        profile._set_columns(starts, demands)
+        profile._starts = tuple(starts)
+        profile._demands = tuple(demands)
         return profile
-
-    @property
-    def phases(self) -> Tuple[Phase, ...]:
-        return tuple(Phase(start, demand)
-                     for start, demand in zip(self._starts, self._demands))
 
     @property
     def pairs(self) -> List[Tuple[float, float]]:

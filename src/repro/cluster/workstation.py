@@ -96,22 +96,12 @@ class Workstation:
         self._fault_rate_cache = 0.0
         self._starving_cache = False
 
-        #: Inputs of the last full ``_recompute``: (alive, per-job
-        #: demands, per-job dedicated flags).  Every mutation of the
-        #: running list itself triggers a recompute, so when a later
-        #: recompute sees the same key the job list is the *same
-        #: objects in the same order* and every derived quantity
-        #: (assessment, rates, stalls) is already exact — the fixed
-        #: point is skipped.  None forces the first recompute.
-        self._recompute_key: Optional[tuple] = None
-
         # Diagnostics
         self.busy_cpu_s = 0.0
         self.completed_jobs = 0
-        #: Full recomputes vs. skips taken by the early exit above
-        #: (surfaced as ``obs.workstation_recompute*`` gauges).
+        #: Recomputes run (surfaced as the
+        #: ``obs.workstation_recomputes`` gauge).
         self.recomputes = 0
-        self.recompute_skips = 0
 
         #: ``memory.fault`` obs channel (thrashing transitions); the
         #: owning cluster points this at its bus.
@@ -389,16 +379,6 @@ class Workstation:
         some job faults, :meth:`_fault_fixed_point` resolves the
         thrashing penalties; otherwise a single rate allocation is
         exact.
-
-        When the recompute inputs match the previous recompute exactly
-        (same liveness, same job objects — guaranteed by the key, see
-        ``_recompute_key`` — same demands and dedicated flags), only
-        obs-invisible state such as job progress has moved: every
-        cached aggregate and rate is still exact, so the assessment
-        and fixed point are skipped.  The internal event and change
-        notification still run — listeners saw the notification
-        before this early exit existed, and the next completion
-        horizon genuinely moved.
         """
         running = self._running
         demand_list = []
@@ -412,13 +392,6 @@ class Workstation:
             cache_list.append(job.buffer_cache_mb)
         demands = tuple(demand_list)
         dedicated = tuple(dedicated_list)
-        key = (self._alive, demands, dedicated)
-        if key == self._recompute_key:
-            self.recompute_skips += 1
-            self._schedule_next_event()
-            self._notify_changed()
-            return
-        self._recompute_key = key
         self.recomputes += 1
         self._total_demand_cache = sum(demands)
         self._assessment = self._paging.assess(demands, self.user_memory_mb)

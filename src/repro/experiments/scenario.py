@@ -36,6 +36,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.cluster.config import ClusterConfig, WorkstationSpec
+from repro.cluster.job import MemoryProfile
 from repro.experiments.runner import run_trace
 from repro.experiments.world import World
 from repro.sim.rng import RandomStreams
@@ -78,7 +79,7 @@ def build_blocking_trace(num_nodes: int = 32,
             job_index=index, submit_time=t, program="scenario",
             lifetime_s=work, home_node=home, peak_demand_mb=peak,
             io_stall_per_cpu_s=io,
-            memory_phases=phases or [(0.0, peak)]))
+            memory=MemoryProfile.from_pairs(phases) if phases else None))
         index += 1
 
     # Wedge nodes: large job + two medium companions.

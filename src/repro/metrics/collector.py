@@ -145,7 +145,10 @@ class MetricsCollector:
         state = self._state
         if state.version != self._version:
             self._version = state.version
-            counts = array("B", state.num_running).tobytes()
+            try:
+                counts = bytes(state.num_running.tolist())
+            except ValueError:
+                counts = _EXCLUDED_BYTE  # a count of 256 or more
             if _EXCLUDED_BYTE in counts:
                 raise OverflowError(
                     f"a node runs {EXCLUDED} or more jobs; the job-count "

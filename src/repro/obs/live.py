@@ -37,7 +37,9 @@ Endpoints:
   the handler thread, swaps in the requested policy and runs it to
   completion, answering with that universe's run summary.  The live
   run is paused only for the snapshot.  One replay runs at a time: a
-  ``/fork`` that arrives during another gets ``503``.
+  ``/fork`` that arrives during another gets ``503``.  A ``policy``
+  that is not a known name, ``policy_kwargs`` that are not an object,
+  or keywords the policy's constructor rejects get ``400``.
 
 Serving: one accept thread hands each connection to ``POOL_WORKERS``
 daemon worker threads through a queue of ``QUEUE_BOUND`` connections,
@@ -810,10 +812,15 @@ class LiveMonitor:
             body = json.loads(raw.decode("utf-8")) if raw.strip() else {}
         except (ValueError, UnicodeDecodeError, RecursionError):
             return self._json_payload({"error": "body must be JSON"}, 400)
-        if not isinstance(body, dict) or not body.get("policy"):
+        if (not isinstance(body, dict)
+                or not isinstance(body.get("policy"), str)
+                or not body["policy"]):
             return self._json_payload(
                 {"error": "body must be a JSON object naming a "
                           "'policy' to fork to"}, 400)
+        if not isinstance(body.get("policy_kwargs", {}), (dict, type(None))):
+            return self._json_payload(
+                {"error": "'policy_kwargs' must be a JSON object"}, 400)
         if not self._fork_slot.acquire(blocking=False):
             return self._json_payload(
                 {"error": "a fork replay is already running"}, 503)

@@ -411,8 +411,6 @@ class ObsSession:
             self.registry.gauge("recorded_events").set(len(self.events))
             self.registry.gauge("workstation_recomputes").set(
                 sum(node.recomputes for node in cluster.nodes))
-            self.registry.gauge("workstation_recompute_skips").set(
-                sum(node.recompute_skips for node in cluster.nodes))
             if self._stream is not None:
                 self.registry.gauge("streamed_events").set(
                     self._streamed_events)

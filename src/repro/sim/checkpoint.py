@@ -30,9 +30,9 @@ first is a *header* dict of primitives only — ``format`` magic,
 ``schema`` version, a ``meta`` summary and the id counters; the second
 is the ``World``.  The header is decoded and validated *before* any
 world byte is unpickled, and :func:`peek_meta` reads the header alone.
-A truncated or corrupt stream is a :class:`CheckpointError`.  Writing and reading
-stream through the compressor, so no uncompressed copy of the world is
-held in memory.
+A truncated or corrupt stream is a :class:`CheckpointError`, whatever
+the unpickler raised on it.  Writing and reading stream through the
+compressor, so no uncompressed copy of the world is held in memory.
 
 A checkpoint is bound to the build that wrote it: it restores only if
 its header carries this build's :data:`SCHEMA_VERSION`, and any other
@@ -76,7 +76,7 @@ MAGIC = "repro-checkpoint"
 #: to the header or to the world's pickled layout, and regenerate
 #: ``tests/golden/checkpoint_layout.json``
 #: (``tests/golden/make_checkpoint_layout.py``).
-SCHEMA_VERSION = 9
+SCHEMA_VERSION = 10
 
 
 class CheckpointError(RuntimeError):
@@ -222,8 +222,9 @@ def _read_checkpoint(stream, advance_counters: bool):
         world = pickle.load(compressed)
         # Reading on to the end checks the stream's length and CRC.
         compressed.read()
-    except (*_STREAM_ERRORS, gzip.BadGzipFile,
-            pickle.UnpicklingError) as exc:
+    except Exception as exc:
+        # The unpickler reads a corrupt stream before the CRC is
+        # checked, so a flipped bit can surface as any exception.
         raise _truncated(exc) from exc
     if advance_counters:
         import repro.cluster.job as job_mod
@@ -271,7 +272,9 @@ def fork(world, policy: Optional[str] = None,
     reference* so the retiree's in-flight transfer callbacks still
     land in it.  Arrivals still ahead reach the successor: each one's
     event calls ``world.submit``, which forwards to ``world.policy``.
-    With ``policy=None`` the world is returned unchanged.
+    With ``policy=None`` the world is returned unchanged.  An unknown
+    policy name, or keywords its constructor rejects (an unknown name
+    or an out-of-range value), raise :class:`CheckpointError`.
 
     Known limitations, by design: the successor's counters
     (``PolicyStats``) start at zero — job-level metrics (slowdowns,
@@ -290,7 +293,11 @@ def fork(world, policy: Optional[str] = None,
                               f"choose from {sorted(POLICIES)}")
     old = world.policy
     old.retire()
-    successor = POLICIES[policy](world.cluster, **(policy_kwargs or {}))
+    try:
+        successor = POLICIES[policy](world.cluster, **(policy_kwargs or {}))
+    except (TypeError, ValueError) as exc:  # a keyword it rejects
+        raise CheckpointError(
+            f"cannot construct fork policy {policy!r}: {exc}") from exc
     successor.adopt_pending_from(old)
     collector = world.collector
     if (collector is not None

@@ -11,6 +11,7 @@ assigned a uniformly random home workstation among the 32 nodes.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
 from typing import List, Optional
 
 from repro.sim.rng import RandomStreams
@@ -52,26 +53,26 @@ class TraceGenerator:
         place = streams.stream("home-nodes")
         perturb = streams.stream("profiles")
 
-        weights = [p.weight for p in programs]
+        cum_weights = list(accumulate(p.weight for p in programs))
         jobs: List[TraceJob] = []
         for job_index, submit_time in enumerate(arrivals.arrival_times()):
-            program = choose.choices(programs, weights=weights, k=1)[0]
+            program = choose.choices(programs, cum_weights=cum_weights)[0]
             lifetime = self._jitter(perturb, program.lifetime_s,
                                     self.lifetime_jitter)
             peak = self._jitter(perturb, program.working_set_mb,
                                 self.working_set_jitter)
             peak = max(peak, program.working_set_min_mb + 1.0)
-            profile = program.memory_profile(lifetime, peak)
+            memory = program.memory_profile(lifetime, peak)
             jobs.append(TraceJob(
                 job_index=job_index,
                 submit_time=submit_time,
                 program=program.name,
                 lifetime_s=lifetime,
                 home_node=place.randrange(self.num_nodes),
-                peak_demand_mb=profile.peak_demand_mb,
+                peak_demand_mb=memory.peak_demand_mb,
                 io_stall_per_cpu_s=program.io_stall_per_cpu_s,
                 buffer_cache_mb=program.buffer_cache_mb,
-                memory_phases=profile.pairs,
+                memory=memory,
             ))
         name = ("SPEC-Trace-" if group is WorkloadGroup.SPEC
                 else "App-Trace-") + str(index)
@@ -101,8 +102,9 @@ def build_trace(group: WorkloadGroup, index: int, seed: int = 0,
     generates it once.  The cached :class:`Trace` and its ``TraceJob``
     records are treated as immutable by the whole experiment stack —
     each run materializes fresh mutable :class:`~repro.cluster.job.Job`
-    objects via :meth:`Trace.build_jobs`, so sharing the trace between
-    runs (or returning it to several callers) is safe.
+    objects via :meth:`Trace.build_jobs` (sharing only the immutable
+    memory profiles), so sharing the trace between runs (or returning
+    it to several callers) is safe.
     """
     if generator is not None:
         return generator.build(group, index)

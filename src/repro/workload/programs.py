@@ -12,9 +12,10 @@ paper's blocking problem.
 
 Each program carries a *profile shape*: ``(progress_fraction,
 demand_fraction)`` control points expanded into a piecewise-constant
-:class:`~repro.cluster.job.MemoryProfile` when a job instance is
-created.  Demand is tied to CPU progress, so a slowed-down job reaches
-its memory-hungry phase later, as a real program would.
+:class:`~repro.cluster.job.MemoryProfile` once per generated trace
+job; every run's job of that trace job shares it.  Demand is tied to
+CPU progress, so a slowed-down job reaches its memory-hungry phase
+later, as a real program would.
 """
 
 from __future__ import annotations

@@ -15,8 +15,8 @@ series when record-level fidelity is wanted.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
-from typing import Iterator, List, Sequence, TextIO, Tuple, Union
+from dataclasses import dataclass
+from typing import Iterator, List, Optional, TextIO, Tuple, Union
 
 from repro.cluster.job import Job, MemoryProfile
 from repro.workload.programs import WorkloadGroup
@@ -39,7 +39,14 @@ class ActivityRecord:
 
 @dataclass
 class TraceJob:
-    """One job of a workload trace (header + compressed activities)."""
+    """One job of a workload trace (header + compressed activities).
+
+    ``memory`` is the job's validated memory profile, built once where
+    the trace is made (a trace job given none gets a flat profile at
+    ``peak_demand_mb``).  Every :class:`~repro.cluster.job.Job` built
+    from this trace job holds that same object: a profile is immutable,
+    so the jobs of several runs of one memoized trace may share it.
+    """
 
     job_index: int
     submit_time: float
@@ -49,25 +56,23 @@ class TraceJob:
     peak_demand_mb: float
     io_stall_per_cpu_s: float = 0.0
     buffer_cache_mb: float = 0.0
-    #: Run-length-encoded memory demand: (start_progress_s, demand_mb).
-    memory_phases: List[Tuple[float, float]] = field(default_factory=list)
+    #: Memory demand over CPU progress (``None`` means flat at peak).
+    memory: Optional[MemoryProfile] = None
 
     def __post_init__(self) -> None:
         if self.lifetime_s <= 0:
             raise ValueError("lifetime_s must be positive")
-        if not self.memory_phases:
-            self.memory_phases = [(0.0, self.peak_demand_mb)]
+        if self.memory is None:
+            self.memory = MemoryProfile.constant(self.peak_demand_mb)
 
     # ------------------------------------------------------------------
-    def memory_profile(self) -> MemoryProfile:
-        return MemoryProfile.from_pairs(self.memory_phases)
-
     def to_job(self) -> Job:
-        """Materialize a runnable :class:`~repro.cluster.job.Job`."""
+        """Materialize a runnable :class:`~repro.cluster.job.Job` that
+        shares this trace job's memory profile."""
         return Job(
             program=self.program,
             cpu_work_s=self.lifetime_s,
-            memory=self.memory_profile(),
+            memory=self.memory,
             submit_time=self.submit_time,
             home_node=self.home_node,
             io_stall_per_cpu_s=self.io_stall_per_cpu_s,
@@ -77,7 +82,7 @@ class TraceJob:
     def activity_records(self) -> Iterator[ActivityRecord]:
         """Expand to the paper's 10 ms record series (one record per
         10 ms of dedicated execution)."""
-        profile = self.memory_profile()
+        profile = self.memory
         steps = int(round(self.lifetime_s * 1000.0 / RECORD_INTERVAL_MS))
         io_per_interval = self.io_stall_per_cpu_s * RECORD_INTERVAL_MS
         for k in range(max(1, steps)):
@@ -117,7 +122,9 @@ class Trace:
         return sum(job.lifetime_s for job in self.jobs)
 
     def build_jobs(self) -> List[Job]:
-        """Materialize all runnable jobs, in submission order."""
+        """Materialize all runnable jobs, in submission order: fresh
+        mutable :class:`~repro.cluster.job.Job` objects, each sharing
+        its trace job's immutable memory profile."""
         return [job.to_job() for job in self.jobs]
 
     # ------------------------------------------------------------------
@@ -141,7 +148,7 @@ class Trace:
                 f"{job.lifetime_s:.6f} {job.home_node} "
                 f"{job.peak_demand_mb:.3f} {job.io_stall_per_cpu_s:.6f} "
                 f"{job.buffer_cache_mb:.3f}\n")
-            for start, demand in job.memory_phases:
+            for start, demand in job.memory.pairs:
                 out.write(f"A {start:.6f} {demand:.3f}\n")
 
     @classmethod
@@ -177,7 +184,7 @@ class Trace:
                 io_stall_per_cpu_s=float(current[6]),
                 buffer_cache_mb=(float(current[7])
                                  if len(current) > 7 else 0.0),
-                memory_phases=list(phases),
+                memory=MemoryProfile.from_pairs(phases) if phases else None,
             ))
 
         for line in stream:

@@ -53,6 +53,8 @@ from repro.workload.generator import build_trace
 from repro.workload.programs import WorkloadGroup
 from repro.workload.trace import Trace
 
+from helpers import paused_snapshot
+
 LAYOUT_GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden",
                                   "checkpoint_layout.json")
 
@@ -612,6 +614,33 @@ def test_corrupt_world_raises_checkpoint_error(tmp_path):
             restore_bytes(corrupt)
 
 
+#: A byte in the middle of the compressed world of
+#: ``paused_snapshot(40, 200.0)``: with its low bit flipped, the
+#: unpickler raises TypeError before the CRC is read.
+FLIPPED_BYTE = 6316
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.data())
+def test_damaged_snapshot_restores_or_raises_checkpoint_error(data):
+    """Every truncation and single-bit flip of a checkpoint is either
+    a CheckpointError or, where it hits bytes gzip ignores, a restored
+    world: never another exception from the unpickler."""
+    snapshot = bytearray(paused_snapshot(40, 200.0))
+    kind = data.draw(st.sampled_from(["cut", "flip"]))
+    at = data.draw(st.integers(min_value=0, max_value=len(snapshot) - 1))
+    if kind == "cut":
+        del snapshot[at:]
+    else:
+        snapshot[at] ^= 1 << data.draw(st.integers(min_value=0,
+                                                   max_value=7))
+    try:
+        world = restore_bytes(bytes(snapshot), advance_counters=False)
+    except CheckpointError:
+        return
+    assert isinstance(world, World)
+
+
 def test_failed_save_leaves_no_file(tmp_path):
     result = run_blocking_scenario("g-loadsharing", seed=0,
                                    config=cell_config(1, False))
@@ -656,7 +685,7 @@ def test_runner_cli_checkpoint_then_restore_matches(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("damage", ["truncated", "missing", "older-schema",
-                                    "newer-schema"])
+                                    "newer-schema", "flipped"])
 def test_runner_cli_rejects_an_unreadable_checkpoint(damage, tmp_path,
                                                      capsys):
     from repro.experiments.runner import main
@@ -667,6 +696,12 @@ def test_runner_cli_rejects_an_unreadable_checkpoint(damage, tmp_path,
             data = stream.read()
         with open(path, "wb") as stream:
             stream.write(data[:len(data) // 2])
+        reason = "checkpoint file is truncated or corrupt"
+    elif damage == "flipped":
+        data = bytearray(paused_snapshot(40, 200.0))
+        data[FLIPPED_BYTE] ^= 0x01
+        with open(path, "wb") as stream:
+            stream.write(data)
         reason = "checkpoint file is truncated or corrupt"
     elif damage == "missing":
         reason = "No such file or directory"

@@ -10,7 +10,6 @@ from repro.cluster.job import (
     JobAccounting,
     JobState,
     MemoryProfile,
-    Phase,
     total_accounting,
 )
 
@@ -48,30 +47,30 @@ class TestMemoryProfile:
 
     def test_empty_profile_rejected(self):
         with pytest.raises(ValueError):
-            MemoryProfile([])
+            MemoryProfile.from_pairs([])
 
     def test_unsorted_phases_rejected(self):
         with pytest.raises(ValueError):
-            MemoryProfile([Phase(0.0, 1.0), Phase(5.0, 2.0), Phase(3.0, 1.0)])
+            MemoryProfile.from_pairs([(0.0, 1.0), (5.0, 2.0), (3.0, 1.0)])
 
     def test_duplicate_starts_rejected(self):
         with pytest.raises(ValueError):
-            MemoryProfile([Phase(0.0, 1.0), Phase(0.0, 2.0)])
+            MemoryProfile.from_pairs([(0.0, 1.0), (0.0, 2.0)])
 
     def test_profile_must_start_at_zero(self):
         with pytest.raises(ValueError):
-            MemoryProfile([Phase(1.0, 1.0)])
+            MemoryProfile.from_pairs([(1.0, 1.0)])
 
     def test_negative_values_rejected(self):
         with pytest.raises(ValueError):
-            Phase(-1.0, 5.0)
+            MemoryProfile.from_pairs([(0.0, 1.0), (-1.0, 5.0)])
         with pytest.raises(ValueError):
-            Phase(0.0, -5.0)
+            MemoryProfile.from_pairs([(0.0, -5.0)])
 
 
 
 # ----------------------------------------------------------------------
-# column storage: lookups and constructors against the Phase-list model
+# column storage: lookups and constructors against the pair-list model
 # ----------------------------------------------------------------------
 _TOL = MemoryProfile._TOL
 
@@ -136,10 +135,8 @@ class TestColumnarProfile:
     def test_constructors_round_trip(self, pairs):
         profile = MemoryProfile.from_pairs(pairs)
         assert profile.pairs == pairs
-        phases = tuple(Phase(start, demand) for start, demand in pairs)
-        assert profile.phases == phases
-        assert MemoryProfile(phases).pairs == pairs
-        assert MemoryProfile.from_pairs(profile.pairs).phases == phases
+        assert MemoryProfile.from_pairs(profile.pairs).pairs == pairs
+        assert MemoryProfile.from_pairs(iter(pairs)).pairs == pairs
 
     @given(_profile_pairs())
     def test_pickle_round_trip(self, pairs):
@@ -154,12 +151,12 @@ class TestColumnarProfile:
         ([(0.0, 1.0), (5.0, 2.0), (3.0, 1.0)], "strictly increasing"),
         ([(0.0, 1.0), (0.0, 2.0)], "strictly increasing"),
         ([(1.0, 1.0)], "start at progress 0"),
+        ([(1.0, 1.0), (0.5, 1.0)], "strictly increasing"),
+        ([(0.0, 1.0), (0.0, 2.0), (3.0, -1.0)], "demand_mb must be"),
     ])
     def test_errors_are_unchanged(self, pairs, message):
         with pytest.raises(ValueError, match=message):
             MemoryProfile.from_pairs(pairs)
-        with pytest.raises(ValueError, match=message):
-            MemoryProfile([Phase(start, demand) for start, demand in pairs])
 
     def test_constant_rejects_negative_demand(self):
         with pytest.raises(ValueError, match="demand_mb"):

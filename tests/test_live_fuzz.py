@@ -1,7 +1,8 @@
 """Fuzzing the live plane's request parsing without sockets: the
 request-head parser and the ``/submit`` body parser answer every input
 with a parse or a refusal, never an exception, and a refused batch
-enqueues none of its specs."""
+enqueues none of its specs; a ``/fork`` body is replayed or refused as
+the client's error, never answered 500."""
 
 import io
 import json
@@ -11,9 +12,12 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repro.experiments.world import POLICIES
 from repro.obs import live
 from repro.obs.live import (LiveMonitor, RequestHead, parse_request_head,
                             validate_job_spec)
+
+from helpers import paused_snapshot
 
 REFUSALS = {400, 413, 431, 501}
 
@@ -172,3 +176,54 @@ def test_stdin_ingest_survives_a_too_deep_line(monkeypatch):
     assert not reader.is_alive()
     assert plane.jobs_rejected == 1
     assert len(plane._ingest_queue) == 1
+
+
+# ----------------------------------------------------------------------
+# /fork bodies
+# ----------------------------------------------------------------------
+def fork_plane() -> LiveMonitor:
+    """A monitor whose engine answers every snapshot request at once
+    with a snapshot whose fork replays in a few milliseconds."""
+    plane = monitor()
+    plane._request_snapshot = lambda: (paused_snapshot(12, 50.0), "", 200)
+    return plane
+
+
+@pytest.mark.parametrize("body", [
+    {"policy": "g-loadsharing", "policy_kwargs": {"bogus": 1}},
+    {"policy": "g-loadsharing", "policy_kwargs": [1]},
+    {"policy": ["x"]},
+    {"policy": "v-reconfiguration", "policy_kwargs": {"max_reserved": 0}},
+], ids=["unknown-kwarg", "kwargs-array", "policy-array", "kwarg-range"])
+def test_fork_client_errors_are_400(body):
+    reply, content_type, status = fork_plane().handle_fork(
+        json.dumps(body).encode())
+    assert status == 400
+    assert content_type == "application/json"
+    assert "error" in json.loads(reply)
+
+
+json_value = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=8),
+    lambda children: (st.lists(children, max_size=3)
+                      | st.dictionaries(st.text(max_size=8), children,
+                                        max_size=3)),
+    max_leaves=6)
+fork_kwargs = json_value | st.dictionaries(
+    st.sampled_from(["bogus", "max_reserved", "reserve_timeout_s"]),
+    st.integers(-2, 6), max_size=2)
+fork_body = st.fixed_dictionaries(
+    {}, optional={"policy": st.sampled_from(sorted(POLICIES)) | json_value,
+                  "policy_kwargs": fork_kwargs})
+fork_bodies = (st.binary(max_size=64) | st.builds(
+    lambda body: json.dumps(body).encode(), fork_body | json_value))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(body=fork_bodies)
+def test_fork_bodies_never_answer_500(body):
+    reply, content_type, status = fork_plane().handle_fork(body)
+    assert status in (200, 400, 503), json.loads(reply)
+    assert content_type == "application/json"
+    json.loads(reply)

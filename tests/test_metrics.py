@@ -137,6 +137,17 @@ class TestCollector:
         assert collector.skews.tolist() == [
             _skew_of(vector) for vector in collector.vectors]
 
+    @pytest.mark.parametrize("count", [255, 256, 10_000])
+    def test_count_at_or_over_the_excluded_byte_overflows(self, count):
+        """A node count the vector's byte cannot hold raises
+        OverflowError, never the ValueError of building ``bytes``."""
+        cluster = tiny_cluster(num_nodes=2)
+        collector = MetricsCollector(cluster, sample_interval_s=1.0)
+        cluster.state.num_running[1] = count
+        cluster.state.version += 1
+        with pytest.raises(OverflowError, match="255 or more jobs"):
+            collector.sample([1.0])
+
     def test_interval_insensitivity(self):
         """The paper verified averages are insensitive to the sampling
         interval (§4.1); a steady workload reproduces that."""

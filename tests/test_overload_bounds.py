@@ -341,7 +341,7 @@ def test_visit_before_a_phase_boundary_passes_the_fresh_demand(
                         recording)
     policy.handle_overload(node)
     assert victim.progress_s < 3.0
-    assert node._recompute_key[1] == (120.0,)  # the last recompute's
+    assert node._total_demand_cache == 120.0  # the last recompute's
     assert passed == [(victim, 150.0)]
     assert repr(passed[0][1]) == repr(victim.current_demand_mb)
     assert node.most_memory_intensive(faulting_only=True) == (victim,

@@ -74,19 +74,19 @@ class TestMemoryProfiles:
     def test_profile_respects_minimum_working_set(self):
         program = PROGRAMS["t-sim"]
         profile = program.memory_profile(lifetime_s=145.0, peak_mb=75.0)
-        for phase in profile.phases:
-            assert phase.demand_mb >= program.working_set_min_mb
+        for _, demand in profile.pairs:
+            assert demand >= program.working_set_min_mb
 
     def test_profile_phases_span_lifetime(self):
         program = PROGRAMS["gzip"]
         profile = program.memory_profile(lifetime_s=290.0, peak_mb=180.0)
-        assert profile.phases[0].start_progress == 0.0
-        assert profile.phases[-1].start_progress < 290.0
+        assert profile.pairs[0][0] == 0.0
+        assert profile.pairs[-1][0] < 290.0
 
     def test_degenerate_lifetime_still_valid(self):
         program = PROGRAMS["bit-r"]
         profile = program.memory_profile(lifetime_s=1e-6, peak_mb=9.0)
-        assert len(profile.phases) >= 1
+        assert len(profile.pairs) >= 1
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -145,5 +145,5 @@ class TestDedicatedProfiles:
         assert job.acct.page_s == pytest.approx(0.0)
         assert job.acct.io_s == pytest.approx(io_s, rel=1e-6)
         if program.working_set_min_mb > 0:
-            demands = [phase.demand_mb for phase in job.memory.phases]
+            demands = [demand for _, demand in job.memory.pairs]
             assert min(demands) >= program.working_set_min_mb

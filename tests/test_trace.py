@@ -1,9 +1,14 @@
 """Unit tests for trace containers, the on-disk format, and the generator."""
 
+import dataclasses
+import hashlib
 import io
+import json
+import os
 
 import pytest
 
+from repro.cluster.job import MemoryProfile
 from repro.workload import (
     Trace,
     TraceGenerator,
@@ -19,7 +24,8 @@ def make_trace_job(index=0, submit=1.0, program="gzip", lifetime=290.0,
                    **kwargs):
     defaults = dict(home_node=3, peak_demand_mb=180.0,
                     io_stall_per_cpu_s=0.0,
-                    memory_phases=[(0.0, 90.0), (30.0, 180.0)])
+                    memory=MemoryProfile.from_pairs([(0.0, 90.0),
+                                                     (30.0, 180.0)]))
     defaults.update(kwargs)
     return TraceJob(job_index=index, submit_time=submit, program=program,
                     lifetime_s=lifetime, **defaults)
@@ -39,7 +45,13 @@ class TestTraceJob:
     def test_default_phase_is_flat_peak(self):
         tj = TraceJob(job_index=0, submit_time=0.0, program="p",
                       lifetime_s=10.0, home_node=0, peak_demand_mb=42.0)
-        assert tj.memory_phases == [(0.0, 42.0)]
+        assert tj.memory.pairs == [(0.0, 42.0)]
+
+    def test_jobs_share_the_trace_job_profile(self):
+        tj = make_trace_job()
+        assert tj.to_job().memory is tj.memory
+        assert tj.to_job().memory is tj.memory
+        assert dataclasses.replace(tj, job_index=5).memory is tj.memory
 
     def test_activity_records_expand_to_10ms_grid(self):
         tj = make_trace_job(lifetime=0.05)  # 50 ms -> 5 records
@@ -76,7 +88,7 @@ class TestTraceRoundTrip:
         for a, b in zip(trace.jobs, loaded.jobs):
             assert a.submit_time == pytest.approx(b.submit_time)
             assert a.program == b.program
-            assert a.memory_phases == pytest.approx(b.memory_phases)
+            assert a.memory.pairs == pytest.approx(b.memory.pairs)
 
     def test_round_trip_through_file(self, tmp_path):
         trace = self.build()
@@ -162,3 +174,32 @@ class TestGenerator:
             TraceGenerator(lifetime_jitter=1.5)
         with pytest.raises(ValueError):
             TraceGenerator(working_set_jitter=-0.1)
+
+
+#: sha256 of ``Trace.dumps()`` for the ten paper traces, written by
+#: ``tests/golden/make_paper_traces.py``.  Pins the generator's draws
+#: and every byte of the trace file format.
+PAPER_TRACES_GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden",
+                                        "paper_traces.json")
+
+#: Seeds the golden covers.
+PAPER_TRACE_SEEDS = (0, 7)
+
+
+def paper_trace_digests() -> dict:
+    """``{"seed=S": {trace name: sha256 of its file text}}``."""
+    digests = {}
+    for seed in PAPER_TRACE_SEEDS:
+        generator = TraceGenerator(seed=seed)
+        digests[f"seed={seed}"] = {
+            trace.name: hashlib.sha256(trace.dumps().encode()).hexdigest()
+            for trace in (generator.build(group, index)
+                          for group in WorkloadGroup
+                          for index in range(1, 6))}
+    return digests
+
+
+def test_paper_traces_match_golden():
+    with open(PAPER_TRACES_GOLDEN_PATH) as stream:
+        golden = json.load(stream)
+    assert paper_trace_digests() == golden

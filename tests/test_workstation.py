@@ -333,26 +333,23 @@ class TestPlacementChecks:
 
 
 class TestRecompute:
-    def test_recompute_short_circuits_on_identical_inputs(self):
-        """A recompute whose inputs (liveness, demand vector, dedicated
-        flags) match the previous one is skipped; the skip still
-        notifies listeners, so downstream consumers (directory,
-        collector dirty flag) behave exactly as before."""
+    def test_recompute_on_identical_inputs_repeats_its_values(self):
+        """A recompute from the inputs of the previous one (liveness,
+        demand vector, dedicated flags) runs in full, gives the same
+        rates and aggregates, and notifies listeners."""
         node = make_node(Simulator())
         job = make_job(work=100.0, demand=50.0)
         node.add_job(job)
         recomputes = node.recomputes
+        before = (list(node._lanes), node._total_demand_cache,
+                  node._fault_rate_cache, node._starving_cache)
         notified = []
         node.add_change_listener(lambda n: notified.append(n.node_id))
-        # Constant demand and no progress boundary crossed: identical key.
         node._recompute()
-        assert node.recomputes == recomputes
-        assert node.recompute_skips == 1
-        assert notified == [0]
-        # A real change (job removed) recomputes again.
-        node.remove_job(job)
         assert node.recomputes == recomputes + 1
-        assert node.recompute_skips == 1
+        assert (list(node._lanes), node._total_demand_cache,
+                node._fault_rate_cache, node._starving_cache) == before
+        assert notified == [0]
 
 
 @st.composite
