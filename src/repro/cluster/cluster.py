@@ -41,7 +41,6 @@ class Cluster:
         #: Instrumentation bus for this cluster's run.  All channels
         #: are disabled until someone subscribes (see repro.obs).
         self.obs = obs if obs is not None else EventBus()
-        self.sim.obs_channel = self.obs.channel("sim.event")
         self.paging = PagingModel(
             alpha=self.config.residency_alpha,
             max_fault_rate_per_cpu_s=self.config.max_fault_rate_per_cpu_s,

@@ -21,7 +21,8 @@ Ownership contract:
   queries) read columns directly and never touch node objects;
 * every writer calls :meth:`ClusterState.pre_change` first, so a
   reader that must see the state as it stood before a change (the
-  metrics collector's owed samples) reads it there;
+  metrics collector's owed samples, the obs sampler's owed rows) reads
+  it there.  Hooks are wiring, not state, and are not pickled;
 * per-object reads (``node.idle_memory_mb`` and friends) keep their
   existing row-local caches, so the object API costs exactly what it
   did before.
@@ -36,7 +37,7 @@ changes no scheduling decision.
 from __future__ import annotations
 
 from array import array
-from typing import Callable, List
+from typing import Callable, Dict, List
 
 #: Flag bits of one node's ``flags`` byte.  The low three bits are
 #: the obs sampler's packing (see module docstring).
@@ -90,8 +91,18 @@ class ClusterState:
         self.version = 0
         #: Called by :meth:`pre_change`, before every row write and
         #: every change to a policy's pending queue, while both are
-        #: still as they were (the metrics collector's ``flush``).
+        #: still as they were (the metrics collector's and the obs
+        #: sampler's ``flush``).  Not pickled.
         self.pre_change_hooks: List[Callable[[], None]] = []
+
+    def __getstate__(self) -> Dict[str, object]:
+        return {name: getattr(self, name) for name in self.__slots__
+                if name != "pre_change_hooks"}
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        for name, value in state.items():
+            setattr(self, name, value)
+        self.pre_change_hooks = []
 
     def pre_change(self) -> None:
         """Run the pre-change hooks: a row or a pending queue is about

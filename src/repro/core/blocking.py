@@ -36,13 +36,6 @@ class BlockingReport:
         """True when at least one node is blocked."""
         return bool(self.blocked_nodes)
 
-    @property
-    def reconfiguration_worthwhile(self) -> bool:
-        """The paper's activation condition: accumulated idle memory
-        larger than the average user memory of a workstation."""
-        return (self.blocking
-                and self.total_idle_memory_mb > self.average_user_memory_mb)
-
 
 class BlockingDetector:
     """Evaluates the blocking condition against live cluster state."""
@@ -114,11 +107,6 @@ class BlockingDetector:
                 exclude_reserved=True),
             average_user_memory_mb=self.cluster.average_user_memory_mb(),
         )
-
-    def blocking_exists(self) -> bool:
-        """Fast check used during reserving periods."""
-        return any(self.node_blocked(node) is not None
-                   for node in self.cluster.nodes)
 
     def most_memory_intensive_stuck_job(self
                                         ) -> Optional[Tuple[Job, Workstation]]:

@@ -17,7 +17,8 @@ by then from the still-unchanged state.  Which times have passed is
 :meth:`repro.sim.daemon.TickGrid.catch_up`'s rule, the one the daemon
 ticks follow: a sample at grid time ``t`` sees every change at ``t``
 that a priority-4 tick would have seen.  The averages and a checkpoint
-flush before they read.
+flush before they read.  A checkpoint does not pickle the hook; the
+restored collector registers it again.
 
 The series is struct-of-arrays, one entry per grid time:
 
@@ -127,6 +128,10 @@ class MetricsCollector:
         self._grid = TickGrid(cluster.sim, self.sample_interval_s,
                               priority=4)
         cluster.state.pre_change_hooks.append(self.flush)
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._state.pre_change_hooks.append(self.flush)  # not pickled
 
     def flush(self) -> None:
         """Append a sample for every grid time that has passed, from

@@ -53,7 +53,7 @@ from repro.obs.report import (
     write_report,
 )
 from repro.obs.sampler import ClusterSampler
-from repro.obs.session import EXTRA_PREFIX, TRACE_CHANNELS, ObsSession
+from repro.obs.session import EXTRA_PREFIX, ObsSession
 from repro.obs.trace_export import chrome_trace, write_chrome_trace, write_jsonl
 from repro.obs.window import P2Quantile, WindowAggregator, resolve_metric
 
@@ -80,7 +80,6 @@ __all__ = [
     "ObsEvent",
     "ObsSession",
     "P2Quantile",
-    "TRACE_CHANNELS",
     "WindowAggregator",
     "chrome_trace",
     "parse_rule",

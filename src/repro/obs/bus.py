@@ -16,8 +16,8 @@ test per site and never builds the keyword dict.  Subscribing (what
 :class:`~repro.obs.session.ObsSession` does) flips the bool; no other
 code path changes.
 
-This module is dependency-free on purpose: the simulation engine
-imports it, and it must never import simulation code back.
+This module is dependency-free on purpose: the cluster layers import
+it, and it must never import simulation code back.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 #: and subscribers meet by these names; ``EventBus.channel`` rejects
 #: unknown names so a typo fails loudly instead of observing nothing.
 CHANNELS: Tuple[str, ...] = (
-    "sim.event",              # one simulator event executed (very hot)
     "cluster.job",            # job lifecycle: submit/start/stop/finish
     "cluster.placement",      # local/remote placement decisions
     "cluster.migration",      # preemptive migrations (source, dest, MB)

@@ -1,12 +1,11 @@
 """Live monitoring plane: an HTTP server over a paced engine.
 
-:class:`LiveMonitor` is the first brick of the digital-twin service
-mode (ROADMAP item 1): it runs a small HTTP/1.0 server, served by a
-fixed pool of worker threads, on an ephemeral (or chosen) port next
-to the simulation and drives the engine in bounded real-time
-slices so the run can be *watched* — by a human on ``/dashboard``, by
-a Prometheus scraper on ``/metrics``, by an orchestrator probe on
-``/healthz``.
+:class:`LiveMonitor` is the simulator's service mode: it runs a small
+HTTP/1.0 server, served by a fixed pool of worker threads, on an
+ephemeral (or chosen) port next to the simulation and drives the
+engine in bounded real-time slices so the run can be *watched* — by a
+human on ``/dashboard``, by a Prometheus scraper on ``/metrics``, by
+an orchestrator probe on ``/healthz``.
 
 Endpoints:
 

@@ -14,9 +14,9 @@ phase              wrapped entry points
                    blocking detection, reservation decisions)
 ``loadinfo``       directory refresh/exchange ticks (flat and
                    domained) and the inter-domain summary tick
-``obs``            the cluster sampler's and window aggregator's own
-                   daemon ticks (instrumentation pays for itself
-                   visibly)
+``obs``            the cluster sampler's rows and the window
+                   aggregator's closed windows (instrumentation pays
+                   for itself visibly)
 ``other``          everything else inside the engine loop — event
                    dispatch, job service callbacks, memory model
 =================  ====================================================
@@ -33,12 +33,16 @@ no-profiling hot path is untouched.  Timing uses
 ``time.perf_counter`` only — the simulation clock and event order are
 never consulted or altered, preserving the determinism invariant
 (checked by ``profile_bench``: summary identical modulo ``obs.*``).
+Outside the engine span a wrapper runs untimed (coverage stays at
+most 100 %); a checkpoint pickles the unwrapped objects
+(:meth:`EngineProfiler.unwrapped`, :meth:`_Timed.__reduce__`).
 """
 
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from contextlib import contextmanager
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cluster.cluster import Cluster
@@ -46,6 +50,31 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: Phase name carrying the engine loop's self time.
 OTHER_PHASE = "other"
+
+
+class _Timed:
+    """One wrapped method: timed under ``phase`` inside the engine
+    span, pickled as the method it wraps."""
+
+    __slots__ = ("profiler", "phase", "__wrapped__")
+
+    def __init__(self, profiler: "EngineProfiler", phase: str,
+                 original: Callable):
+        self.profiler, self.phase = profiler, phase
+        self.__wrapped__ = original
+
+    def __call__(self, *args, **kwargs):
+        profiler = self.profiler
+        if not profiler._stack:
+            return self.__wrapped__(*args, **kwargs)
+        profiler._enter(self.phase)
+        try:
+            return self.__wrapped__(*args, **kwargs)
+        finally:
+            profiler._exit()
+
+    def __reduce__(self):  # a tick on the heap may hold the wrapper
+        return self.__wrapped__.__reduce__()
 
 
 class EngineProfiler:
@@ -57,7 +86,7 @@ class EngineProfiler:
         #: Inclusive engine-loop wall seconds (sums paced slices).
         self.engine_wall_s = 0.0
         self._stack: List[list] = []  # [phase, start, child_seconds]
-        self._wrapped: List[Tuple[object, str]] = []
+        self._wrapped: List[Tuple[object, str, _Timed]] = []
         self._perf = time.perf_counter
 
     # ------------------------------------------------------------------
@@ -86,27 +115,19 @@ class EngineProfiler:
         original = getattr(obj, attr, None)
         if original is None:
             return False
-
-        def timed(*args, **kwargs):
-            self._enter(phase)
-            try:
-                return original(*args, **kwargs)
-            finally:
-                self._exit()
-
-        timed.__wrapped__ = original  # type: ignore[attr-defined]
+        timed = _Timed(self, phase, original)
         setattr(obj, attr, timed)
-        self._wrapped.append((obj, attr))
+        self._wrapped.append((obj, attr, timed))
         return True
 
     def attach(self, cluster: "Cluster", policy=None,
-               extra_ticks: Tuple[Tuple[object, str], ...] = ()
+               observers: Tuple[Tuple[object, str], ...] = ()
                ) -> "EngineProfiler":
         """Wrap the run's hot entry points.
 
         ``policy`` adds the placement/reconfiguration phases;
-        ``extra_ticks`` are (object, attr) pairs timed under the
-        ``obs`` phase (sampler/window ticks).
+        ``observers`` are (object, attr) pairs timed under the ``obs``
+        phase (the sampler's rows, the window's closes).
         """
         for node in cluster.nodes:
             self.wrap_method(node, "_recompute", "recompute")
@@ -117,18 +138,22 @@ class EngineProfiler:
         if policy is not None:
             self.wrap_method(policy, "_try_place", "placement")
             self.wrap_method(policy, "_monitor_tick", "reconfiguration")
-        for obj, attr in extra_ticks:
+        for obj, attr in observers:
             self.wrap_method(obj, attr, "obs")
         return self
 
-    def detach(self) -> None:
-        """Remove every wrapper (the shadowed class methods resume)."""
-        for obj, attr in self._wrapped:
-            try:
-                delattr(obj, attr)
-            except AttributeError:  # pragma: no cover - already gone
-                pass
-        self._wrapped.clear()
+    @contextmanager
+    def unwrapped(self):
+        """Take every wrapper off for the duration of the block (the
+        shadowed class methods resume; a checkpoint pickles the plain
+        objects), then put them back."""
+        for obj, attr, _ in self._wrapped:
+            delattr(obj, attr)
+        try:
+            yield
+        finally:
+            for obj, attr, timed in self._wrapped:
+                setattr(obj, attr, timed)
 
     # ------------------------------------------------------------------
     # engine driving

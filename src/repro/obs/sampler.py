@@ -1,20 +1,16 @@
 """Periodic cluster-state sampling into compact time series.
 
-:class:`ClusterSampler` runs a *daemon* tick on the cluster's
-simulator (so it never keeps an idle run alive) and snapshots every
-workstation's load state on each tick: running-job count, total
-memory demand, idle memory, page-fault rate, and the
-thrashing/reserved/alive flags.
+:class:`ClusterSampler` keeps every workstation's load state on a
+fixed grid of simulated times: running-job count, total memory demand,
+idle memory, page-fault rate, and the thrashing/reserved/alive flags.
 
-The sampler is deliberately read-only over **cached** workstation
-state — the same `_recompute`-maintained caches the load directory
-reads — and never touches lazily-advancing views like
-``Workstation.running_jobs``, which would re-time-slice job progress
-and perturb the run.  Because the tick is a daemon event and nothing
-in :class:`~repro.metrics.summary.RunSummary` depends on simulator
-sequence numbers, an instrumented run produces a byte-identical
-summary to an uninstrumented one (the obs-overhead benchmark gates
-exactly this).
+No event takes the rows: like the metrics collector
+(:mod:`repro.metrics.collector`), :meth:`ClusterSampler.flush` runs
+before each change to the cluster's state columns and appends, from
+the still-unchanged state, the row of every grid time that has passed
+(:meth:`repro.sim.daemon.TickGrid.catch_up`); the views flush before
+they read.  The sampler only copies state columns, never
+lazily-advancing views like ``Workstation.running_jobs``.
 
 Storage is columnar: one ``array('d')`` per metric holding
 ``ticks x nodes`` values row-major, plus one packed flag byte per
@@ -25,9 +21,10 @@ about 400 kB — small enough to hold for any sweep point.
 from __future__ import annotations
 
 from array import array
-from typing import IO, TYPE_CHECKING, Dict, List
+from typing import IO, TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.cluster.state import FLAG_ALIVE, FLAG_RESERVED, FLAG_THRASHING
+from repro.sim.daemon import TickGrid
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.cluster import Cluster
@@ -49,7 +46,9 @@ def _flag_str(flags: int) -> str:
 
 
 class ClusterSampler:
-    """Snapshots per-node load state on a fixed simulated period."""
+    """Snapshots per-node load state on a fixed simulated period
+    (``times``, ``series`` and ``flags`` are complete after
+    :meth:`flush`; the views flush first)."""
 
     def __init__(self, cluster: "Cluster", period_s: float):
         if period_s <= 0:
@@ -62,7 +61,8 @@ class ClusterSampler:
         self.series: Dict[str, array] = {
             name: array("d") for name in SAMPLE_FIELDS}
         self.flags = bytearray()
-        self._started = False
+        #: The sampling grid, from :meth:`start` on.
+        self._grid: Optional[TickGrid] = None
         #: Load-information domains (1 = no per-domain output columns).
         #: Domain series are *views* computed on demand from the stored
         #: per-node columns; ``sample()`` itself is domain-blind.
@@ -72,73 +72,81 @@ class ClusterSampler:
 
     # ------------------------------------------------------------------
     def start(self) -> "ClusterSampler":
-        """Take the t=0 sample and begin ticking.  Idempotent."""
-        if self._started:
+        """Take the row at ``now`` and sample every ``period_s`` from
+        then on.  Idempotent."""
+        if self._grid is not None:
             return self
-        self._started = True
-        self._tick()
+        sim = self.cluster.sim
+        self.sample([sim.now])
+        # Priority 5: a row at grid time t sees every change at t.
+        self._grid = TickGrid(sim, self.period_s, priority=5)
+        self.cluster.state.pre_change_hooks.append(self.flush)
         return self
 
-    def _tick(self) -> None:
-        self.sample()
-        # priority 5: after every state change at the same instant
-        # (monitors run at 3; the metrics collector samples as of 4),
-        # so a sample at time t sees the post-update state of t.
-        self.cluster.sim.schedule(self.period_s, self._tick,
-                                  priority=5, daemon=True)
+    def flush(self) -> None:
+        """Append a row for every grid time that has passed, from the
+        state as it stands (unchanged since the earliest of them:
+        every change runs this first)."""
+        grid = self._grid
+        if grid is not None and grid.next_time <= grid.sim.now:
+            times = grid.catch_up()
+            if times:
+                self.sample(times)
 
-    def sample(self) -> None:
-        """Append one snapshot row for every node (also usable
-        directly, without the periodic tick).
+    def sample(self, times: Optional[List[float]] = None) -> None:
+        """Append the current state as the row of each of ``times``
+        (default: one row at ``now``).
 
         The row is copied straight from the cluster's state columns —
         bulk ``extend`` calls plus one flag-byte ``translate``, zero
         per-node attribute reads (pinned by a regression test).
         """
         state = self.cluster.state
-        self.times.append(self.cluster.sim.now)
-        # num_running is an int column; extend() with a same-type
-        # array is a memcpy, so only this one needs a conversion.
-        self.series["running"].extend(map(float, state.num_running))
-        self.series["demand_mb"].extend(state.total_demand_mb)
-        self.series["idle_mb"].extend(state.idle_memory_mb)
-        self.series["fault_rate_per_s"].extend(state.fault_rate_per_s)
-        self.flags.extend(state.sampler_flags())
+        if times is None:
+            times = [self.cluster.sim.now]
+        k = len(times)
+        self.times.extend(times)
+        series = self.series  # num_running alone needs a conversion
+        series["running"].extend(array("d", map(float, state.num_running))
+                                 * k)
+        series["demand_mb"].extend(state.total_demand_mb * k)
+        series["idle_mb"].extend(state.idle_memory_mb * k)
+        series["fault_rate_per_s"].extend(state.fault_rate_per_s * k)
+        self.flags.extend(state.sampler_flags() * k)
 
     # ------------------------------------------------------------------
-    # views
+    # views (each flushes first)
     # ------------------------------------------------------------------
     @property
     def num_samples(self) -> int:
+        self.flush()
         return len(self.times)
+
+    def _rows(self, domain: Optional[int] = None) -> List[Tuple[int, int]]:
+        """Index bounds of each tick's row in the stored series, or of
+        one domain's slice of it."""
+        n = self.num_nodes
+        lo, hi = (0, n) if domain is None else self._domain_bounds[domain]
+        return [(i * n + lo, i * n + hi) for i in range(self.num_samples)]
 
     def node_series(self, metric: str, node_id: int) -> List[float]:
         """One node's time series for ``metric``."""
         data = self.series[metric]
-        n = self.num_nodes
-        return [data[i * n + node_id] for i in range(self.num_samples)]
+        return [data[lo + node_id] for lo, _ in self._rows()]
 
-    def totals(self, metric: str) -> List[float]:
-        """Cluster-wide sum of ``metric`` per tick."""
+    def totals(self, metric: str,
+               domain: Optional[int] = None) -> List[float]:
+        """Cluster-wide (or one domain's) sum of ``metric`` per tick."""
         data = self.series[metric]
-        n = self.num_nodes
-        return [sum(data[i * n:(i + 1) * n])
-                for i in range(self.num_samples)]
+        return [sum(data[lo:hi]) for lo, hi in self._rows(domain)]
 
-    def flag_counts(self, bit: int) -> List[int]:
-        """Number of nodes with ``bit`` set, per tick."""
-        n = self.num_nodes
-        return [sum(1 for b in self.flags[i * n:(i + 1) * n] if b & bit)
-                for i in range(self.num_samples)]
-
-    def domain_totals(self, metric: str, domain: int) -> List[float]:
-        """One domain's per-tick sum of ``metric`` (node-slice view
-        over the stored series)."""
-        lo, hi = self._domain_bounds[domain]
-        data = self.series[metric]
-        n = self.num_nodes
-        return [sum(data[i * n + lo:i * n + hi])
-                for i in range(self.num_samples)]
+    def flag_counts(self, bit: int,
+                    domain: Optional[int] = None) -> List[int]:
+        """Number of nodes (of one domain, if given) with ``bit`` set,
+        per tick."""
+        flags = self.flags
+        return [sum(1 for b in flags[lo:hi] if b & bit)
+                for lo, hi in self._rows(domain)]
 
     # ------------------------------------------------------------------
     # exports
@@ -173,7 +181,7 @@ class ClusterSampler:
             # the domain idle-memory totals.  A large spread means the
             # two-level placement is leaving whole domains idle while
             # others page — the topology study's balance signal.
-            per_domain = [self.domain_totals("idle_mb", d)
+            per_domain = [self.totals("idle_mb", d)
                           for d in range(self.domains)]
             spreads = [max(vals) - min(vals)
                        for vals in zip(*per_domain)]
@@ -187,48 +195,40 @@ class ClusterSampler:
         ``<metric>_n<id>`` columns per node plus a ``flags_n<id>``
         column.  Returns the number of data rows written."""
         n = self.num_nodes
-        header = ["t", "total_running", "total_demand_mb",
-                  "total_idle_mb", "thrashing_nodes", "reserved_nodes",
-                  "alive_nodes"]
-        if self.domains > 1:
-            for d in range(self.domains):
-                header.append(f"idle_mb_d{d}")
-                header.append(f"running_d{d}")
-                header.append(f"thrashing_d{d}")
+        # (column, per-tick values, format spec): floats print with
+        # "g", node counts as plain integers.
+        totals = [("total_running", self.totals("running"), "g"),
+                  ("total_demand_mb", self.totals("demand_mb"), "g"),
+                  ("total_idle_mb", self.totals("idle_mb"), "g"),
+                  ("thrashing_nodes", self.flag_counts(FLAG_THRASHING), ""),
+                  ("reserved_nodes", self.flag_counts(FLAG_RESERVED), ""),
+                  ("alive_nodes", self.flag_counts(FLAG_ALIVE), "")]
+        for d in range(self.domains if self.domains > 1 else 0):
+            totals += [(f"idle_mb_d{d}", self.totals("idle_mb", d), "g"),
+                       (f"running_d{d}", self.totals("running", d), "g"),
+                       (f"thrashing_d{d}",
+                        self.flag_counts(FLAG_THRASHING, d), "")]
+        header = ["t"] + [name for name, _, _ in totals]
         for node_id in range(n):
             for metric in SAMPLE_FIELDS:
                 header.append(f"{metric}_n{node_id}")
             header.append(f"flags_n{node_id}")
         stream.write(",".join(header) + "\n")
         columns = [self.series[name] for name in SAMPLE_FIELDS]
-        for i in range(self.num_samples):
-            lo, hi = i * n, (i + 1) * n
-            row = [f"{self.times[i]:g}",
-                   f"{sum(self.series['running'][lo:hi]):g}",
-                   f"{sum(self.series['demand_mb'][lo:hi]):g}",
-                   f"{sum(self.series['idle_mb'][lo:hi]):g}",
-                   str(sum(1 for b in self.flags[lo:hi]
-                           if b & FLAG_THRASHING)),
-                   str(sum(1 for b in self.flags[lo:hi]
-                           if b & FLAG_RESERVED)),
-                   str(sum(1 for b in self.flags[lo:hi]
-                           if b & FLAG_ALIVE))]
-            if self.domains > 1:
-                for dlo, dhi in self._domain_bounds:
-                    row.append(f"{sum(self.series['idle_mb'][lo + dlo:lo + dhi]):g}")
-                    row.append(f"{sum(self.series['running'][lo + dlo:lo + dhi]):g}")
-                    row.append(str(sum(1 for b in self.flags[lo + dlo:lo + dhi]
-                                       if b & FLAG_THRASHING)))
+        for i, (lo, _) in enumerate(self._rows()):
+            row = [f"{self.times[i]:g}"]
+            row += [format(values[i], spec) for _, values, spec in totals]
             for node_id in range(n):
                 for column in columns:
                     row.append(f"{column[lo + node_id]:g}")
                 row.append(_flag_str(self.flags[lo + node_id]))
             stream.write(",".join(row) + "\n")
-        return self.num_samples
+        return len(self.times)
 
     def to_jsonable(self) -> dict:
         """Compact dict for embedding in reports: times + cluster
         totals + per-node idle series (the report's timeline inputs)."""
+        self.flush()
         out = {
             "period_s": self.period_s,
             "num_nodes": self.num_nodes,
@@ -241,6 +241,6 @@ class ClusterSampler:
         }
         if self.domains > 1:
             out["domains"] = self.domains
-            out["domain_idle_mb"] = [self.domain_totals("idle_mb", d)
+            out["domain_idle_mb"] = [self.totals("idle_mb", d)
                                      for d in range(self.domains)]
         return out

@@ -7,7 +7,7 @@ snapshot (``obs.``-prefixed) into the run summary's ``extra`` dict so
 the numbers survive CSV/JSON export and process boundaries.
 
 Subscription is per-channel: the recorder (event buffer + streaming
-JSONL log) subscribes to every trace channel, but metric derivation is
+JSONL log) subscribes to every channel, but metric derivation is
 a per-channel handler table.  A channel with neither a recorder nor a
 metric handler is never subscribed at all, so it stays *disabled* and
 its emit sites skip payload construction entirely — a metrics-only
@@ -31,10 +31,10 @@ channel                     metrics
                             migration_failed, ...) plus
                             ``fault_lost_jobs``
 ``obs.alert``               ``alerts_raised_<severity>``, ``alerts_cleared``
-``sim.event``               ``sim_events_observed`` (opt-in; the exact
-                            executed count is snapshotted from the
-                            engine at finalize time for free)
 ==========================  =============================================
+
+Observers schedule no engine event and add nothing to a checkpoint;
+the executed event count is read from the engine at finalize.
 
 The live-telemetry extensions (windowed aggregation, health rules, the
 HTTP monitoring server, engine self-profiling) are opt-in constructor
@@ -47,10 +47,9 @@ from __future__ import annotations
 import atexit
 import json
 import time
-from collections import deque
 from contextlib import contextmanager
-from typing import (TYPE_CHECKING, Deque, Dict, List, Optional, Sequence,
-                    TextIO, Union)
+from typing import (TYPE_CHECKING, Dict, List, Optional, Sequence, TextIO,
+                    Union)
 
 from repro.obs.bus import CHANNELS, EventBus, ObsEvent
 from repro.obs.lifecycle import JobLifecycleTracker
@@ -66,11 +65,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.live import LiveMonitor
     from repro.obs.profile import EngineProfiler
     from repro.obs.window import WindowAggregator
-
-#: Channels recorded into the trace/log stream.  ``sim.event`` is
-#: excluded by default: at ~10^5 events per run it would dwarf every
-#: other channel combined; opt in with ``record_sim_events=True``.
-TRACE_CHANNELS = tuple(name for name in CHANNELS if name != "sim.event")
 
 #: Prefix under which the metrics snapshot lands in ``RunSummary.extra``.
 EXTRA_PREFIX = "obs."
@@ -95,9 +89,7 @@ class ObsSession:
     }
 
     def __init__(self, record_events: bool = True,
-                 record_sim_events: bool = False,
                  run_label: str = "run",
-                 max_events: Optional[int] = None,
                  stream_log: Union[str, TextIO, None] = None,
                  lifecycle: bool = False,
                  sample_period: Optional[float] = None,
@@ -108,11 +100,9 @@ class ObsSession:
                  pace: float = 0.0,
                  profile: bool = False,
                  ingest_stdin: bool = False):
-        """``max_events`` bounds the in-memory event buffer (a ring:
-        the newest events win).  ``stream_log`` writes every observed
-        event to a line-buffered JSONL file *as it happens* —
-        independent of ``record_events``, so long runs get a full
-        tail-able on-disk log without buffering it all in memory.
+        """``stream_log`` writes every observed event to a line-buffered
+        JSONL file *as it happens* — independent of ``record_events``,
+        so long runs get a full tail-able log without holding it all.
         ``lifecycle=True`` attaches a
         :class:`~repro.obs.lifecycle.JobLifecycleTracker`;
         ``sample_period`` (seconds of simulated time) attaches a
@@ -139,13 +129,8 @@ class ObsSession:
           engine's hot entry points.
         """
         self.registry = MetricsRegistry()
-        if max_events is not None and max_events <= 0:
-            raise ValueError(f"max_events must be positive: {max_events!r}")
-        self.max_events = max_events
-        self.events: Union[List[ObsEvent], Deque[ObsEvent]] = (
-            [] if max_events is None else deque(maxlen=max_events))
+        self.events: List[ObsEvent] = []
         self.record_events = record_events
-        self.record_sim_events = record_sim_events
         self.run_label = run_label
         #: The observed run, set by :meth:`observe`.  The live
         #: monitor's control plane (``/checkpoint``, ``/fork``,
@@ -205,14 +190,12 @@ class ObsSession:
                 self._stream = self._stream_target
         bus: EventBus = cluster.obs
         recording = self.record_events or self._stream is not None
-        for name in TRACE_CHANNELS:
+        for name in CHANNELS:
             if recording:
                 bus.subscribe(name, self._record)
             handler = self._METRIC_HANDLERS.get(name)
             if handler is not None:
                 bus.subscribe(name, getattr(self, handler))
-        if self.record_sim_events:
-            bus.subscribe("sim.event", self._observe_sim_event)
         if self.lifecycle is not None:
             self.lifecycle.attach(bus)
         if self.sample_period is not None:
@@ -274,13 +257,12 @@ class ObsSession:
             self.window.add_observer(self.health.evaluate)
         if self.profile:
             from repro.obs.profile import EngineProfiler
-            ticks = []
-            if self.sampler is not None:
-                ticks.append((self.sampler, "_tick"))
-            if self.window is not None:
-                ticks.append((self.window, "_tick"))
+            observers = tuple(
+                (obj, attr) for obj, attr in ((self.sampler, "sample"),
+                                              (self.window, "_close_window"))
+                if obj is not None)
             self.profiler = EngineProfiler().attach(
-                cluster, policy=policy, extra_ticks=tuple(ticks))
+                cluster, policy=policy, observers=observers)
         if self.serve is not None:
             from repro.obs.live import LiveMonitor
             self.live = LiveMonitor(
@@ -314,6 +296,10 @@ class ObsSession:
     # subscribers
     # ------------------------------------------------------------------
     def _record(self, event: ObsEvent) -> None:
+        if self.window is not None:
+            # Windows that ended before this event close first, so an
+            # alert they raise is recorded ahead of it.
+            self.window.catch_up()
         if self.record_events:
             self.events.append(event)
         if self._stream is not None:
@@ -371,14 +357,6 @@ class ObsSession:
         elif event.kind == "clear":
             self.registry.counter("alerts_cleared").inc()
 
-    def _observe_sim_event(self, event: ObsEvent) -> None:
-        self.registry.counter("sim_events_observed").inc()
-        if self.record_events:
-            self.events.append(event)
-        if self._stream is not None:
-            self._stream.write(json.dumps(event.to_jsonable()) + "\n")
-            self._streamed_events += 1
-
     # ------------------------------------------------------------------
     # phase timing
     # ------------------------------------------------------------------
@@ -406,6 +384,9 @@ class ObsSession:
         if self.world is not None and not self._finalized:
             cluster = self.world.cluster
             sim = cluster.sim
+            # Close the windows owed while the stream log is open.
+            if self.window is not None:
+                self.window.catch_up()
             self.registry.gauge("sim_events_executed").set(sim.event_count)
             self.registry.gauge("heap_compactions").set(sim.compactions)
             self.registry.gauge("recorded_events").set(len(self.events))

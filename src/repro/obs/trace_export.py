@@ -148,7 +148,7 @@ def chrome_trace(events: Sequence[ObsEvent],
                         "ts": event.time * _US, "pid": CLUSTER_PID,
                         "tid": 0, "cat": "loadinfo.exchange",
                         "args": {"refreshed": data.get("refreshed", 0)}})
-        else:  # sim.event or future channels: generic instants
+        else:  # every other channel: generic instants
             out.append(_instant(f"{event.channel}:{event.kind}",
                                 event.time, node if node is not None
                                 else 0, dict(data)))

@@ -16,20 +16,21 @@ scheduling signal and maintains:
   retaining the observation stream: five markers per quantile, O(1)
   per observation.
 
-A daemon tick (priority 5, like the cluster sampler) closes a window
-every ``window_s`` simulated seconds, snapshots everything into a
-plain-dict record keyed by sim time, appends it to a bounded history
-ring (what the live dashboard charts), and hands the snapshot to any
-registered window observers (the health-rule engine).
+Every ``window_s`` simulated seconds a window closes into a snapshot
+keyed by its end time, kept in a bounded history ring (what the live
+dashboard charts) and handed to the window observers (the health-rule
+engine).  No event closes it: :meth:`WindowAggregator.catch_up` closes
+every window whose end has passed on the collector's grid rule
+(:meth:`repro.sim.daemon.TickGrid.catch_up`, priority 5), before each
+bus event is counted and before every read.
 
 Cumulative totals ride along in every snapshot so the *final*
 snapshot agrees with the end-of-run :class:`RunSummary` on
 overlapping metrics (jobs finished, migrations, mean slowdown) — the
 live view and the batch view can be cross-checked against each other.
 
-Nothing here perturbs scheduling: the tick is a daemon event (it
-never keeps an idle simulation alive) and the aggregator only reads
-event payloads.
+Nothing here perturbs scheduling: the aggregator schedules nothing
+and only reads event payloads.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from typing import (TYPE_CHECKING, Callable, Deque, Dict, List, Optional,
                     Tuple)
 
 from repro.obs.bus import ObsEvent
+from repro.sim.daemon import TickGrid
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cluster.cluster import Cluster
@@ -52,7 +54,7 @@ HISTORY_LIMIT = 240
 #: Default window width in simulated seconds.
 DEFAULT_WINDOW_S = 50.0
 
-#: Daemon priority of the window tick (after monitors at 3 and the
+#: Grid priority of the window ends (after monitors at 3 and the
 #: metrics collector's grid at 4, alongside the cluster sampler).
 TICK_PRIORITY = 5
 
@@ -61,7 +63,7 @@ class RollingCounter:
     """Event count folded per window plus a cumulative total.
 
     ``inc`` is the hot path (called from bus subscribers); ``roll``
-    runs once per window tick and converts the open window's count
+    runs once per closed window and converts the open window's count
     into the closed-window rate.
     """
 
@@ -214,6 +216,16 @@ _RATE_KEYS = ("submit", "finish", "requeue", "blocking",
               "exchange")
 
 
+#: Counter key -> friendly name used in the snapshot ``totals`` dict.
+_TOTAL_ALIASES = {
+    "submit": "jobs_submitted", "finish": "jobs_finished",
+    "requeue": "requeues", "blocking": "blocking_detections",
+    "placement_local": "placements_local",
+    "placement_remote": "placements_remote",
+    "migration": "migrations", "exchange": "loadinfo_exchanges",
+}
+
+
 class WindowAggregator:
     """Windowed live view of one run, fed by the obs event bus."""
 
@@ -232,6 +244,8 @@ class WindowAggregator:
         self.sim_lag = WindowedGauge()
         self.windows_closed = 0
         self.cluster: Optional["Cluster"] = None
+        #: The window ends, from :meth:`attach` on.
+        self._grid: Optional[TickGrid] = None
         self._observers: List[WindowObserver] = []
         #: job -> wall of queue entry (submit or requeue), popped at
         #: the next placement decision: feeds placement latency.
@@ -245,11 +259,12 @@ class WindowAggregator:
     # wiring
     # ------------------------------------------------------------------
     def attach(self, cluster: "Cluster") -> "WindowAggregator":
-        """Subscribe to the cluster's bus and start the window tick."""
+        """Subscribe to the cluster's bus; the first window opens now."""
         if self.cluster is not None:
             raise ValueError("WindowAggregator is single-use; "
                              "already attached")
         self.cluster = cluster
+        self._grid = TickGrid(cluster.sim, self.window_s, TICK_PRIORITY)
         bus = cluster.obs
         bus.subscribe("cluster.job", self._on_job)
         bus.subscribe("cluster.placement", self._on_placement)
@@ -257,8 +272,6 @@ class WindowAggregator:
         bus.subscribe("reconfig.blocking", self._on_blocking)
         bus.subscribe("loadinfo.exchange", self._on_exchange)
         bus.subscribe("loadinfo.domain", self._on_domain)
-        cluster.sim.schedule(self.window_s, self._tick,
-                             priority=TICK_PRIORITY, daemon=True)
         return self
 
     def add_observer(self, observer: WindowObserver) -> None:
@@ -270,6 +283,7 @@ class WindowAggregator:
     # bus subscribers
     # ------------------------------------------------------------------
     def _on_job(self, event: ObsEvent) -> None:
+        self.catch_up()
         kind = event.kind
         if kind == "submit":
             job = event.data.get("job")
@@ -293,6 +307,7 @@ class WindowAggregator:
             self._pending_since[job] = event.time
 
     def _on_placement(self, event: ObsEvent) -> None:
+        self.catch_up()
         key = ("placement_local" if event.kind == "local"
                else "placement_remote")
         self.counters[key].inc()
@@ -303,38 +318,45 @@ class WindowAggregator:
             self.placement_latency_p50.observe(latency)
 
     def _on_migration(self, event: ObsEvent) -> None:
+        self.catch_up()
         self.counters["migration"].inc()
 
     def _on_blocking(self, event: ObsEvent) -> None:
+        self.catch_up()
         if event.kind != "activation-skipped":
             self.counters["blocking"].inc()
 
     def _on_exchange(self, event: ObsEvent) -> None:
+        self.catch_up()
         self.counters["exchange"].inc()
         self._last_exchange_t = event.time
 
     def _on_domain(self, event: ObsEvent) -> None:
+        self.catch_up()
         self._last_domain_t = event.time
 
     # ------------------------------------------------------------------
-    # window tick
+    # closing windows
     # ------------------------------------------------------------------
-    def _tick(self) -> None:
-        sim = self.cluster.sim
-        snapshot = self._close_window(sim.now)
-        for observer in self._observers:
-            observer(snapshot)
-        sim.schedule(self.window_s, self._tick,
-                     priority=TICK_PRIORITY, daemon=True)
+    def catch_up(self) -> None:
+        """Close every window whose end has passed at the engine's
+        position."""
+        grid = self._grid
+        if grid is not None and grid.next_time <= grid.sim.now:
+            for end in grid.catch_up():
+                self._close_window(end)
 
-    def _close_window(self, now: float) -> dict:
+    def _close_window(self, end: float) -> None:
+        """Roll the window ending at ``end`` into the history and hand
+        its snapshot to the observers."""
         for counter in self.counters.values():
             counter.roll(self.window_s)
         self.windows_closed += 1
-        snapshot = self._build_snapshot(now, closed=True)
+        snapshot = self._build_snapshot(end, closed=True)
         self.sim_lag.roll()
         self.history.append(snapshot)
-        return snapshot
+        for observer in self._observers:
+            observer(snapshot)
 
     def _build_snapshot(self, now: float, closed: bool) -> dict:
         counters = self.counters
@@ -343,7 +365,7 @@ class WindowAggregator:
             counts = {key: counters[key].last_count for key in _RATE_KEYS}
         else:
             # Open-window view: scale the partial window as if closed
-            # (used by on-demand snapshots between ticks).
+            # (used by on-demand snapshots between window ends).
             rates = {key: counters[key].current / self.window_s
                      for key in _RATE_KEYS}
             counts = {key: counters[key].current for key in _RATE_KEYS}
@@ -372,16 +394,8 @@ class WindowAggregator:
             "window": self.windows_closed,
             "rates": rates,
             "counts": counts,
-            "totals": {
-                "jobs_submitted": counters["submit"].total,
-                "jobs_finished": counters["finish"].total,
-                "requeues": counters["requeue"].total,
-                "blocking_detections": counters["blocking"].total,
-                "placements_local": counters["placement_local"].total,
-                "placements_remote": counters["placement_remote"].total,
-                "migrations": counters["migration"].total,
-                "loadinfo_exchanges": counters["exchange"].total,
-            },
+            "totals": {alias: counters[key].total
+                       for key, alias in _TOTAL_ALIASES.items()},
             "quantiles": quantiles,
             "staleness": staleness,
             "pending_jobs": float(len(self._pending_since)),
@@ -399,11 +413,13 @@ class WindowAggregator:
     def record_sim_lag(self, lag_s: float) -> None:
         """Record the engine's real-time lag (set by the pacer; sim
         seconds the engine is behind its wall-clock schedule)."""
+        self.catch_up()
         self.sim_lag.set(lag_s)
 
     def snapshot(self, now: Optional[float] = None) -> dict:
         """On-demand snapshot: the open window scaled to full width
         plus cumulative totals (what ``/snapshot.json`` serves)."""
+        self.catch_up()
         if now is None:
             now = self.cluster.sim.now if self.cluster is not None else 0.0
         return self._build_snapshot(now, closed=False)
@@ -411,6 +427,7 @@ class WindowAggregator:
     def aggregate(self) -> Dict[str, float]:
         """Flat aggregate view folded into ``RunSummary.extra`` by the
         session (``obs.window_*`` keys)."""
+        self.catch_up()
         out: Dict[str, float] = {
             "window_width_s": self.window_s,
             "window_count": float(self.windows_closed),
@@ -427,16 +444,6 @@ class WindowAggregator:
         if self.sim_lag.value is not None:
             out["window_sim_lag_s"] = self.sim_lag.value
         return out
-
-
-#: Counter key -> friendly name used in the snapshot ``totals`` dict.
-_TOTAL_ALIASES = {
-    "submit": "jobs_submitted", "finish": "jobs_finished",
-    "requeue": "requeues", "blocking": "blocking_detections",
-    "placement_local": "placements_local",
-    "placement_remote": "placements_remote",
-    "migration": "migrations", "exchange": "loadinfo_exchanges",
-}
 
 
 def resolve_metric(snapshot: dict, name: str) -> Optional[float]:

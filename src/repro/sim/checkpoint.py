@@ -48,9 +48,11 @@ and the runner's ``--restore-from``) unpickles it before any
 validation, and unpickling can execute arbitrary code: restore only
 checkpoints you wrote.
 
-Observers are deliberately **not** part of a checkpoint: obs channels
-restore disabled and subscriber-free; a restored run attaches a fresh
-:class:`~repro.obs.session.ObsSession` if it wants telemetry.
+Observers are not part of a checkpoint: an observed world writes the
+unobserved world's bytes.  Observers schedule no event, obs channels
+pickle as their name, pre-change hooks are not pickled, ``World``
+drops its session and the profiler's wrappers come off for the dump.
+A restored run attaches a fresh session if it wants telemetry.
 
 ``fork`` is the what-if entry point: restore a snapshot, retire the
 checkpointed policy and hand its pending queue to a freshly
@@ -67,6 +69,7 @@ import io
 import os
 import pickle
 import zlib
+from contextlib import nullcontext
 from typing import Any, Dict, Optional
 
 #: File-format magic; rejects arbitrary pickles early.
@@ -76,7 +79,7 @@ MAGIC = "repro-checkpoint"
 #: to the header or to the world's pickled layout, and regenerate
 #: ``tests/golden/checkpoint_layout.json``
 #: (``tests/golden/make_checkpoint_layout.py``).
-SCHEMA_VERSION = 10
+SCHEMA_VERSION = 11
 
 
 class CheckpointError(RuntimeError):
@@ -121,11 +124,13 @@ def _write_checkpoint(stream, world, parts) -> Dict[str, Any]:
     header = {"format": MAGIC, "schema": SCHEMA_VERSION, "meta": meta,
               "job_counter": job_mod._job_counter.next_id,
               "reservation_counter": reservation_mod._res_counter.next_id}
+    profiler = world.obs and world.obs.profiler
     with gzip.GzipFile(filename="", mode="wb", compresslevel=1,
                        fileobj=stream, mtime=0) as compressed:
         pickle.dump(header, compressed, protocol=4)
         try:
-            pickle.dump(world, compressed, protocol=4)
+            with profiler.unwrapped() if profiler else nullcontext():
+                pickle.dump(world, compressed, protocol=4)
         except Exception as exc:
             raise CheckpointError(
                 f"simulation state is not picklable: {exc!r}; a scheduled "

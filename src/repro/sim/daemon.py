@@ -26,8 +26,9 @@ One grid rule serves every daemon (:meth:`TickGrid.catch_up`):
   takes effect from the next tick on.
 
 The grid and that rule are a :class:`TickGrid` of their own.  The
-metrics collector keeps one with no tick at all: before each change
-it emits the samples of every grid time that has passed
+metrics collector, the obs sampler and the obs window aggregator each
+keep one with no tick at all: before each change (or each observed
+event) they emit what every grid time that has passed owes
 (:mod:`repro.metrics.collector`).
 """
 

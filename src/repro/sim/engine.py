@@ -24,8 +24,6 @@ import heapq
 import math
 from typing import Callable, List, Optional, Tuple
 
-from repro.obs.bus import NULL_CHANNEL
-
 
 class SimulationError(RuntimeError):
     """Raised for invalid uses of the simulation kernel."""
@@ -108,10 +106,6 @@ class Simulator:
         self._daemon_pending = 0
         #: Number of lazy-cancellation heap rebuilds (diagnostics).
         self.compactions = 0
-        #: ``sim.event`` obs channel; the owning cluster points this at
-        #: its bus.  Disabled (the shared null channel) by default, so
-        #: the per-event cost is one attribute load and bool test.
-        self.obs_channel = NULL_CHANNEL
 
     # ------------------------------------------------------------------
     # clock and introspection
@@ -141,14 +135,6 @@ class Simulator:
     def event_count(self) -> int:
         """Number of events executed so far (diagnostics)."""
         return self._event_count
-
-    def pending_events(self) -> int:
-        """Number of not-yet-cancelled events still in the queue.
-
-        O(1): maintained as a pair of counters (non-daemon + daemon)
-        updated on schedule, cancel, and fire.
-        """
-        return self._non_daemon_pending + self._daemon_pending
 
     @property
     def has_non_daemon_work(self) -> bool:
@@ -229,10 +215,6 @@ class Simulator:
             else:
                 self._non_daemon_pending -= 1
             self._event_count += 1
-            obs = self.obs_channel
-            if obs.enabled:
-                obs.emit(self._now, "fire", priority=handle.priority,
-                         daemon=handle.daemon)
             callback()
             return True
         return False
@@ -297,10 +279,6 @@ class Simulator:
                 else:
                     self._non_daemon_pending -= 1
                 self._event_count += 1
-                obs = self.obs_channel
-                if obs.enabled:
-                    obs.emit(self._now, "fire", priority=handle.priority,
-                             daemon=handle.daemon)
                 callback()
                 executed += 1
         finally:

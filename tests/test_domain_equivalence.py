@@ -354,7 +354,7 @@ def test_sampler_domain_views_partition_the_totals():
     sampler = obs.sampler
     assert sampler.domains == 4
     totals = sampler.totals("idle_mb")
-    per_domain = [sampler.domain_totals("idle_mb", d) for d in range(4)]
+    per_domain = [sampler.totals("idle_mb", d) for d in range(4)]
     for tick, total in enumerate(totals):
         assert sum(col[tick] for col in per_domain) \
             == pytest.approx(total)

@@ -25,7 +25,8 @@ from repro.experiments.parallel import (
 )
 from repro.experiments.runner import run_experiment
 from repro.experiments.scenario import run_blocking_scenario
-from repro.obs.session import EXTRA_PREFIX, TRACE_CHANNELS, ObsSession
+from repro.obs.bus import CHANNELS
+from repro.obs.session import EXTRA_PREFIX, ObsSession
 from repro.workload.programs import WorkloadGroup
 
 from helpers import job, tiny_cluster
@@ -47,18 +48,18 @@ class TestObsSession:
             obs.attach(tiny_cluster())
 
     def test_sim_events_excluded_from_trace_channels(self):
-        assert "sim.event" not in TRACE_CHANNELS
-
-    def test_record_sim_events_opt_in(self):
+        # The engine emits nothing per event: the exact count is read
+        # from it at finalize.
+        assert "sim.event" not in CHANNELS
         cluster = tiny_cluster()
-        obs = ObsSession(record_events=False, record_sim_events=True)
+        obs = ObsSession(record_events=True)
         obs.attach(cluster)
         cluster.nodes[0].add_job(job(work=5.0, demand=10.0))
         cluster.sim.run()
         snapshot = obs.finalize()
-        assert snapshot["sim_events_observed"] == \
-            snapshot["sim_events_executed"]
-        assert snapshot["sim_events_observed"] > 0
+        assert snapshot["sim_events_executed"] == cluster.sim.event_count
+        assert obs.events
+        assert {event.channel for event in obs.events} <= set(CHANNELS)
 
     def test_phase_records_wall_time(self):
         obs = ObsSession()

@@ -42,9 +42,11 @@ class TestTimerCore:
         profiler = EngineProfiler().attach(cluster)
         assert node._recompute is not original
         assert node._recompute.__wrapped__ == original
-        profiler.detach()
-        # The instance attribute is gone; the class method shows again.
-        assert "_recompute" not in vars(node)
+        with profiler.unwrapped():
+            # The instance attribute is gone; the class method shows
+            # again.
+            assert "_recompute" not in vars(node)
+        assert node._recompute is not original
 
     def test_coverage_zero_before_any_run(self):
         assert EngineProfiler().coverage() == 0.0

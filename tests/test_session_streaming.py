@@ -1,9 +1,7 @@
-"""ObsSession streaming logs, bounded buffers, and Prometheus export."""
+"""ObsSession streaming logs and Prometheus export."""
 
 import io
 import json
-
-import pytest
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.session import ObsSession
@@ -66,35 +64,6 @@ class TestStreamingLog:
         streamed = [json.loads(line)
                     for line in buffer.getvalue().splitlines()]
         assert streamed == [e.to_jsonable() for e in obs.events]
-
-
-class TestBoundedBuffer:
-    def test_max_events_must_be_positive(self):
-        for bad in (0, -5):
-            with pytest.raises(ValueError, match="positive"):
-                ObsSession(max_events=bad)
-
-    def test_ring_keeps_the_newest_events(self):
-        _, unbounded = streamed_run(record_events=True)
-        total = len(unbounded.events)
-        cap = max(1, total // 2)
-        _, bounded = streamed_run(record_events=True, max_events=cap)
-        assert len(bounded.events) == cap
-        # Same run (job ids differ by the global counter), so the ring
-        # holds exactly the newest events.
-        def shape(events):
-            return [(e.channel, e.time, e.kind) for e in events]
-
-        assert shape(bounded.events) == shape(unbounded.events)[-cap:]
-
-    def test_recorded_events_gauge_reports_the_ring_size(self):
-        _, obs = streamed_run(record_events=True, max_events=5)
-        assert obs.finalize()["recorded_events"] == 5.0
-
-    def test_trace_export_works_from_the_ring(self):
-        _, obs = streamed_run(record_events=True, max_events=4)
-        document = obs.write_trace(io.StringIO())
-        assert document["otherData"]["events"] == 4
 
 
 class TestPromExport:

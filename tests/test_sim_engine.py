@@ -122,12 +122,22 @@ def test_step_and_peek():
     assert sim.step() is False
 
 
+def live_events(sim, daemon=None):
+    """Scheduled, not cancelled heap entries (daemon ones only, or
+    non-daemon ones only, if ``daemon`` is given).  Heap entries are
+    (time, priority, seq, handle) tuples."""
+    return sum(1 for entry in sim._heap
+               if entry[3].pending
+               and (daemon is None or entry[3].daemon == daemon))
+
+
 def test_pending_events_excludes_cancelled():
     sim = Simulator()
     h1 = sim.schedule(1.0, lambda: None)
     sim.schedule(2.0, lambda: None)
     h1.cancel()
-    assert sim.pending_events() == 1
+    assert live_events(sim) == 1
+    assert sim.has_non_daemon_work
 
 
 def test_event_count_tracks_executed_events():
@@ -225,14 +235,15 @@ class TestDaemonEvents:
 
 
 class TestPendingEventsCounter:
-    """pending_events() is counter-backed (O(1)), so it must stay
-    consistent through every schedule/cancel/fire path."""
+    """``has_non_daemon_work`` is counter-backed (O(1)), so it must
+    stay consistent through every schedule/cancel/fire path."""
 
     def test_counts_daemon_and_non_daemon(self):
         sim = Simulator()
         sim.schedule(1.0, lambda: None)
         sim.schedule(2.0, lambda: None, daemon=True)
-        assert sim.pending_events() == 2
+        assert live_events(sim) == 2
+        assert sim.has_non_daemon_work
 
     def test_decrements_on_fire(self):
         sim = Simulator()
@@ -240,13 +251,15 @@ class TestPendingEventsCounter:
         sim.schedule(2.0, lambda: None, daemon=True)
         sim.schedule(1.5, lambda: None)
         sim.run()  # stops once only the daemon remains
-        assert sim.pending_events() == 1
+        assert live_events(sim) == live_events(sim, daemon=True) == 1
+        assert not sim.has_non_daemon_work
 
     def test_decrements_on_daemon_cancel(self):
         sim = Simulator()
         handle = sim.schedule(1.0, lambda: None, daemon=True)
         handle.cancel()
-        assert sim.pending_events() == 0
+        assert live_events(sim) == 0
+        assert not sim.has_non_daemon_work
 
     def test_matches_heap_scan_through_mixed_activity(self):
         sim = Simulator()
@@ -256,12 +269,14 @@ class TestPendingEventsCounter:
                                         daemon=(i % 3 == 0)))
         for handle in handles[::2]:
             handle.cancel()
-        # Heap entries are (time, priority, seq, handle) tuples.
-        expected = sum(1 for entry in sim._heap if entry[3].pending)
-        assert sim.pending_events() == expected
+        assert sim.has_non_daemon_work == (
+            live_events(sim, daemon=False) > 0)
         sim.run(until=10.0)
-        expected = sum(1 for entry in sim._heap if entry[3].pending)
-        assert sim.pending_events() == expected
+        assert sim.has_non_daemon_work == (
+            live_events(sim, daemon=False) > 0)
+        sim.run()
+        assert live_events(sim, daemon=False) == 0
+        assert not sim.has_non_daemon_work
 
 
 class TestHeapCompaction:
@@ -277,7 +292,7 @@ class TestHeapCompaction:
         # rebuild: the dead 500 must be gone from the heap.
         sim.schedule(1.0, lambda: None)
         assert len(sim._heap) <= 2
-        assert sim.pending_events() == 1
+        assert live_events(sim) == 1
 
     def test_small_heaps_left_alone(self):
         sim = Simulator()
@@ -286,7 +301,8 @@ class TestHeapCompaction:
             handle.cancel()
         sim.schedule(1.0, lambda: None)
         # below the compaction floor: lazy entries may linger
-        assert sim.pending_events() == 1
+        assert len(sim._heap) == 11
+        assert live_events(sim) == 1
 
     def test_compaction_preserves_order_and_results(self):
         sim = Simulator()
@@ -313,7 +329,7 @@ class TestHeapCompaction:
                 previous.cancel()
             previous = sim.schedule(1e6 + i, lambda: None)
         assert len(sim._heap) < 200
-        assert sim.pending_events() == 2
+        assert live_events(sim) == 2
         live.cancel()
         previous.cancel()
 
@@ -349,7 +365,7 @@ class TestHeapEntries:
         assert (copy.time, copy.priority, copy.seq, copy.daemon,
                 copy.cancelled) == (2.5, 3, 1, True, False)
         assert copy.callback is _noop and copy.pending
-        assert copy._owner.pending_events() == 2
+        assert live_events(copy._owner) == 2
         earlier = pickle.loads(pickle.dumps(sim._heap[0][3]))
         assert earlier < copy and not copy < earlier
 
