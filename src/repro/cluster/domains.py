@@ -5,12 +5,16 @@ partitioned into ``K = ClusterConfig.domains`` *domains* — contiguous
 node-id slices — each owning a
 :class:`~repro.cluster.loadinfo.LoadInfoDirectory` shard that runs the
 dirty-node exchange and candidate indexes over ``N/K`` nodes.  One
-exchange tick drives every shard, scheduled only while some shard has
-a dirty node (:mod:`repro.sim.daemon`).  Across domains (real systems
-shard or gossip at scale) only a compact :class:`DomainSummary`
-travels, exchanged on a separate, typically *slower* period
-(``ClusterConfig.domain_exchange_interval_s``): inter-domain staleness
-is an explicit modeled knob.
+round grid (a :class:`~repro.sim.daemon.TickGrid`) serves every shard,
+and no event drives it: before every state change and every read the
+directory closes the round of a grid time that has passed, in each
+shard with a dirty node (:meth:`DomainDirectory.catch_up`).  Only a
+lossy exchange schedules the rounds as a tick, armed while some shard
+has a dirty node (:mod:`repro.sim.daemon`).  Across domains (real
+systems shard or gossip at scale) only a compact
+:class:`DomainSummary` travels, exchanged on a separate, typically
+*slower* period (``ClusterConfig.domain_exchange_interval_s``):
+inter-domain staleness is an explicit modeled knob.
 
 Placement is two-level: schedulers first rank domains from the
 summaries (local domain always first), then pick a node inside the
@@ -25,7 +29,7 @@ order lazily on first use.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro.cluster.loadinfo import LoadInfoDirectory, NodeSnapshot
 from repro.cluster.state import ClusterState
@@ -41,7 +45,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class DomainSummary:
     """Compact cross-domain view of one domain's *published* state.
 
-    Aggregated from the owning shard's snapshot store, not from live
+    Aggregated from the owning shard's published rows, not from live
     nodes — a summary is at best as fresh as the shard's own exchange,
     and between summary rounds remote domains see it staler still.
     """
@@ -66,7 +70,7 @@ class DomainSummary:
 
 
 class DomainDirectory:
-    """K :class:`LoadInfoDirectory` shards, one exchange tick, and the
+    """K :class:`LoadInfoDirectory` shards on one round grid, and the
     inter-domain summaries (K > 1 only)."""
 
     def __init__(self, sim: Simulator, nodes: List["Workstation"],
@@ -84,6 +88,7 @@ class DomainDirectory:
             raise ValueError("summary_interval_s must be >= 0")
         self._sim = sim
         self._nodes = nodes
+        self._state = state
         self.num_domains = num_domains
         self.exchange_interval_s = exchange_interval_s
         self.summary_interval_s = summary_interval_s
@@ -100,8 +105,17 @@ class DomainDirectory:
             d for d, (lo, hi) in enumerate(self._bounds)
             for _ in range(lo, hi)]
         self._fault_hook = None
-        #: The exchange tick (None in live mode) and summary handle.
+        #: The round grid (None in live mode).  Rounds close on it
+        #: lazily; a lossy exchange schedules them as this tick.
         self._exchange: Optional[DaemonTick] = None
+        #: The grid rounds close on at the first change or read after
+        #: their time; None in live mode and under a lossy exchange.
+        self._grid: Optional[DaemonTick] = None
+        #: Domains whose shard has a dirty node (lazy rounds only),
+        #: and domains whose shard may hold rows its candidate orders
+        #: have not taken yet.
+        self._dirty_shards: Set[int] = set()
+        self._unordered_shards: Set[int] = set()
         self._summary_handle: Optional[EventHandle] = None
         #: Summary exchange rounds completed.
         self.summary_rounds = 0
@@ -112,25 +126,80 @@ class DomainDirectory:
         self._accepting_cache: Dict[Optional[int],
                                     Tuple[int, List[int]]] = {}
         self._load_cache: Dict[Optional[int], Tuple[int, List[int]]] = {}
+        if exchange_interval_s > 0:
+            self._exchange = self._grid = DaemonTick(
+                sim, self, "_exchange_tick", exchange_interval_s,
+                priority=2, armed=False)
+            state.pre_change_hooks.append(self.catch_up)
         self._shards = [
             LoadInfoDirectory(sim, nodes[lo:hi], state,
-                              exchange_interval_s, self.obs,
-                              self._arm_exchange)
-            for lo, hi in self._bounds]
-        if exchange_interval_s > 0:
-            self._exchange = DaemonTick(
-                sim, self, "_exchange_tick", exchange_interval_s, priority=2,
-                armed=any(shard._dirty for shard in self._shards))
+                              exchange_interval_s, self.obs, self, d)
+            for d, (lo, hi) in enumerate(self._bounds)]
+        self._unordered_shards.update(range(num_domains))
         if num_domains > 1:
             self._refresh_summaries(emit=False)
             if summary_interval_s > 0:
                 self._schedule_summary(sim.now + summary_interval_s)
 
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        if self._exchange is not None:  # hooks are not pickled
+            self._state.pre_change_hooks.append(self.catch_up)
+
     # ------------------------------------------------------------------
-    # periodic activities
+    # exchange rounds
     # ------------------------------------------------------------------
+    def catch_up(self, rank: int = 2) -> None:
+        """Close the round of the earliest grid time that has passed,
+        in every shard with a dirty node.
+
+        The state's pre-change hook and the first step of every read:
+        no row has changed since that grid time, so the rows a round
+        publishes read what they read then, and every dirty node
+        belongs to that one round.  Later grid times that have passed find
+        nothing dirty.  ``rank`` is the round's place among the events
+        at its own instant (:meth:`TickGrid.catch_up
+        <repro.sim.daemon.TickGrid.catch_up>`).
+        """
+        grid = self._grid
+        if grid is not None and grid.next_time <= grid.sim.now:
+            times = grid.catch_up(rank)
+            if times and self._dirty_shards:
+                self._close_rounds(times[0])
+
+    def _close_rounds(self, time: float) -> None:
+        shards = self._shards
+        unordered = self._unordered_shards
+        for d in sorted(self._dirty_shards):
+            shard = shards[d]
+            if shard._dirty:  # an eviction may have cleaned it
+                shard.refresh(time)
+                unordered.add(d)
+        self._dirty_shards.clear()
+
+    def _settle(self) -> None:
+        """Close a due round and bring every shard's candidate orders
+        up to date (the readers of the combined version)."""
+        self.catch_up()
+        unordered = self._unordered_shards
+        if unordered:
+            shards = self._shards
+            for d in unordered:
+                shard = shards[d]
+                if shard._unordered:
+                    shard._order()
+            unordered.clear()
+
+    def _shard_dirtied(self, shard: LoadInfoDirectory) -> None:
+        """A shard went from clean to dirty: note it for the next round
+        to close, or arm the lossy exchange's tick."""
+        if self._grid is not None:
+            self._dirty_shards.add(shard.domain)
+        else:
+            self._arm_exchange()
+
     def _arm_exchange(self) -> None:
-        """A shard went dirty: schedule the next exchange round.  A
+        """Schedule the next round of a lossy exchange.  A
         self-rescheduling exchange was queued before a summary due at
         the same instant unless the summary's period is the longer one,
         so such a summary is queued behind the round again."""
@@ -144,13 +213,15 @@ class DomainDirectory:
                 self._schedule_summary(summary.time)
 
     def _exchange_tick(self) -> None:
-        # Only dirty shards refresh (K no-op calls per round add up at
-        # 10k nodes).  A dropped update leaves its shard dirty and keeps
-        # the tick armed; otherwise it parks until the next dirty mark.
+        # A lossy exchange's round.  Only dirty shards refresh.  A
+        # dropped update leaves its shard dirty and keeps the tick
+        # armed; otherwise it parks until the next dirty mark.
         keep = False
-        for shard in self._shards:
+        now = self._sim.now
+        for d, shard in enumerate(self._shards):
             if shard._dirty:
-                shard.refresh()
+                shard.refresh(now)
+                self._unordered_shards.add(d)
                 if shard._dirty:
                     keep = True
         self._exchange.fired(keep=keep)
@@ -160,6 +231,10 @@ class DomainDirectory:
             time, self._summary_tick, priority=2, daemon=True)
 
     def _summary_tick(self) -> None:
+        # A round due at this instant was queued before the summary
+        # unless the summary's period is the longer one.
+        self.catch_up(
+            1 if self.summary_interval_s <= self.exchange_interval_s else 2)
         self._refresh_summaries(emit=True)
         self._schedule_summary(self._sim.now + self.summary_interval_s)
 
@@ -243,6 +318,7 @@ class DomainDirectory:
     def order_version(self) -> int:
         """Monotone version over every shard order plus the summary
         ranking; schedulers key cached candidate views on it."""
+        self._settle()
         if self.num_domains == 1:  # no summaries: the shard's version
             return self._shards[0].order_version
         return (sum(shard.order_version for shard in self._shards)
@@ -252,6 +328,7 @@ class DomainDirectory:
     def refreshes(self) -> int:
         """Total shard exchange refreshes (shards with nothing dirty
         are skipped, so this counts performed rounds, not K x ticks)."""
+        self.catch_up()
         return sum(shard.refreshes for shard in self._shards)
 
     @property
@@ -261,14 +338,28 @@ class DomainDirectory:
 
     @fault_hook.setter
     def fault_hook(self, hook) -> None:
+        """Install the lossy-exchange hook.  Its drops, delays and
+        random draws belong to the grid times, so its rounds run as a
+        tick from here on."""
+        self.catch_up()
         self._fault_hook = hook
         for shard in self._shards:
             shard.fault_hook = hook
+        if self._grid is not None:
+            self._grid = None
+            self._dirty_shards.clear()
+            if any(shard._dirty for shard in self._shards):
+                self._arm_exchange()
 
     def refresh(self) -> None:
-        """One exchange round across all shards (tests/manual use)."""
+        """One exchange round at ``now`` across all shards
+        (tests/manual use)."""
+        self.catch_up()
+        now = self._sim.now
         for shard in self._shards:
-            shard.refresh()
+            shard.refresh(now)
+        self._dirty_shards.clear()
+        self._unordered_shards.update(range(self.num_domains))
 
     def accepting_ids(self, local_domain: Optional[int] = None
                       ) -> List[int]:

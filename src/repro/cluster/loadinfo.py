@@ -7,14 +7,29 @@ the load information among the workstations" (paper §3.3.1).
 
 A shard holds that index for one domain (:mod:`repro.cluster.domains`;
 one shard spans the cluster by default) and publishes a snapshot of
-each of its nodes at a configurable period.  Schedulers *select*
+each of its nodes once per exchange round.  Schedulers *select*
 candidates from snapshots (possibly stale) and perform a live
 admission check at the chosen node, the way a real remote submission
 would.  A period of 0 disables staleness: every lookup reads the live
-node.  The owning directory runs the exchange rounds; a shard's first
-dirty mark calls it back to arm its tick.
+node.
 
-Beyond the snapshot store, a shard incrementally maintains the two
+Rounds cost nothing until something needs them.  The owning directory
+keeps the round grid and closes a round at the first state change
+after its grid time, through the cluster state's pre-change hook,
+while the state rows still read what they read at that time
+(:meth:`LoadInfoDirectory.refresh`).  Closing a round publishes one
+row per dirty node — a tuple of the :class:`NodeSnapshot` fields —
+and applies it to the published aggregates.  The candidate orders
+take the published rows at their first read
+(:meth:`LoadInfoDirectory._order`), and a :class:`NodeSnapshot` is
+built only when one is read.  Every reader first asks the directory
+to close a due round.  A round that nobody reads before the next one
+closes costs a row copy per changed node, and no engine event.  Only
+a lossy exchange keeps a tick (:attr:`LoadInfoDirectory.fault_hook`):
+its drops, delays and random draws happen at the grid times
+themselves.
+
+Beyond the published rows, a shard incrementally maintains the two
 candidate orders the scheduling layer consumes on its hot path:
 
 * the **accepting order** — accepting nodes sorted by
@@ -45,8 +60,7 @@ from __future__ import annotations
 import functools
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import (TYPE_CHECKING, Callable, Dict, Iterable, List,
-                    Optional, Set, Tuple)
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.cluster.state import (
     FLAG_ACCEPTING,
@@ -58,6 +72,7 @@ from repro.obs.bus import NULL_CHANNEL, Channel
 from repro.sim.engine import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.cluster.domains import DomainDirectory
     from repro.cluster.workstation import Workstation
 
 
@@ -65,10 +80,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class NodeSnapshot:
     """Published load state of one workstation.
 
-    ``timestamp`` is the instant the snapshot was (re)published — for a
-    node that has not changed across exchange rounds this is the round
-    that last observed a change, since unchanged nodes are not
-    re-collected.
+    ``timestamp`` is the grid time of the round that published the
+    snapshot — for a node that has not changed across exchange rounds
+    this is the round that last observed a change, since unchanged
+    nodes are not re-collected.
     """
 
     node_id: int
@@ -125,19 +140,22 @@ class _CandidateOrder:
 
 
 class LoadInfoDirectory:
-    """Periodically refreshed load information over a slice of nodes;
-    ``on_dirty`` is called when a clean shard marks a node dirty."""
+    """Load information over a slice of nodes, published once per
+    exchange round of the owning :class:`DomainDirectory`, which it
+    tells when the shard goes from clean to dirty."""
 
     def __init__(self, sim: Simulator, nodes: List["Workstation"],
                  state: ClusterState,
                  exchange_interval_s: float,
                  obs: Optional[Channel],
-                 on_dirty: Callable[[], None]):
+                 owner: "DomainDirectory", domain: int):
         if exchange_interval_s < 0:
             raise ValueError("exchange_interval_s must be >= 0")
         self._sim = sim
         self._nodes = nodes
-        self._on_dirty = on_dirty
+        self._owner = owner
+        #: Index of this shard in the owner.
+        self.domain = domain
         #: Id-based lookup: a shard may cover a *subset* of the
         #: cluster, so node ids are not list indexes.
         self._node_by_id: Dict[int, "Workstation"] = {
@@ -149,13 +167,18 @@ class LoadInfoDirectory:
         #: ``loadinfo.exchange`` obs channel (disabled by default).
         self.obs = obs if obs is not None else NULL_CHANNEL
         self.exchange_interval_s = exchange_interval_s
-        self._snapshots: Dict[int, NodeSnapshot] = {}
+        #: Published view, node id -> the :class:`NodeSnapshot` fields
+        #: in order (periodic mode; a snapshot is built when read).
+        self._rows: Dict[int, tuple] = {}
+        #: Nodes published since the candidate orders last read their
+        #: rows; the first read of an order moves them.
+        self._unordered: Set[int] = set()
         #: Fault-injection hook consulted once per refreshed node each
         #: exchange round: ``hook(node_id) -> (action, delay_s)`` with
         #: action one of ``"deliver"``/``"drop"``/``"delay"``.  Dropped
         #: updates stay dirty and are retried next round; delayed ones
-        #: apply their (by then possibly stale) snapshot after
-        #: ``delay_s``.  ``None`` (the default) delivers everything.
+        #: apply their (by then possibly stale) row after ``delay_s``.
+        #: ``None`` (the default) delivers everything.
         self.fault_hook = None
         self.refreshes = 0
         #: Bumped whenever a maintained candidate order may have
@@ -166,128 +189,146 @@ class LoadInfoDirectory:
         self._accepting_order: Optional[_CandidateOrder] = None
         #: All nodes by (num_jobs, node_id); None until first queried.
         self._load_order: Optional[_CandidateOrder] = None
-        #: Nodes that changed since their snapshot was last collected.
+        #: Nodes that changed since their row was last published.
         self._dirty: Set[int] = set()
-        #: Aggregates over the *published* snapshots of live nodes,
-        #: maintained on every publish so a domain summary costs O(1)
-        #: per shard instead of a per-node walk.
+        #: Aggregates over the published rows of live nodes, maintained
+        #: on every publication so a domain summary costs O(1) per
+        #: shard instead of a per-node walk.
         self._agg_idle_mb = 0.0
         self._agg_thrashing = 0
         for node in nodes:
             node.add_change_listener(self._node_changed)
         if exchange_interval_s > 0:
-            self.refresh()
+            # The first round collects every node.
+            self._dirty.update(self._node_by_id)
+            self.refresh(sim.now)
 
     # ------------------------------------------------------------------
-    def refresh(self) -> None:
-        """Collect fresh snapshots (one exchange round).
+    def refresh(self, time: float) -> None:
+        """Close one exchange round at grid time ``time``.
 
         Only nodes that reported a change since their last collection
-        are re-snapshotted — an unchanged node's snapshot would come
-        out field-identical, so skipping it is free.
+        are collected — an unchanged node's snapshot would come out
+        field-identical, so skipping it is free.  Each dirty node's
+        row, in ascending node id, is published with timestamp
+        ``time``; the candidate orders take it at their next read.
+        The caller runs this before any row changes after ``time``, so
+        the rows still read what they read then.
         """
         self.refreshes += 1
-        if not self._snapshots:
-            changed_nodes = self._nodes
-        elif self._dirty:
-            changed_nodes = [self._node_by_id[node_id]
-                             for node_id in sorted(self._dirty)]
-        else:
+        dirty = self._dirty
+        if not dirty:
             return
-        self._dirty.clear()
-        order_moved = False
+        node_ids = sorted(dirty)
+        dirty.clear()
         hook = self.fault_hook
         dropped = delayed = 0
-        for node in changed_nodes:
+        for node_id in node_ids:
             if hook is not None:
-                action, delay_s = hook(node.node_id)
+                action, delay_s = hook(node_id)
                 if action == "drop":
                     # The update was lost: the node stays dirty so the
                     # next round retries it.
-                    self._dirty.add(node.node_id)
+                    dirty.add(node_id)
                     dropped += 1
                     continue
                 if action == "delay":
-                    snap = self._snapshot_of(node)
                     self._sim.schedule(
                         delay_s,
-                        functools.partial(self._apply_delayed, snap),
+                        functools.partial(self._apply_delayed,
+                                          self._row(node_id, time)),
                         priority=2, daemon=True)
                     delayed += 1
                     continue
-            snap = self._snapshot_of(node)
-            self._publish(snap)
-            order_moved |= self._reposition(snap.node_id,
-                                            self._snapshot_keys(snap))
-        if order_moved:
-            self.order_version += 1
+            self._publish(self._row(node_id, time))
+            self._unordered.add(node_id)
         obs = self.obs
         if obs.enabled:
             if hook is not None:
-                obs.emit(self._sim.now, "exchange",
-                         refreshed=len(changed_nodes),
-                         order_moved=order_moved, round=self.refreshes,
-                         dropped=dropped, delayed=delayed)
+                obs.emit(time, "exchange", refreshed=len(node_ids),
+                         round=self.refreshes, dropped=dropped,
+                         delayed=delayed)
             else:
-                obs.emit(self._sim.now, "exchange",
-                         refreshed=len(changed_nodes),
-                         order_moved=order_moved, round=self.refreshes)
+                obs.emit(time, "exchange", refreshed=len(node_ids),
+                         round=self.refreshes)
 
-    def _apply_delayed(self, snap: NodeSnapshot) -> None:
+    def _order(self) -> None:
+        """Move the nodes published since the last read to their
+        places in the active candidate orders."""
+        unordered = self._unordered
+        if self._accepting_order is not None or self._load_order is not None:
+            rows = self._rows
+            moved = False
+            for node_id in unordered:
+                moved |= self._reposition(node_id,
+                                          self._row_keys(rows[node_id]))
+            if moved:
+                self.order_version += 1
+        unordered.clear()
+
+    def _current(self) -> None:
+        """Bring the candidate orders up to date for a read: close a
+        due round, then move what closed rounds published."""
+        self._owner.catch_up()
+        if self._unordered:
+            self._order()
+
+    def _apply_delayed(self, row: tuple) -> None:
         """Land a delayed exchange update.
 
-        Out-of-order delivery is the point: the snapshot may be staler
-        than what a later round already published — a real lossy
-        network re-delivers old load reports too.  An update for a
-        node that has crashed since collection is discarded (the
-        eviction wins).
+        Out-of-order delivery is the point: the row may be staler than
+        what a later round already published — a real lossy network
+        re-delivers old load reports too.  An update for a node that
+        has crashed since collection is discarded (the eviction wins).
         """
-        if not self._node_by_id[snap.node_id].alive:
+        node_id = row[0]
+        if not self._node_by_id[node_id].alive:
             return
-        self._publish(snap)
-        if self._reposition(snap.node_id, self._snapshot_keys(snap)):
+        self._publish(row)
+        if self._reposition(node_id, self._row_keys(row)):
             self.order_version += 1
 
-    def _snapshot_of(self, node: "Workstation") -> NodeSnapshot:
+    def _row(self, node_id: int, time: float) -> tuple:
+        """The :class:`NodeSnapshot` fields of ``node_id``'s row, as
+        published at ``time``."""
         state = self._state
-        node_id = node.node_id
         bits = state.flags[node_id]
         alive = bool(bits & FLAG_ALIVE)
-        return NodeSnapshot(
-            node_id=node_id,
-            num_jobs=((state.num_running[node_id]
-                       + state.inbound_jobs[node_id]) if alive else 0),
-            idle_memory_mb=state.idle_memory_mb[node_id],
-            total_demand_mb=state.total_demand_mb[node_id],
-            fault_rate_per_s=state.fault_rate_per_s[node_id],
-            accepting=bool(bits & FLAG_ACCEPTING),
-            timestamp=self._sim.now,
-            alive=alive,
-            thrashing=alive and bool(bits & FLAG_THRASHING),
-        )
+        return (node_id,
+                ((state.num_running[node_id] + state.inbound_jobs[node_id])
+                 if alive else 0),
+                state.idle_memory_mb[node_id],
+                state.total_demand_mb[node_id],
+                state.fault_rate_per_s[node_id],
+                bool(bits & FLAG_ACCEPTING),
+                time,
+                alive,
+                alive and bool(bits & FLAG_THRASHING))
 
-    def _publish(self, snap: NodeSnapshot) -> None:
-        """Store a snapshot, maintaining the live-node aggregates."""
-        old = self._snapshots.get(snap.node_id)
-        if old is not None and old.alive:
-            self._agg_idle_mb -= old.idle_memory_mb
-            self._agg_thrashing -= old.thrashing
-        if snap.alive:
-            self._agg_idle_mb += snap.idle_memory_mb
-            self._agg_thrashing += snap.thrashing
-        self._snapshots[snap.node_id] = snap
+    def _publish(self, row: tuple) -> None:
+        """Store a row, maintaining the live-node aggregates.  Every
+        publication counts, one that no reader saw included: float
+        sums depend on the order of their terms."""
+        node_id = row[0]
+        old = self._rows.get(node_id)
+        if old is not None and old[7]:
+            self._agg_idle_mb -= old[2]
+            self._agg_thrashing -= old[8]
+        if row[7]:
+            self._agg_idle_mb += row[2]
+            self._agg_thrashing += row[8]
+        self._rows[node_id] = row
 
     # ------------------------------------------------------------------
     # candidate orders
     # ------------------------------------------------------------------
     @staticmethod
-    def _snapshot_keys(snap: NodeSnapshot
-                       ) -> Tuple[Optional[tuple], Optional[tuple]]:
-        if not snap.alive:
+    def _row_keys(row: tuple) -> Tuple[Optional[tuple], Optional[tuple]]:
+        node_id, num_jobs, idle, _, _, accepting, _, alive, _ = row
+        if not alive:
             return None, None
-        accepting_key = ((-snap.idle_memory_mb, snap.num_jobs, snap.node_id)
-                         if snap.accepting else None)
-        return accepting_key, (snap.num_jobs, snap.node_id)
+        accepting_key = (-idle, num_jobs, node_id) if accepting else None
+        return accepting_key, (num_jobs, node_id)
 
     def _live_keys(self, node: "Workstation"
                    ) -> Tuple[Optional[tuple], Optional[tuple]]:
@@ -307,7 +348,7 @@ class LoadInfoDirectory:
         staleness regime."""
         if self.exchange_interval_s == 0:
             return self._live_keys(node)
-        return self._snapshot_keys(self._snapshots[node.node_id])
+        return self._row_keys(self._rows[node.node_id])
 
     def _reposition(self, node_id: int,
                     keys: Tuple[Optional[tuple], tuple]) -> bool:
@@ -329,7 +370,7 @@ class LoadInfoDirectory:
                 self.order_version += 1
         else:
             if not self._dirty:
-                self._on_dirty()
+                self._owner._shard_dirtied(self)
             self._dirty.add(node.node_id)
 
     # ------------------------------------------------------------------
@@ -341,11 +382,11 @@ class LoadInfoDirectory:
         Eviction is immediate rather than waiting for the next
         exchange round: a real load-sharing system learns of a crash
         through connection failure, not through the periodic load
-        report.  In periodic mode the dead snapshot is published so
-        stale reads also see the node as gone.
+        report.  In periodic mode the dead row is published so stale
+        reads also see the node as gone.
         """
         if self.exchange_interval_s != 0:
-            self._publish(self._snapshot_of(self._node_by_id[node_id]))
+            self._publish(self._row(node_id, self._sim.now))
             self._dirty.discard(node_id)
         if self._reposition(node_id, (None, None)):
             self.order_version += 1
@@ -354,7 +395,7 @@ class LoadInfoDirectory:
         """Put a recovered node back into the candidate orders."""
         node = self._node_by_id[node_id]
         if self.exchange_interval_s != 0:
-            self._publish(self._snapshot_of(node))
+            self._publish(self._row(node_id, self._sim.now))
             self._dirty.discard(node_id)
         if self._reposition(node_id, self._keys_of(node)):
             self.order_version += 1
@@ -363,6 +404,7 @@ class LoadInfoDirectory:
         """Accepting node ids ordered by (idle memory desc, job count
         asc, node id) — identical to sorting a fresh ``snapshots()``
         list, without the per-call rebuild."""
+        self._current()
         if self._accepting_order is None:
             self._accepting_order = _CandidateOrder(
                 (node.node_id, self._keys_of(node)[0])
@@ -372,6 +414,7 @@ class LoadInfoDirectory:
 
     def load_order_ids(self) -> List[int]:
         """All live node ids ordered by (job count asc, node id)."""
+        self._current()
         if self._load_order is None:
             self._load_order = _CandidateOrder(
                 (node.node_id, self._keys_of(node)[1])
@@ -385,6 +428,8 @@ class LoadInfoDirectory:
         materializing the full ids list)."""
         if self._load_order is None:
             self.load_order_ids()  # activate the order lazily
+        else:
+            self._current()
         entries = self._load_order.entries
         return entries[0][0] if entries else 0
 
@@ -396,6 +441,7 @@ class LoadInfoDirectory:
         if self.exchange_interval_s == 0:
             return sum(snap.idle_memory_mb for snap in self.snapshots()
                        if snap.alive)
+        self._owner.catch_up()
         return self._agg_idle_mb
 
     def thrashing_count(self) -> int:
@@ -403,6 +449,7 @@ class LoadInfoDirectory:
         if self.exchange_interval_s == 0:
             return sum(1 for snap in self.snapshots()
                        if snap.alive and snap.thrashing)
+        self._owner.catch_up()
         return self._agg_thrashing
 
     def accepting_count(self) -> int:
@@ -411,14 +458,17 @@ class LoadInfoDirectory:
         public accessor materializes is not needed)."""
         if self._accepting_order is None:
             self.accepting_ids()  # activate the order lazily
+        else:
+            self._current()
         return len(self._accepting_order.entries)
 
     # ------------------------------------------------------------------
     def snapshot(self, node_id: int) -> NodeSnapshot:
         """The current view of ``node_id`` (live when period is 0)."""
         if self.exchange_interval_s == 0:
-            return self._snapshot_of(self._node_by_id[node_id])
-        return self._snapshots[node_id]
+            return NodeSnapshot(*self._row(node_id, self._sim.now))
+        self._owner.catch_up()
+        return NodeSnapshot(*self._rows[node_id])
 
     def snapshots(self) -> List[NodeSnapshot]:
         """Views of all nodes, ordered by node id."""

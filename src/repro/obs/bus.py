@@ -186,6 +186,17 @@ class EventBus:
     def __init__(self, extra_channels: Iterable[str] = ()):
         self._channels: Dict[str, Channel] = {
             name: Channel(name) for name in (*CHANNELS, *extra_channels)}
+        #: The :class:`~repro.obs.profile.EngineProfiler` timing this
+        #: run, if any: a checkpoint of the run takes its wrappers off
+        #: however the run was wired.  Not pickled.
+        self.profiler = None
+
+    def __getstate__(self) -> dict:
+        return {"_channels": self._channels}
+
+    def __setstate__(self, state: dict) -> None:
+        self._channels = state["_channels"]
+        self.profiler = None
 
     def channel(self, name: str) -> Channel:
         """The channel object for ``name`` (KeyError on unknown names)."""

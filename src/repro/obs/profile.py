@@ -12,8 +12,9 @@ phase              wrapped entry points
 ``placement``      the policy's ``_try_place``
 ``reconfiguration``the policy's ``_monitor_tick`` (overload monitor,
                    blocking detection, reservation decisions)
-``loadinfo``       directory refresh/exchange ticks (flat and
-                   domained) and the inter-domain summary tick
+``loadinfo``       every shard's exchange round closes
+                   (``refresh``) and candidate-order updates
+                   (``_order``), and the inter-domain summary tick
 ``obs``            the cluster sampler's rows and the window
                    aggregator's closed windows (instrumentation pays
                    for itself visibly)
@@ -35,7 +36,8 @@ never consulted or altered, preserving the determinism invariant
 (checked by ``profile_bench``: summary identical modulo ``obs.*``).
 Outside the engine span a wrapper runs untimed (coverage stays at
 most 100 %); a checkpoint pickles the unwrapped objects
-(:meth:`EngineProfiler.unwrapped`, :meth:`_Timed.__reduce__`).
+(:meth:`EngineProfiler.unwrapped`, :meth:`_Timed.__reduce__`), found
+through the cluster's bus however the run was wired.
 """
 
 from __future__ import annotations
@@ -132,14 +134,20 @@ class EngineProfiler:
         for node in cluster.nodes:
             self.wrap_method(node, "_recompute", "recompute")
         directory = cluster.directory
-        # The shard-exchange and inter-domain summary ticks.
-        self.wrap_method(directory, "_exchange_tick", "loadinfo")
+        # The exchange rounds close and reach the candidate orders
+        # inside whatever change or read needs them; the summary round
+        # is a tick.
+        for domain in range(directory.num_domains):
+            shard = directory.shard(domain)
+            self.wrap_method(shard, "refresh", "loadinfo")
+            self.wrap_method(shard, "_order", "loadinfo")
         self.wrap_method(directory, "_summary_tick", "loadinfo")
         if policy is not None:
             self.wrap_method(policy, "_try_place", "placement")
             self.wrap_method(policy, "_monitor_tick", "reconfiguration")
         for obj, attr in observers:
             self.wrap_method(obj, attr, "obs")
+        cluster.obs.profiler = self
         return self
 
     @contextmanager

@@ -51,7 +51,9 @@ checkpoints you wrote.
 Observers are not part of a checkpoint: an observed world writes the
 unobserved world's bytes.  Observers schedule no event, obs channels
 pickle as their name, pre-change hooks are not pickled, ``World``
-drops its session and the profiler's wrappers come off for the dump.
+drops its session and the profiler's wrappers come off for the dump
+(the cluster's bus names the profiler, so this holds for a hand-wired
+``snapshot_bytes(cluster=..., ...)`` too).
 A restored run attaches a fresh session if it wants telemetry.
 
 ``fork`` is the what-if entry point: restore a snapshot, retire the
@@ -79,7 +81,7 @@ MAGIC = "repro-checkpoint"
 #: to the header or to the world's pickled layout, and regenerate
 #: ``tests/golden/checkpoint_layout.json``
 #: (``tests/golden/make_checkpoint_layout.py``).
-SCHEMA_VERSION = 11
+SCHEMA_VERSION = 12
 
 
 class CheckpointError(RuntimeError):
@@ -124,7 +126,7 @@ def _write_checkpoint(stream, world, parts) -> Dict[str, Any]:
     header = {"format": MAGIC, "schema": SCHEMA_VERSION, "meta": meta,
               "job_counter": job_mod._job_counter.next_id,
               "reservation_counter": reservation_mod._res_counter.next_id}
-    profiler = world.obs and world.obs.profiler
+    profiler = world.cluster.obs.profiler
     with gzip.GzipFile(filename="", mode="wb", compresslevel=1,
                        fileobj=stream, mtime=0) as compressed:
         pickle.dump(header, compressed, protocol=4)

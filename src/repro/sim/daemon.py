@@ -1,10 +1,11 @@
-"""Periodic daemon ticks that are scheduled only while they have work.
+"""Periodic grids, and daemon ticks scheduled only while they have work.
 
-The load-information exchange and the overload monitor each run on a
-fixed tick grid, but most of their ticks find nothing to do.  A
-:class:`DaemonTick` keeps such a daemon's grid while its owner *parks*
-the tick after a round that left no work and *arms* it again when work
-appears.  A parked daemon schedules no events.
+The overload monitor runs on a fixed tick grid, but most of its ticks
+find nothing to do.  A :class:`DaemonTick` keeps such a daemon's grid
+while its owner *parks* the tick after a round that left no work and
+*arms* it again when work appears.  A parked daemon schedules no
+events.  A lossy load-information exchange runs its rounds the same
+way.
 
 One grid rule serves every daemon (:meth:`TickGrid.catch_up`):
 
@@ -26,15 +27,16 @@ One grid rule serves every daemon (:meth:`TickGrid.catch_up`):
   takes effect from the next tick on.
 
 The grid and that rule are a :class:`TickGrid` of their own.  The
-metrics collector, the obs sampler and the obs window aggregator each
-keep one with no tick at all: before each change (or each observed
-event) they emit what every grid time that has passed owes
-(:mod:`repro.metrics.collector`).
+metrics collector, the obs sampler, the obs window aggregator and the
+load directory's exchange rounds each keep one with no tick at all:
+before each change (or each observed event, or each read) they do
+what every grid time that has passed owes
+(:mod:`repro.metrics.collector`, :mod:`repro.cluster.loadinfo`).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List
+from typing import TYPE_CHECKING, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import EventHandle, Simulator
@@ -55,14 +57,20 @@ class TickGrid:
         self.priority = priority
         self.next_time = sim.now + interval
 
-    def catch_up(self) -> List[float]:
+    def catch_up(self, priority: Optional[int] = None) -> List[float]:
         """Advance past every grid time whose tick would already have
-        fired at the engine's position, and return those times."""
+        fired at the engine's position, and return those times.
+
+        ``priority`` overrides the tick's place among the events at its
+        own instant (the grid's ``priority`` by default).
+        """
+        if priority is None:
+            priority = self.priority
         passed = []
         sim = self.sim
         now = sim.now
         t = self.next_time
-        while t < now or (t == now and self.priority < sim.priority):
+        while t < now or (t == now and priority < sim.priority):
             passed.append(t)
             t += self.interval
         self.next_time = t

@@ -502,6 +502,113 @@ def test_world_checkpoint_round_trip(observed):
 
 
 # ----------------------------------------------------------------------
+# lazy exchange rounds: closed at a write, ordered at a read
+# ----------------------------------------------------------------------
+#: Events after a pause over which a restored world must close and
+#: publish exchange rounds exactly as the world that was snapshotted.
+LOCKSTEP_EVENTS = 2000
+
+#: Crash and recovery only: no lossy exchange, so the rounds close
+#: lazily and evictions and readmissions publish between them.
+CRASH_FAULTS = FaultConfig(mtbf_s=300.0, mttr_s=30.0,
+                           crash_policy="checkpoint")
+
+
+def unordered_domains(world) -> list:
+    """Domains whose shard published rows its orders have not read."""
+    directory = world.cluster.directory
+    return [d for d in range(directory.num_domains)
+            if directory.shard(d)._unordered]
+
+
+def exchange_state(world) -> list:
+    """Each shard's rounds closed, published rows, unread and dirty
+    nodes and aggregates, read without closing a round."""
+    directory = world.cluster.directory
+    return [(shard.refreshes, dict(shard._rows), sorted(shard._unordered),
+             sorted(shard._dirty), shard._agg_idle_mb, shard._agg_thrashing)
+            for shard in map(directory.shard, range(directory.num_domains))]
+
+
+def assert_restores_identically(trace, policy, cfg, pause) -> World:
+    """Pause a world with ``pause(world)``, snapshot it, run on; the
+    continuing and the restored run both equal the uninterrupted run,
+    and for the first events after the pause they close and publish
+    the same exchange rounds at the same events.  Returns the continuing
+    world."""
+    baseline = World.build(trace, policy, cfg)
+    baseline.run()
+    baseline.finish()
+    world = World.build(trace, policy, cfg)
+    pause(world)
+    restored = restore_bytes(snapshot_bytes(world))
+    for _ in range(LOCKSTEP_EVENTS):
+        # ``run`` stops where only daemon events are left; so do we.
+        if not world.cluster.sim.has_non_daemon_work:
+            break
+        assert world.cluster.sim.step() and restored.cluster.sim.step()
+        assert exchange_state(restored) == exchange_state(world)
+    world.run()
+    world.finish()
+    resumed = resume(restored)
+    for run in (world, resumed):
+        assert canonical(run.summary) == canonical(baseline.summary)
+        assert (run.cluster.sim.event_count
+                == baseline.cluster.sim.event_count)
+    return world
+
+
+@pytest.mark.parametrize("domains", [1, 4])
+def test_restore_with_a_closed_unread_round(domains):
+    """Paused on the write that closed a round, before any read took
+    it into the candidate orders: the published rows are state, and
+    the restored directory closes and reads the later rounds where the
+    uninterrupted one does."""
+    cfg = cell_config(domains, faulted=False)
+    trace = build_blocking_trace(num_nodes=8, seed=1)
+
+    def closed_rounds(world) -> int:  # read without closing one
+        directory = world.cluster.directory
+        return sum(directory.shard(d).refreshes
+                   for d in range(directory.num_domains))
+
+    def pause(world):
+        world.run(until=1.0)
+        sim = world.cluster.sim
+        closed = closed_rounds(world)
+        while True:
+            assert sim.step(), "no round closed without a read"
+            before, closed = closed, closed_rounds(world)
+            if closed > before and unordered_domains(world):
+                return
+
+    assert_restores_identically(trace, "v-reconfiguration", cfg, pause)
+
+
+@pytest.mark.parametrize("domains", [1, 4])
+def test_restore_under_crashes_without_a_lossy_exchange(domains):
+    cfg = cell_config(domains, faulted=False).replace(faults=CRASH_FAULTS)
+    assert not CRASH_FAULTS.loadinfo_faults_enabled
+    trace = build_blocking_trace(num_nodes=8, seed=1)
+    world = assert_restores_identically(
+        trace, "v-reconfiguration", cfg,
+        lambda world: world.run(until=CHECKPOINT_AT))
+    assert world.cluster.directory._grid is not None  # lazy rounds
+    counters = world.cluster.faults.counters
+    assert counters["crashes"] > 1 and counters["recoveries"] > 1
+
+
+@pytest.mark.parametrize("domains", [1, 4])
+def test_restore_with_arrivals_still_ahead(domains):
+    """SPEC trace 3 paused at 600 s, with jobs still to arrive."""
+    cfg = default_config(WorkloadGroup.SPEC).replace(domains=domains)
+    trace = subsample_trace(build_trace(WorkloadGroup.SPEC, 3, seed=0), 0.1)
+    assert any(job.submit_time > 600.0 for job in trace.jobs)
+    assert_restores_identically(trace, "v-reconfiguration", cfg,
+                                lambda world: world.run(until=600.0))
+
+
+# ----------------------------------------------------------------------
 # stream layout: header and world in one gzip stream
 # ----------------------------------------------------------------------
 def _paused(tmp_path):

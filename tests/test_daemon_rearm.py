@@ -1,26 +1,36 @@
 """Skip oracle for the daemons that tick only while they have work,
-and for the collector that has no tick at all.
+and for the grids that have no tick at all.
 
-The load-information exchange and the overload monitor park their
-ticks when a round leaves them nothing to do and re-arm them on the
-same grid when work appears (:mod:`repro.sim.daemon`).  The metrics
-collector emits the samples it owes before each change.  Neither may
-show.  Each case here runs twice: once as shipped, and once with the
-park decisions patched to never park, so that every daemon fires on
-every grid point as a self-rescheduling daemon does.  That run also
-samples the cluster from a self-rescheduling priority-4 chain, as the
-collector's tick once did: the reference series.  The two runs must
-agree on the ``RunSummary``, the directory's snapshots at the end and
-the ``(time, node)`` sequence of ``handle_overload`` calls, and each
-collector's columns and vectors must equal the reference.
+The overload monitor, and a lossy load-information exchange, park
+their ticks when a round leaves them nothing to do and re-arm them on
+the same grid when work appears (:mod:`repro.sim.daemon`).  The
+metrics collector emits the samples it owes before each change.
+Without a lossy exchange the load directory closes each exchange
+round at the first change after its grid time, and the candidate
+orders take it at their first read.  None of this may show.  Each
+case here runs twice: once as shipped, and once as a twin in which
+
+* the park decisions are patched to never park, so that every daemon
+  fires on every grid point as a self-rescheduling daemon does;
+* an eager reader closes the exchange round and updates the
+  candidate orders at every grid time from a self-rescheduling
+  priority-2 chain, where the exchange tick once fired;
+* a self-rescheduling priority-4 chain samples the cluster, as the
+  collector's tick once did: the reference series.
+
+The two runs must agree on the ``RunSummary``, the directory's
+snapshots and published aggregates at the end and the ``(time,
+node)`` sequence of ``handle_overload`` calls, and each collector's
+columns and vectors must equal the reference.
 
 The run is App trace 5 on 8 nodes: enough memory pressure for
 thrashing, blocking, pending jobs, suspensions and reservations, with
 quiet stretches in between.  Each regime also runs on two domains,
-where the one exchange tick drives two shards.  There the summary
-period equals the exchange period in two regimes, so every exchange
-round shares its instant with a summary round and must keep its place
-before it.
+where one round grid serves two shards.  There the summary period
+equals the exchange period in two regimes, so every exchange round
+shares its instant with a summary round and must keep its place
+before it.  The faulted cells run a lossy exchange, which keeps its
+tick.
 """
 
 import math
@@ -30,6 +40,7 @@ import pytest
 from test_checkpoint_equivalence import FULL_FAULTS
 from test_determinism import canonical
 
+from repro.cluster.domains import DomainDirectory
 from repro.cluster.state import FLAG_ALIVE, FLAG_RESERVED
 from repro.experiments.runner import POLICIES, default_config, run_experiment
 from repro.metrics.collector import MetricsCollector
@@ -64,6 +75,28 @@ def never_park(monkeypatch) -> None:
     monkeypatch.setattr(DaemonTick, "__init__", armed_init)
     monkeypatch.setattr(DaemonTick, "fired",
                         lambda self, keep: fired(self, keep=True))
+
+
+class EagerReader:
+    """Closes the directory's exchange round and updates its candidate
+    orders at every grid time, from a self-rescheduling priority-2
+    chain on the round grid."""
+
+    def __init__(self, directory: DomainDirectory):
+        self.directory = directory
+        self.sim = directory._sim
+        self.interval = directory.exchange_interval_s
+        self.time = self.sim.now + self.interval
+        self.rounds = 0
+        self.sim.schedule_at(self.time, self.tick, priority=2, daemon=True)
+
+    def tick(self) -> None:
+        # Rank 1: the round of this very instant counts as passed.
+        self.directory.catch_up(1)
+        self.directory._settle()  # every shard's orders take it
+        self.rounds += 1
+        self.time += self.interval
+        self.sim.schedule_at(self.time, self.tick, priority=2, daemon=True)
 
 
 class ReferenceSampler:
@@ -130,11 +163,20 @@ def run_case(monkeypatch, policy: str, regime: str, domains: int,
         init(self, *args, **kwargs)
         references.append(ReferenceSampler(self))
 
+    readers = []
+    directory_init = DomainDirectory.__init__
+
+    def with_reader(self, *args, **kwargs):
+        directory_init(self, *args, **kwargs)
+        if self.exchange_interval_s > 0:
+            readers.append(EagerReader(self))
+
     with monkeypatch.context() as patch:
         patch.setattr(cls, "handle_overload", recording)
         if not park:
             never_park(patch)
             patch.setattr(MetricsCollector, "__init__", with_reference)
+            patch.setattr(DomainDirectory, "__init__", with_reader)
         result = run_experiment(WorkloadGroup.APP, 5, policy=policy,
                                 seed=0, scale=0.25, nodes=8, config=cfg,
                                 faults=FULL_FAULTS if faulted else None)
@@ -142,7 +184,12 @@ def run_case(monkeypatch, policy: str, regime: str, domains: int,
         "summary": canonical(result.summary),
         "series": collector_rows(result.collector),
         "reference": [ref.rows for ref in references],
+        "eager_rounds": [reader.rounds for reader in readers],
         "snapshots": result.cluster.directory.snapshots(),
+        # Every publication in turn: float sums keep their order.
+        "aggregates": [(shard.published_idle_mb(), shard.thrashing_count())
+                       for shard in map(result.cluster.directory.shard,
+                                        range(domains))],
         "overloads": overloads,
         "events": result.cluster.sim.event_count,
     }
@@ -161,10 +208,14 @@ def test_parked_ticks_change_nothing(monkeypatch, policy, regime, domains,
     assert parked["summary"] == armed["summary"]
     [reference] = armed["reference"]
     assert len(reference) > 100
+    if regime != "live":
+        [rounds] = armed["eager_rounds"]
+        assert rounds > 100
     for run in (parked, armed):
         assert len(run["series"]) == len(reference)
         assert run["series"] == reference
     assert parked["snapshots"] == armed["snapshots"]
+    assert parked["aggregates"] == armed["aggregates"]
     assert parked["overloads"] == armed["overloads"]
     assert parked["events"] < armed["events"]
 

@@ -232,16 +232,49 @@ def test_stale_empty_domain_stays_in_the_global_view():
 # ----------------------------------------------------------------------
 # summary staleness semantics
 # ----------------------------------------------------------------------
-def test_sharded_exchange_parks_when_clean():
-    """One exchange tick drives every shard, and only while one of them
-    has a dirty node: a round that collects everything parks it."""
+def exchange_ticks(cluster) -> list:
+    return [entry for entry in cluster.sim._heap
+            if entry[3].pending and getattr(entry[3].callback, "__name__",
+                                            "") == "_exchange_tick"]
+
+
+def test_sharded_exchange_schedules_no_event():
+    """Without a lossy exchange no event drives the rounds: a round
+    closes at the first change or read after its grid time, in the
+    shards with a dirty node."""
     cluster = small_cluster(domains=2, nodes=8)
     directory = cluster.directory
+    cluster.nodes[5].add_job(
+        Job(program="t", cpu_work_s=500.0,
+            memory=MemoryProfile.constant(40.0)))
+    assert not exchange_ticks(cluster)
+    assert directory._dirty_shards == {1}
+    refreshes = directory.refreshes
+    cluster.sim.run(until=1.5)
+    # The read closes the round of t=1 (no write came after it); only
+    # the dirty shard refreshed.
+    assert directory.shard(1).snapshot(5).num_jobs == 1
+    assert directory.shard(1).snapshot(5).timestamp == 1.0
+    assert directory.refreshes == refreshes + 1
+    assert not directory._dirty_shards
+    cluster.sim.run(until=9.5)  # nothing changes: no round, no event
+    assert directory.refreshes == refreshes + 1
+    assert not exchange_ticks(cluster)
+
+
+def test_sharded_exchange_parks_when_clean():
+    """A lossy exchange runs its rounds as one tick for every shard,
+    armed by the first dirty mark and parked by a round that collects
+    everything."""
+    cluster = small_cluster(domains=2, nodes=8)
+    directory = cluster.directory
+    directory.fault_hook = lambda node_id: ("deliver", 0.0)
     assert not directory._exchange.armed
     cluster.nodes[5].add_job(
         Job(program="t", cpu_work_s=500.0,
             memory=MemoryProfile.constant(40.0)))
     assert directory._exchange.armed
+    assert len(exchange_ticks(cluster)) == 1
     cluster.sim.run(until=1.5)
     assert directory.shard(1).snapshot(5).num_jobs == 1
     assert not directory._exchange.armed

@@ -15,9 +15,12 @@ node under the memory-aware policies).  The checks:
   snapshots sorted by ``(-idle_memory_mb, num_jobs, node_id)``;
 * every ``load_order_ids`` / ``least_num_jobs`` answer equals the live
   snapshots sorted by ``(num_jobs, node_id)``;
-* after every exchange round each published snapshot equals what a
-  full re-collection from the node objects would publish (timestamp
-  aside — an unchanged node keeps the round that last saw it change);
+* after every exchange round, and whenever the candidate orders take
+  the rounds' rows, each published snapshot equals what a full
+  re-collection from the node objects published at its round's grid
+  time — recorded by a priority-2 chain on the round grid, where the
+  exchange tick once fired (an unchanged node keeps the round that
+  last saw it change);
 * after every node change, and at every monitor tick, the maintained
   thrashing set is exactly the set of nodes a full scan finds
   thrashing.  The monitor ticks only while that set is non-empty, so
@@ -33,6 +36,7 @@ from collections import Counter
 import pytest
 
 from repro.cluster.cluster import Cluster
+from repro.cluster.domains import DomainDirectory
 from repro.cluster.loadinfo import LoadInfoDirectory, NodeSnapshot
 from repro.experiments.runner import default_config, run_experiment
 from repro.scheduling.base import LoadSharingPolicy
@@ -69,7 +73,25 @@ def legacy_checks(monkeypatch):
     load_order_ids = LoadInfoDirectory.load_order_ids
     least_num_jobs = LoadInfoDirectory.least_num_jobs
     refresh = LoadInfoDirectory.refresh
+    order = LoadInfoDirectory._order
+    directory_init = DomainDirectory.__init__
     track_thrashing = Cluster._track_thrashing
+    #: (node id, grid time) -> the node objects' view at that time.
+    collected = {}
+
+    def collecting_init(self, sim, nodes, *args, **kwargs):
+        def collect(reschedule=True):
+            for node in nodes:
+                collected[node.node_id, sim.now] = collected_snapshot(
+                    node, sim.now)
+            if reschedule:
+                sim.schedule(interval, collect, priority=2, daemon=True)
+
+        collect(reschedule=False)  # the first round, at construction
+        directory_init(self, sim, nodes, *args, **kwargs)
+        interval = self.exchange_interval_s
+        if interval > 0:
+            sim.schedule(interval, collect, priority=2, daemon=True)
 
     def sorted_live(directory):
         return sorted((s for s in directory.snapshots() if s.alive),
@@ -99,13 +121,21 @@ def legacy_checks(monkeypatch):
         checks["least_num_jobs"] += 1
         return result
 
-    def checked_refresh(self):
-        refresh(self)
+    def checked_refresh(self, time):
+        refresh(self, time)
         for node in self._nodes:
-            published = self._snapshots[node.node_id]
-            assert published == collected_snapshot(node,
-                                                   published.timestamp)
+            published = NodeSnapshot(*self._rows[node.node_id])
+            assert published == collected[node.node_id,
+                                          published.timestamp]
         checks["exchange"] += 1
+
+    def checked_order(self):
+        order(self)
+        for node in self._nodes:
+            published = self.snapshot(node.node_id)
+            assert published == collected[node.node_id,
+                                          published.timestamp]
+        checks["order"] += 1
 
     def checked_track_thrashing(self, node):
         track_thrashing(self, node)
@@ -131,6 +161,8 @@ def legacy_checks(monkeypatch):
     monkeypatch.setattr(LoadInfoDirectory, "least_num_jobs",
                         checked_least)
     monkeypatch.setattr(LoadInfoDirectory, "refresh", checked_refresh)
+    monkeypatch.setattr(LoadInfoDirectory, "_order", checked_order)
+    monkeypatch.setattr(DomainDirectory, "__init__", collecting_init)
     monkeypatch.setattr(Cluster, "_track_thrashing",
                         checked_track_thrashing)
     return checks
@@ -154,6 +186,7 @@ def run_checked(policy, checks, interval=None, nodes=None):
 def test_indexed_matches_legacy_periodic(legacy_checks, policy):
     run_checked(policy, legacy_checks)
     assert legacy_checks["exchange"] > 0
+    assert legacy_checks["order"] > 0
 
 
 @pytest.mark.parametrize("policy", ["g-loadsharing", "memory", "cpu"])
@@ -169,3 +202,4 @@ def test_larger_cluster_equivalence(legacy_checks):
     96-node stand-in keeps the test suite fast)."""
     run_checked("memory", legacy_checks, nodes=96)
     assert legacy_checks["exchange"] > 0
+    assert legacy_checks["order"] > 0

@@ -44,14 +44,17 @@ class TestLoadInfoDirectory:
     def test_periodic_refresh_counts(self):
         cluster = Cluster(small_config(load_exchange_interval_s=1.0))
         cluster.sim.run(until=5.5)
-        # One initial refresh.  The exchange tick runs only rounds that
-        # have work, and an idle cluster dirties no node.
+        # One initial refresh.  A round runs only when it has work,
+        # and an idle cluster dirties no node.
         assert cluster.directory.refreshes == 1
         cluster.nodes[0].add_job(make_job())
         cluster.sim.run(until=8.5)
-        # The round at t=6 collects the change; the tick parks again.
+        # The round of t=6 collects the change (closed by this read,
+        # the first access after it), and no event ran it.
         assert cluster.directory.refreshes == 2
         assert cluster.directory.snapshot(0).timestamp == 6.0
+        assert not [entry for entry in cluster.sim._heap
+                    if entry[3].pending and entry[3].daemon]
 
     def test_snapshot_fields(self):
         cluster = Cluster(small_config(load_exchange_interval_s=0.0))

@@ -38,7 +38,7 @@ from repro.experiments.world import World
 from repro.faults import FaultConfig
 from repro.metrics.collector import MetricsCollector, PolicyPendingProbe
 from repro.obs.session import ObsSession
-from repro.sim.checkpoint import snapshot_bytes
+from repro.sim.checkpoint import restore_bytes, snapshot_bytes
 from repro.workload.generator import build_trace
 from repro.workload.programs import WorkloadGroup
 
@@ -227,3 +227,47 @@ def test_observed_world_checkpoints_like_the_unobserved(cell, wiring):
                 == plain.cluster.sim.event_count)
     finally:
         session.close()
+
+
+#: Instance attributes the profiler shadows: (part, attributes).
+PROFILED_ATTRS = (("nodes", ("_recompute",)),
+                  ("policy", ("_try_place", "_monitor_tick")),
+                  ("shards", ("refresh", "_order")),
+                  ("directory", ("_summary_tick",)))
+
+
+def _profiled_parts(world) -> dict:
+    directory = world.cluster.directory
+    return {"nodes": world.cluster.nodes, "policy": [world.policy],
+            "shards": [directory.shard(d)
+                       for d in range(directory.num_domains)],
+            "directory": [directory]}
+
+
+@pytest.mark.parametrize("domains", [1, 4])
+def test_hand_wired_snapshot_of_a_profiled_run_is_unwrapped(domains):
+    """``snapshot_bytes(cluster=..., ...)`` of a profiled run writes the
+    bytes of ``snapshot_bytes(session.world)``: the writer finds the
+    profiler through the cluster, and nothing restored carries one of
+    its wrappers."""
+    trace, config = _purity_input(domains, None)
+    session = watch_profiled()
+    try:
+        world, _, _ = _bound(trace, config, session)
+        world.cluster.sim.run(until=600.0)
+        parts = _profiled_parts(world)
+        for part, attrs in PROFILED_ATTRS:
+            assert all(attr in vars(obj)
+                       for obj in parts[part] for attr in attrs), part
+        hand_wired = snapshot_bytes(
+            cluster=world.cluster, policy=world.policy,
+            collector=world.collector, jobs=world.jobs,
+            trace_name=world.trace_name)
+        assert hand_wired == snapshot_bytes(world)
+    finally:
+        session.close()
+    restored = _profiled_parts(restore_bytes(hand_wired,
+                                             advance_counters=False))
+    for part, attrs in PROFILED_ATTRS:
+        assert not any(attr in vars(obj)
+                       for obj in restored[part] for attr in attrs), part

@@ -76,6 +76,9 @@ class TestProfiledRun:
             assert phase in phases, phases
             assert phases[phase] >= 0.0
         assert obs.profiler.calls["recompute"] > 0
+        # Exchange rounds close and reach the orders inside other
+        # phases.
+        assert obs.profiler.calls["loadinfo"] > 0
 
     def test_aggregates_reach_summary_extra(self, profiled):
         _, result = profiled
